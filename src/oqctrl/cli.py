@@ -314,18 +314,19 @@ def _cmd_kraus_search(cfg: dict, out: Path, seed, workers) -> list[str]:
 
 
 def _cmd_reachable(cfg: dict, out: Path, seed, workers) -> list[str]:
+    base = reachable.SamplerConfig()  # the one place the optional defaults live
     try:
         sampler = reachable.SamplerConfig(
             omega=float(_need(cfg, "omega", (int, float))),
             mu=float(_need(cfg, "mu", (int, float))),
             gamma=float(_need(cfg, "gamma", (int, float))),
-            u_max=float(_opt(cfg, "u_max", 10.0)),
-            n_max=float(_opt(cfg, "n_max", 1.0)),
-            segment_range=tuple(_opt(cfg, "segments", [1, 20])),
-            duration_range=tuple(_opt(cfg, "durations", [0.01, 10.0])),
+            u_max=float(_opt(cfg, "u_max", base.u_max)),
+            n_max=float(_opt(cfg, "n_max", base.n_max)),
+            segment_range=tuple(_opt(cfg, "segments", base.segment_range)),
+            duration_range=tuple(_opt(cfg, "durations", base.duration_range)),
             n_samples=int(_need(cfg, "samples", (int,))),
             seed=seed,
-            resolution=int(_opt(cfg, "resolution", 20)),
+            resolution=int(_opt(cfg, "resolution", base.resolution)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

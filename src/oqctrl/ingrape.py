@@ -16,6 +16,7 @@ exponentials in one batched call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -71,8 +72,29 @@ class ControlVector:
         )
 
 
+class _AffineGeneratorCache:
+    """Per-problem precompute shared by both problem kinds.
+
+    Both controls enter the GKSL generator linearly,
+
+        L(u, n) = L0 + u Du + n Dn,
+
+    so the triple is built once per problem (on first use) and every segment
+    generator is one broadcast away.  The cache lives in the instance
+    ``__dict__`` and travels with the problem when it is pickled.
+    """
+
+    @cached_property
+    def affine_generator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L0, Du, Dn): the generator at u = n = 0 and its two directions."""
+        l0 = build_liouvillian(self.system, self.decoherence, 0.0, 0.0)
+        dn = build_liouvillian(self.system, self.decoherence, 0.0, 1.0) - l0
+        du = hamiltonian_superoperator(self.system.dipole)
+        return l0, du, dn
+
+
 @dataclass(frozen=True)
-class StateTransferProblem:
+class StateTransferProblem(_AffineGeneratorCache):
     """Maximize the expectation of ``observable`` at the horizon."""
 
     system: SystemModel
@@ -94,9 +116,14 @@ class StateTransferProblem:
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
 
+    @cached_property
+    def pairing(self) -> tuple[float, float, np.ndarray]:
+        """(offset, sign, P) with objective = offset + sign * Re sum(P * G)."""
+        return 0.0, 1.0, np.outer(vec(self.observable).conj(), vec(self.rho0))
+
 
 @dataclass(frozen=True)
-class GateProblem:
+class GateProblem(_AffineGeneratorCache):
     """Minimize the process infidelity against a target unitary."""
 
     system: SystemModel
@@ -120,12 +147,17 @@ class GateProblem:
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
 
+    @cached_property
+    def pairing(self) -> tuple[float, float, np.ndarray]:
+        """(offset, sign, P) with objective = offset + sign * Re sum(P * G)."""
+        return 1.0, -1.0, _gate_pairing(self.target)
+
 
 PulseProblem = StateTransferProblem | GateProblem
 
 
 def choi_of_superoperator(g: np.ndarray) -> np.ndarray:
-    """Choi matrix sum_ij E_ij \otimes Phi(E_ij); trace N for TP maps."""
+    r"""Choi matrix sum_ij E_ij \otimes Phi(E_ij); trace N for TP maps."""
     n = int(round(np.sqrt(g.shape[0])))
     choi = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
@@ -148,45 +180,27 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def _gate_pairing(target: np.ndarray) -> np.ndarray:
-    """Matrix P with Tr[Choi(G) Choi(U)] = sum_ab P[a,b] G[a,b]."""
+    """Matrix P with Tr[Choi(G) Choi(U)] / N^2 = sum_ab P[a,b] G[a,b].
+
+    Under column stacking P = kron(U, conj(U)) / N^2: entry
+    (l N + k, j N + i) is U[l, j] conj(U[k, i]) / N^2.
+    """
     n = target.shape[0]
-    cu = choi_of_unitary(target)
-    p = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    p[k + n * l, i + n * j] += cu[j * n + l, i * n + k]
-    return p
+    return np.kron(target, target.conj()) / n**2
 
 
-def _objective_pairing(problem: PulseProblem) -> tuple[float, float, np.ndarray]:
-    """(offset, sign, P) with objective = offset + sign * Re sum(P * G)."""
-    if isinstance(problem, GateProblem):
-        n = problem.target.shape[0]
-        return 1.0, -1.0, _gate_pairing(problem.target) / n**2
-    w = vec(problem.observable)
-    v = vec(problem.rho0)
-    return 0.0, 1.0, np.outer(w.conj(), v)
-
-
-def _direction_generators(problem: PulseProblem) -> tuple[np.ndarray, np.ndarray]:
-    """dL/du and dL/dn (the generator is affine in both controls)."""
-    sys_, dec = problem.system, problem.decoherence
-    du = hamiltonian_superoperator(sys_.dipole)
-    dn = build_liouvillian(sys_, dec, 0.0, 1.0) - build_liouvillian(sys_, dec, 0.0, 0.0)
-    return du, dn
+def _segment_generators(problem: PulseProblem, controls: ControlVector) -> np.ndarray:
+    """All M segment generators L0 + u_m Du + n_m Dn in one broadcast."""
+    l0, du, dn = problem.affine_generator
+    return l0 + controls.u[:, None, None] * du + controls.n[:, None, None] * dn
 
 
 def _segment_superoperators(problem: PulseProblem, controls: ControlVector) -> np.ndarray:
-    m = controls.n_segments
-    nd = problem.system.dim
-    gens = np.empty((m, nd**2, nd**2), dtype=complex)
-    for k in range(m):
-        gens[k] = build_liouvillian(
-            problem.system, problem.decoherence, float(controls.u[k]), float(controls.n[k])
-        )
-    return expm(gens * controls.dt) if m else np.empty((0, nd**2, nd**2), dtype=complex)
+    if controls.n_segments == 0:
+        nd = problem.system.dim
+        return np.empty((0, nd**2, nd**2), dtype=complex)
+    return expm(_segment_generators(problem, controls) * controls.dt)
+
 
 def total_superoperator(problem: PulseProblem, controls: ControlVector) -> np.ndarray:
     """End-to-end superoperator of the pulse, G = G_M ... G_1."""
@@ -198,7 +212,7 @@ def total_superoperator(problem: PulseProblem, controls: ControlVector) -> np.nd
 
 
 def objective_value(controls: ControlVector, problem: PulseProblem) -> float:
-    offset, sign, pairing = _objective_pairing(problem)
+    offset, sign, pairing = problem.pairing
     g = total_superoperator(problem, controls)
     return offset + sign * float(np.real(np.sum(pairing * g)))
 
@@ -208,7 +222,7 @@ def superoperator_infidelity(g: np.ndarray, target: np.ndarray) -> float:
     n = target.shape[0]
     if g.shape != (n * n, n * n):
         raise DimensionMismatchError("superoperator and target dimensions differ")
-    pairing = _gate_pairing(target) / n**2
+    pairing = _gate_pairing(target)
     return 1.0 - float(np.real(np.sum(pairing * g)))
 
 
@@ -247,18 +261,14 @@ def grape_gradient(
     exponentials are evaluated in one batched call.
     """
     m = controls.n_segments
-    offset, sign, pairing = _objective_pairing(problem)
+    offset, sign, pairing = problem.pairing
     nd = problem.system.dim
     d2 = nd**2
     if m == 0:
         return offset + sign * float(np.real(np.sum(pairing * np.eye(d2)))), np.zeros(0), np.zeros(0)
 
-    gens = np.empty((m, d2, d2), dtype=complex)
-    for k in range(m):
-        gens[k] = build_liouvillian(
-            problem.system, problem.decoherence, float(controls.u[k]), float(controls.n[k])
-        )
-    du, dn = _direction_generators(problem)
+    gens = _segment_generators(problem, controls)
+    _, du, dn = problem.affine_generator
 
     blocks = np.zeros((2 * m, 2 * d2, 2 * d2), dtype=complex)
     blocks[:m, :d2, :d2] = gens
@@ -300,6 +310,8 @@ class PulseRunResult:
     objective_history: np.ndarray
     iterations: int
     converged: bool
+    stalled: bool = False
+    stall_message: str = ""
 
 
 def _clip(controls: ControlVector, problem: PulseProblem) -> ControlVector:
@@ -320,7 +332,11 @@ def optimize_run(
     backtrack: float = 0.5,
 ) -> PulseRunResult:
     """Projected-gradient descent (ascent for state transfer) with Armijo
-    backtracking and bound clipping; the objective history is monotone."""
+    backtracking and bound clipping; the objective history is monotone.
+
+    A line-search underflow (no step down to 1e-16 satisfies the Armijo
+    condition) ends the run with ``stalled=True`` and a diagnostic message.
+    """
     direction = -1.0 if problem.minimize else 1.0
     lo, hi = problem.u_bounds
     cur = _clip(initial, problem)
@@ -328,6 +344,8 @@ def optimize_run(
     history = [value]
     step = 1.0
     converged = False
+    stalled = False
+    stall_message = ""
     it = 0
     for it in range(1, max_iter + 1):
         pu = direction * gu
@@ -355,6 +373,11 @@ def optimize_run(
                 break
             t *= backtrack
         if not accepted:
+            stalled = True
+            stall_message = (
+                f"line search underflow at iteration {it}: "
+                f"objective={value:.12g}, |grad|={np.sqrt(gnorm2):.3e}"
+            )
             break
         cur = cand
         value, gu, gn = grape_gradient(cur, problem)
@@ -366,6 +389,8 @@ def optimize_run(
         objective_history=np.array(history),
         iterations=it,
         converged=converged,
+        stalled=stalled,
+        stall_message=stall_message,
     )
 
 

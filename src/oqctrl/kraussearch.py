@@ -264,10 +264,17 @@ class ChannelAlphabet:
 
 
 def apply_channel_exact(
-    kraus: Sequence[RationalComplexMatrix], rho: RationalComplexMatrix
+    kraus: Sequence[RationalComplexMatrix],
+    rho: RationalComplexMatrix,
+    checked: bool = False,
 ) -> RationalComplexMatrix:
-    """Exact sum_i K_i rho K_i^dag; the trace comes out exactly preserved."""
-    _check_exact_channel(kraus)
+    """Exact sum_i K_i rho K_i^dag; the trace comes out exactly preserved.
+
+    ``checked=True`` skips the trace-preservation check, for operator lists
+    a :class:`ChannelAlphabet` has already checked on construction.
+    """
+    if not checked:
+        _check_exact_channel(kraus)
     if kraus[0].dim != rho.dim:
         raise ValueError("channel and state dimensions differ")
     acc = None
@@ -322,7 +329,7 @@ class SearchOutcome:
 
 def _replay_exact(alphabet, rho, sequence):
     for idx in sequence:
-        rho = apply_channel_exact(alphabet.channels[idx], rho)
+        rho = apply_channel_exact(alphabet.channels[idx], rho, checked=True)
     return rho
 
 
@@ -365,7 +372,7 @@ def bounded_reachability(
         start = rho_initial
         goal = rho_target
         is_goal = lambda st: st == goal
-        succ = lambda st, i: apply_channel_exact(alphabet.channels[i], st)
+        succ = lambda st, i: apply_channel_exact(alphabet.channels[i], st, checked=True)
         key = lambda st: canonical_state_key(st, "exact")
 
     def certify(sequence: tuple[int, ...]) -> SearchOutcome:
@@ -431,7 +438,7 @@ def brute_force_min_length(
         start = rho_initial
         goal = rho_target
         hit = lambda st: st == goal
-        step = lambda st, i: apply_channel_exact(alphabet.channels[i], st)
+        step = lambda st, i: apply_channel_exact(alphabet.channels[i], st, checked=True)
 
     level = [start]
     if hit(start):

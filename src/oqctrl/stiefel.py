@@ -1,4 +1,4 @@
-"""Channel optimization over the complex Stiefel manifold.
+r"""Channel optimization over the complex Stiefel manifold.
 
 A trace-preserving Kraus set ``{K_1 .. K_{N^2}}`` stacks into the N^3 x N
 matrix ``S = [K_1; ...; K_{N^2}]`` with ``S^dag S = I_N``, a point of the
@@ -80,7 +80,7 @@ def _lifted(observable: np.ndarray) -> np.ndarray:
 
 
 def objective(s: np.ndarray, rho, observable) -> float:
-    """J(S) = Tr[S rho S^dag (I \otimes O)]."""
+    r"""J(S) = Tr[S rho S^dag (I \otimes O)]."""
     n = _check_point(s)
     r = np.asarray(rho, dtype=complex)
     o = np.asarray(observable, dtype=complex)
@@ -90,7 +90,7 @@ def objective(s: np.ndarray, rho, observable) -> float:
 
 
 def gradient(s: np.ndarray, rho, observable) -> np.ndarray:
-    """Ambient gradient (2I - S S^dag)(I \otimes O) S rho - S rho S^dag (I \otimes O) S.
+    r"""Ambient gradient (2I - S S^dag)(I \otimes O) S rho - S rho S^dag (I \otimes O) S.
 
     Under the metric Re Tr(X^dag Y) this equals the tangent projection of the
     unconstrained gradient, so it is tangent up to roundoff; directional

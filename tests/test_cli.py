@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oqctrl import reachable
 from oqctrl.cli import main
 from oqctrl.serialization import matrix_to_lists
 
@@ -241,6 +242,27 @@ class TestReachable:
         assert json.loads((out2 / "manifest.json").read_text())["seed"] == 77
 
 
+    def test_resolution_defaults_to_sampler_config(self, tmp_path, monkeypatch):
+        # without a 'resolution' key the grid uses SamplerConfig's default;
+        # 2000 samples are too few for it, so the doubling check refuses
+        seen = []
+        study = reachable.run_reachability_study
+
+        def spy(sampler, rho0, slack):
+            seen.append(sampler.resolution)
+            return study(sampler, rho0, slack=slack)
+
+        monkeypatch.setattr(reachable, "run_reachability_study", spy)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": 2000, "segments": [1, 2], "seed": 9},
+        )
+        out = tmp_path / "out"
+        assert main(["reachable", str(cfg), "--out", str(out)]) == 2
+        assert seen == [reachable.SamplerConfig().resolution]
+        assert "not converged" in (out / "FAILED").read_text()
+
+
 class TestReproducibility:
     def test_simulate_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", qubit_simulate_config())
@@ -266,6 +288,26 @@ class TestReproducibility:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["ingrape", str(cfg), "--out", str(out1)]) == 0
         assert main(["ingrape", str(cfg), "--out", str(out2)]) == 0
+        for name in ("runs.csv", "scan.json", "histogram.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_ingrape_independent_of_workers(self, tmp_path):
+        # each worker unpickles the problem and builds its own generator cache
+        payload = {
+            "kind": "gate",
+            "system": {"energies": [0, 1], "dipole": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+            "decoherence": {"couplings": [[0, 1e-2], [1e-2, 0]]},
+            "target": matrix_to_lists(np.diag([1.0, np.exp(1j * np.pi / 4)])),
+            "grid": {"segments": 5, "dt": 0.3},
+            "bounds": {"u_max": 2.0, "n_max": 1.0},
+            "starts": 3,
+            "max_iter": 30,
+            "seed": 11,
+        }
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        assert main(["ingrape", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
+        assert main(["ingrape", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
         for name in ("runs.csv", "scan.json", "histogram.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
-from oqctrl.core import PAULI_X, PAULI_Y, PAULI_Z, expectation, random_density
+from oqctrl import ingrape
+from oqctrl.core import PAULI_X, PAULI_Y, PAULI_Z, expectation, random_density, unvec, vec
 from oqctrl.ingrape import (
     ControlVector,
     GateProblem,
@@ -20,7 +21,13 @@ from oqctrl.ingrape import (
     superoperator_infidelity,
     total_superoperator,
 )
-from oqctrl.lindblad import DecoherenceModel, SystemModel, qubit_decoherence, qubit_system
+from oqctrl.lindblad import (
+    DecoherenceModel,
+    SystemModel,
+    build_liouvillian,
+    qubit_decoherence,
+    qubit_system,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -297,6 +304,26 @@ class TestOptimization:
         assert np.all(result.controls.n >= 0)
         assert np.all(result.controls.n <= 0.3 + 1e-15)
 
+    def test_line_search_underflow_is_flagged(self, monkeypatch):
+        # an objective that never satisfies Armijo forces the underflow
+        problem = gate_problem(HADAMARD, m=3, dt=0.5, gamma=1e-3)
+        start = ControlVector(np.array([0.3, -0.2, 0.1]), np.full(3, 0.5), 0.5)
+        monkeypatch.setattr(ingrape, "objective_value", lambda controls, problem: 2.0)
+        result = optimize_run(problem, start, max_iter=50)
+        assert result.stalled and not result.converged
+        assert result.iterations == 1
+        assert "underflow" in result.stall_message
+        assert result.objective_history.size == 1
+
+    def test_converged_run_is_not_stalled(self):
+        system, dec = closed_qubit()
+        problem = GateProblem(
+            system=system, decoherence=dec, target=np.eye(2, dtype=complex),
+            n_segments=3, dt=0.2,
+        )
+        result = optimize_run(problem, ControlVector(np.zeros(3), np.zeros(3), 0.2))
+        assert result.converged and not result.stalled and result.stall_message == ""
+
     def test_hadamard_synthesis_small_scan(self):
         problem = gate_problem(HADAMARD, m=10, dt=0.5, gamma=1e-4, u_max=5.0)
         scan = optimize_pulse(problem, starts=3, max_iter=500, seed=3)
@@ -315,6 +342,138 @@ class TestOptimization:
         parallel = optimize_pulse(problem, starts=3, max_iter=30, seed=6, workers=2)
         np.testing.assert_array_equal(serial.final_values, parallel.final_values)
         np.testing.assert_array_equal(serial.iterations, parallel.iterations)
+
+
+def gate_pairing_loop(target):
+    """Oracle for the closed-form pairing: P with Tr[Choi(G) Choi(U)] =
+    sum_ab P[a,b] G[a,b], assembled entry by entry from Choi(U)."""
+    n = target.shape[0]
+    cu = choi_of_unitary(target)
+    p = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                for l in range(n):
+                    p[k + n * l, i + n * j] += cu[j * n + l, i * n + k]
+    return p
+
+
+def haar_unitary(n, rng):
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def qutrit_ladder(couplings, epsilon):
+    system = SystemModel(
+        np.array([0.0, 1.0, 1.9]),
+        np.array([[0, 1, 0], [1, 0, np.sqrt(2)], [0, np.sqrt(2), 0]], dtype=complex),
+    )
+    return system, DecoherenceModel(np.asarray(couplings, dtype=float), epsilon=epsilon)
+
+
+MODELS = {
+    "qubit": (qubit_system(1.0, 0.7), qubit_decoherence(0.05)),
+    "qubit-uncoupled": (qubit_system(1.0, 0.7), qubit_decoherence(0.0)),
+    "qutrit-eps": qutrit_ladder([[0, 0.05, 0.02], [0.05, 0, 0.08], [0.02, 0.08, 0]], 0.6),
+    "qutrit-zero-pair": qutrit_ladder([[0, 0.05, 0.0], [0.05, 0, 0.08], [0.0, 0.08, 0]], 2.5),
+}
+
+
+def per_segment_path(controls, problem):
+    """Objective and gradient with every segment generator rebuilt by
+    build_liouvillian and Frechet derivatives from scipy (slow-path oracle)."""
+    sys_, dec = problem.system, problem.decoherence
+    dt, m = controls.dt, controls.n_segments
+    gens = [build_liouvillian(sys_, dec, float(u), float(n)) for u, n in zip(controls.u, controls.n)]
+    l0 = build_liouvillian(sys_, dec, 0.0, 0.0)
+    du = build_liouvillian(sys_, dec, 1.0, 0.0) - l0
+    dn = build_liouvillian(sys_, dec, 0.0, 1.0) - l0
+    segs = [expm(g * dt) for g in gens]
+    d2 = l0.shape[0]
+
+    def chain(ops):
+        out = np.eye(d2, dtype=complex)
+        for op in ops:
+            out = op @ out
+        return out
+
+    def objective(g):
+        if isinstance(problem, GateProblem):
+            n = problem.target.shape[0]
+            overlap = np.trace(choi_of_superoperator(g) @ choi_of_unitary(problem.target))
+            return 1.0 - float(np.real(overlap)) / n**2
+        return float(np.real(np.trace(unvec(g @ vec(problem.rho0)) @ problem.observable)))
+
+    value = objective(chain(segs))
+    grads = []
+    for direction in (du, dn):
+        grad = np.empty(m)
+        for k in range(m):
+            dseg = expm_frechet(gens[k] * dt, direction * dt, compute_expm=False)
+            dg = chain(segs[k + 1:]) @ dseg @ chain(segs[:k])
+            # both objectives are affine in G, so the derivative is the
+            # objective of dG minus its offset
+            grad[k] = objective(dg) - objective(np.zeros((d2, d2)))
+        grads.append(grad)
+    return value, grads[0], grads[1]
+
+
+class TestAffineFastPath:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_form_gate_pairing(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            u = haar_unitary(n, rng)
+            np.testing.assert_allclose(
+                ingrape._gate_pairing(u), gate_pairing_loop(u) / n**2, rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_affine_generator_matches_build_liouvillian(self, name):
+        system, dec = MODELS[name]
+        problem = GateProblem(system=system, decoherence=dec,
+                              target=np.eye(system.dim, dtype=complex), n_segments=1, dt=0.1)
+        l0, du, dn = problem.affine_generator
+        rng = np.random.default_rng(41)
+        for u, n in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)] + [
+            (rng.uniform(-3, 3), rng.uniform(0, 2)) for _ in range(5)
+        ]:
+            np.testing.assert_allclose(
+                l0 + u * du + n * dn, build_liouvillian(system, dec, u, n), rtol=0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("kind", ["gate", "state"])
+    def test_objective_and_gradient_match_per_segment_path(self, name, kind):
+        system, dec = MODELS[name]
+        rng = np.random.default_rng(42)
+        m, dt = 5, 0.4
+        if kind == "gate":
+            problem = GateProblem(system=system, decoherence=dec,
+                                  target=haar_unitary(system.dim, rng), n_segments=m, dt=dt)
+        else:
+            observable = np.diag(np.linspace(-1.0, 1.0, system.dim)).astype(complex)
+            problem = StateTransferProblem(system=system, decoherence=dec,
+                                           rho0=random_density(system.dim, rng),
+                                           observable=observable, n_segments=m, dt=dt)
+        controls = ControlVector(rng.uniform(-1, 1, m), rng.uniform(0, 1, m), dt)
+        value, gu, gn = grape_gradient(controls, problem)
+        ref_value, ref_gu, ref_gn = per_segment_path(controls, problem)
+        assert objective_value(controls, problem) == pytest.approx(ref_value, abs=1e-12)
+        assert value == pytest.approx(ref_value, abs=1e-12)
+        np.testing.assert_allclose(gu, ref_gu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gn, ref_gn, rtol=0, atol=1e-12)
+
+    def test_precompute_is_built_once_per_problem(self, monkeypatch):
+        calls = []
+        real = ingrape.build_liouvillian
+        monkeypatch.setattr(ingrape, "build_liouvillian", lambda *a: calls.append(a) or real(*a))
+        problem = gate_problem(T_GATE, m=4, dt=0.3, gamma=0.01)
+        rng = np.random.default_rng(43)
+        start = ControlVector(rng.uniform(-1, 1, 4), rng.uniform(0, 1, 4), 0.3)
+        optimize_run(problem, start, max_iter=10)
+        assert len(calls) == 2
 
 
 class TestClusterReport:

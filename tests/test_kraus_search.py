@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from oqctrl import kraussearch
 from oqctrl.kraussearch import (
     ChannelAlphabet,
     RationalComplexMatrix,
@@ -98,6 +99,14 @@ class TestExactChannels:
         with pytest.raises(ValueError, match="trace preserving"):
             apply_channel_exact([half], GROUND)
 
+    def test_unchecked_operator_list_still_checked_on_direct_call(self):
+        # the skip is opt-in: a direct call with a non-trace-preserving
+        # two-operator list (sum K^dag K = diag(1, 1/2)) must still raise
+        p0 = exact([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+        half_p1 = exact([[[0, 0], [0, 0]], [[0, 0], [{"sqrt2": "1/2"}, 0]]])
+        with pytest.raises(ValueError, match="trace preserving"):
+            apply_channel_exact([p0, half_p1], MIXED)
+
     def test_alphabet_flags(self):
         alphabet = ChannelAlphabet.from_kraus_lists([[HADAMARD_EXACT], [PAULI_X_EXACT]])
         assert alphabet.unitary == (True, True)
@@ -180,6 +189,29 @@ class TestBoundedReachability:
                 else:
                     assert outcome.found
                     assert len(outcome.sequence) == oracle
+
+    def test_skipping_the_recheck_leaves_answers_unchanged(self, monkeypatch):
+        # oracle: the same searches with every successor's channel re-checked
+        p0 = exact([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+        p1 = exact([[[0, 0], [0, 0]], [[0, 0], [1, 0]]])
+        pools = [
+            [[HADAMARD_EXACT], [PAULI_X_EXACT]],
+            [[p0, p1], [PAULI_X_EXACT], [HADAMARD_EXACT]],
+        ]
+        cases = [
+            (ChannelAlphabet.from_kraus_lists(pool), target)
+            for pool in pools
+            for target in (GROUND, EXCITED, MIXED)
+        ]
+        fast = [bounded_reachability(a, EXCITED, t, max_depth=6) for a, t in cases]
+        real = kraussearch.apply_channel_exact
+        monkeypatch.setattr(
+            kraussearch, "apply_channel_exact", lambda kraus, rho, checked=False: real(kraus, rho)
+        )
+        slow = [bounded_reachability(a, EXCITED, t, max_depth=6) for a, t in cases]
+        for f, s in zip(fast, slow):
+            assert (f.found, f.sequence, f.states_explored) == (s.found, s.sequence, s.states_explored)
+        assert any(f.found for f in fast) and not all(f.found for f in fast)
 
     def test_monotone_in_depth(self):
         alphabet = ChannelAlphabet.from_kraus_lists([[HADAMARD_EXACT]])
