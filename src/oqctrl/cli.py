@@ -307,7 +307,12 @@ def _cmd_kraus_search(cfg: dict, out: Path, seed, workers) -> list[str]:
             "depth_limit": outcome.depth_limit,
             "states_explored": outcome.states_explored,
             "replay_verified": outcome.replay_verified,
-            "note": "a negative outcome is bounded: it never claims unreachability",
+            "mode": mode,
+            "note": "a negative outcome is bounded: it never claims unreachability" + (
+                "; float mode merges visited states on a tol/10 rounding grid, so a "
+                "negative outcome also depends on that heuristic pruning"
+                if mode == "float" else ""
+            ),
         },
     )
     return ["outcome.json"]

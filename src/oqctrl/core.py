@@ -13,8 +13,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,6 +23,10 @@ import numpy as np
 STRUCTURAL_TOL = 1e-9
 # Tolerance for numerical identities expected to hold to machine precision.
 IDENTITY_TOL = 1e-12
+# Armijo backtracking of the Stiefel ascent and the pulse descent:
+# sufficient-change constant and step shrink factor.
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -209,3 +214,18 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def run_multistart(task: Callable, starts: int, seed: int, workers: int = 1) -> list:
+    """``task(seed=s)`` for the ``starts`` child seeds that
+    ``SeedSequence(seed).spawn`` gives, in start order, serially or in a
+    pool of ``workers`` processes (``task`` must then pickle); the results do
+    not depend on ``workers``."""
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
+    seeds = [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(seed).spawn(starts)]
+    if workers <= 1:
+        return [task(seed=s) for s in seeds]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task, seed=s) for s in seeds]
+        return [f.result() for f in futures]

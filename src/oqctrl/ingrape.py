@@ -16,13 +16,13 @@ exponentials in one batched call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .core import DimensionMismatchError, unvec, vec
+from .core import ARMIJO_C, BACKTRACK, DimensionMismatchError, run_multistart, unvec, vec
 from .lindblad import (
     ControlSchedule,
     DecoherenceModel,
@@ -58,13 +58,6 @@ class ControlVector:
     @property
     def n_segments(self) -> int:
         return self.u.size
-
-    @property
-    def horizon(self) -> float:
-        return self.n_segments * self.dt
-
-    def as_flat(self) -> np.ndarray:
-        return np.concatenate([self.u, self.n])
 
     def schedule(self) -> ControlSchedule:
         return ControlSchedule(
@@ -328,8 +321,6 @@ def optimize_run(
     initial: ControlVector,
     max_iter: int = 1000,
     grad_tol: float = 1e-7,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
 ) -> PulseRunResult:
     """Projected-gradient descent (ascent for state transfer) with Armijo
     backtracking and bound clipping; the objective history is monotone.
@@ -368,10 +359,10 @@ def optimize_run(
                 dt=cur.dt,
             )
             cand_value = objective_value(cand, problem)
-            if direction * (cand_value - value) >= armijo_c * t * gnorm2:
+            if direction * (cand_value - value) >= ARMIJO_C * t * gnorm2:
                 accepted = True
                 break
-            t *= backtrack
+            t *= BACKTRACK
         if not accepted:
             stalled = True
             stall_message = (
@@ -382,7 +373,7 @@ def optimize_run(
         cur = cand
         value, gu, gn = grape_gradient(cur, problem)
         history.append(value)
-        step = min(t / backtrack, 1e4)
+        step = min(t / BACKTRACK, 1e4)
     return PulseRunResult(
         controls=cur,
         objective_value=value,
@@ -444,12 +435,9 @@ def _random_controls(problem: PulseProblem, rng: np.random.Generator) -> Control
     )
 
 
-def _scan_start(args):
-    problem, seed, max_iter, grad_tol = args
-    rng = np.random.default_rng(seed)
-    start = _random_controls(problem, rng)
-    result = optimize_run(problem, start, max_iter=max_iter, grad_tol=grad_tol)
-    return start, result
+def _scan_start(problem: PulseProblem, max_iter: int, grad_tol: float, seed: int):
+    start = _random_controls(problem, np.random.default_rng(seed))
+    return start, optimize_run(problem, start, max_iter=max_iter, grad_tol=grad_tol)
 
 
 def optimize_pulse(
@@ -466,19 +454,10 @@ def optimize_pulse(
     Results are aggregated in start order and clustered on the sorted final
     values, so the scan is independent of worker scheduling.
     """
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    child_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(starts)]
-    jobs = [(problem, s, max_iter, grad_tol) for s in child_seeds]
-    if workers <= 1:
-        outcomes = [_scan_start(j) for j in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_scan_start, jobs))
-    initials = [o[0] for o in outcomes]
-    results = [o[1] for o in outcomes]
+    outcomes = run_multistart(
+        partial(_scan_start, problem, max_iter, grad_tol), starts, seed, workers
+    )
+    initials, results = map(list, zip(*outcomes))
     finals = np.array([r.objective_value for r in results])
     return LandscapeScan(
         initial_controls=initials,

@@ -284,6 +284,42 @@ def apply_channel_exact(
     return acc
 
 
+def _grid_key(arr, tol: float) -> tuple:
+    arr = np.asarray(arr, complex)
+    grid = tol / 10.0
+    re = np.round(arr.real / grid).astype(np.int64)
+    im = np.round(arr.imag / grid).astype(np.int64)
+    return (arr.shape[0],) + tuple(re.ravel()) + tuple(im.ravel())
+
+
+# One (encode, step, hit, key) kernel per search mode.  ``encode`` puts an
+# exact matrix (a state or a Kraus operator) in the mode's terms; exact states
+# compare and key on their reduced entries, float states hit within tol
+# (max-abs) and key on a tol/10 grid.  The exact step looks apply_channel_exact
+# up at call time, so a patched or traced version is the one that runs.
+_KERNELS = {
+    "exact": (
+        lambda m: m,
+        lambda kraus, st: apply_channel_exact(kraus, st, checked=True),
+        lambda st, goal, tol: st == goal,
+        lambda st, tol: st.key(),
+    ),
+    "float": (
+        RationalComplexMatrix.to_numpy,
+        lambda kraus, st: sum(k @ st @ k.conj().T for k in kraus),
+        lambda st, goal, tol: bool(np.max(np.abs(st - goal)) <= tol),
+        _grid_key,
+    ),
+}
+
+
+def _kernel(mode: str) -> tuple:
+    """(encode, step, hit, key) of a search mode; the one place a mode is checked."""
+    if mode not in _KERNELS:
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    return _KERNELS[mode]
+
+
 def canonical_state_key(rho, mode: str = "exact", tol: float = 1e-9):
     """Deduplication key for visited states.
 
@@ -291,13 +327,8 @@ def canonical_state_key(rho, mode: str = "exact", tol: float = 1e-9):
     mode: entries rounded onto a grid of width tol/10 -- collisions are
     possible, so float keying is pruning only and certificates are replayed.
     """
-    if mode == "exact":
-        return rho.key()
-    grid = tol / 10.0
-    arr = rho.to_numpy() if isinstance(rho, RationalComplexMatrix) else np.asarray(rho, complex)
-    re = np.round(arr.real / grid).astype(np.int64)
-    im = np.round(arr.imag / grid).astype(np.int64)
-    return (arr.shape[0],) + tuple(re.ravel()) + tuple(im.ravel())
+    encode, _, _, key = _kernel(mode)
+    return key(encode(rho) if isinstance(rho, RationalComplexMatrix) else rho, tol)
 
 
 class SearchMemoryError(RuntimeError):
@@ -327,18 +358,6 @@ class SearchOutcome:
     replay_verified: bool = False
 
 
-def _replay_exact(alphabet, rho, sequence):
-    for idx in sequence:
-        rho = apply_channel_exact(alphabet.channels[idx], rho, checked=True)
-    return rho
-
-
-def _replay_float(channels_np, rho, sequence):
-    for idx in sequence:
-        rho = sum(k @ rho @ k.conj().T for k in channels_np[idx])
-    return rho
-
-
 def bounded_reachability(
     alphabet: ChannelAlphabet,
     rho_initial: RationalComplexMatrix,
@@ -358,35 +377,20 @@ def bounded_reachability(
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
-
-    if mode == "float":
-        channels_np = [[k.to_numpy() for k in ops] for ops in alphabet.channels]
-        start = rho_initial.to_numpy()
-        goal = rho_target.to_numpy()
-        is_goal = lambda st: bool(np.max(np.abs(st - goal)) <= tol)
-        succ = lambda st, i: sum(k @ st @ k.conj().T for k in channels_np[i])
-        key = lambda st: canonical_state_key(st, "float", tol)
-    else:
-        start = rho_initial
-        goal = rho_target
-        is_goal = lambda st: st == goal
-        succ = lambda st, i: apply_channel_exact(alphabet.channels[i], st, checked=True)
-        key = lambda st: canonical_state_key(st, "exact")
+    encode, step, hit, _ = _kernel(mode)
+    channels = [[encode(k) for k in ops] for ops in alphabet.channels]
+    start, goal = encode(rho_initial), encode(rho_target)
 
     def certify(sequence: tuple[int, ...]) -> SearchOutcome:
-        if mode == "exact":
-            ok = _replay_exact(alphabet, rho_initial, sequence) == rho_target
-        else:
-            final = _replay_float(channels_np, rho_initial.to_numpy(), sequence)
-            ok = bool(np.max(np.abs(final - rho_target.to_numpy())) <= tol)
-        if not ok:
+        state = start
+        for i in sequence:
+            state = step(channels[i], state)
+        if not hit(state, goal, tol):
             raise AssertionError("certificate failed replay verification")
         return SearchOutcome(True, sequence, max_depth, len(visited), replay_verified=True)
 
-    visited = {key(start)}
-    if is_goal(start):
+    visited = {canonical_state_key(start, mode, tol)}
+    if hit(start, goal, tol):
         return certify(())
 
     frontier = deque([(start, ())])
@@ -395,11 +399,11 @@ def bounded_reachability(
         if len(seq) >= max_depth:
             continue
         for i in range(alphabet.size):
-            nxt = succ(state, i)
+            nxt = step(channels[i], state)
             nxt_seq = seq + (i,)
-            if is_goal(nxt):
+            if hit(nxt, goal, tol):
                 return certify(nxt_seq)
-            k = key(nxt)
+            k = canonical_state_key(nxt, mode, tol)
             if k in visited:
                 continue
             visited.add(k)
@@ -428,27 +432,18 @@ def brute_force_min_length(
     Enumerates every composition sequence without deduplication; returns the
     smallest length whose endpoint hits the target, or None.
     """
-    if mode == "float":
-        channels_np = [[k.to_numpy() for k in ops] for ops in alphabet.channels]
-        start = rho_initial.to_numpy()
-        goal = rho_target.to_numpy()
-        hit = lambda st: bool(np.max(np.abs(st - goal)) <= tol)
-        step = lambda st, i: sum(k @ st @ k.conj().T for k in channels_np[i])
-    else:
-        start = rho_initial
-        goal = rho_target
-        hit = lambda st: st == goal
-        step = lambda st, i: apply_channel_exact(alphabet.channels[i], st, checked=True)
-
+    encode, step, hit, _ = _kernel(mode)
+    channels = [[encode(k) for k in ops] for ops in alphabet.channels]
+    start, goal = encode(rho_initial), encode(rho_target)
     level = [start]
-    if hit(start):
+    if hit(start, goal, tol):
         return 0
     for depth in range(1, max_depth + 1):
         nxt_level = []
         for st in level:
             for i in range(alphabet.size):
-                nxt = step(st, i)
-                if hit(nxt):
+                nxt = step(channels[i], st)
+                if hit(nxt, goal, tol):
                     return depth
                 nxt_level.append(nxt)
         level = nxt_level

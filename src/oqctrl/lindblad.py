@@ -37,6 +37,9 @@ from .core import (
     vec,
 )
 
+VALIDATION_TOL = 1e-7  # propagated states farther off the state space fail
+DEGENERACY_TOL = 1e-9  # relative singular-value floor of a second null direction
+
 
 class PropagationFailure(RuntimeError):
     """A propagated state failed validation (numerical blow-up)."""
@@ -121,11 +124,6 @@ class DecoherenceModel:
         return self.couplings.shape[0]
 
 
-def spontaneous_flag(i: int, j: int) -> float:
-    """kappa_ij: 1 for channels descending the level ladder, else 0."""
-    return 1.0 if i > j else 0.0
-
-
 def decoherence_rate(model: DecoherenceModel, i: int, j: int, n: float) -> float:
     """Rate gamma_ij = A_ij (n + kappa_ij) of the (i, j) dissipation channel.
 
@@ -138,7 +136,7 @@ def decoherence_rate(model: DecoherenceModel, i: int, j: int, n: float) -> float
         raise ValueError("occupation n must be nonnegative")
     if not (0 <= i < model.dim and 0 <= j < model.dim):
         raise DimensionMismatchError("level index out of range")
-    return float(model.couplings[i, j] * (n + spontaneous_flag(i, j)))
+    return float(model.couplings[i, j] * (n + float(i > j)))
 
 
 @dataclass(frozen=True)
@@ -265,15 +263,14 @@ def propagate_schedule(
     decoherence: DecoherenceModel,
     schedule: ControlSchedule,
     rho0,
-    validation_tol: float = 1e-7,
 ) -> list[np.ndarray]:
     """States at the schedule boundaries, starting from rho0.
 
     Raises :class:`PropagationFailure` if any intermediate state leaves the
-    state space by more than ``validation_tol`` (which signals a numerical
+    state space by more than ``VALIDATION_TOL`` (which signals a numerical
     blow-up; it cannot happen for well-posed inputs).
     """
-    report = validate_density(rho0, validation_tol)
+    report = validate_density(rho0, VALIDATION_TOL)
     if not report.ok:
         raise PropagationFailure(f"initial state invalid ({report.worst})")
     n_pairs = len(transition_pairs(system.dim))
@@ -283,7 +280,7 @@ def propagate_schedule(
             system, decoherence, float(schedule.u[m]), schedule.occupations(m, n_pairs)
         )
         nxt = propagate_segment(gen, states[-1], float(schedule.durations[m]))
-        report = validate_density(nxt, validation_tol)
+        report = validate_density(nxt, VALIDATION_TOL)
         if not report.ok:
             raise PropagationFailure(
                 f"state after segment {m} invalid ({report.worst}); "
@@ -306,9 +303,7 @@ def qubit_decoherence(gamma: float) -> DecoherenceModel:
     return DecoherenceModel(couplings=np.array([[0.0, gamma], [gamma, 0.0]]), epsilon=1.0)
 
 
-def qubit_bloch_generator(
-    system: SystemModel, gamma: float, u: float, n: float
-) -> tuple[np.ndarray, np.ndarray]:
+def qubit_bloch_generator(system: SystemModel, gamma: float, u, n) -> tuple[np.ndarray, np.ndarray]:
     """Affine Bloch-picture generator dr/dt = A r + b of the damped qubit.
 
     Expects the two-level model of :func:`qubit_system` (energies (0, omega),
@@ -319,12 +314,16 @@ def qubit_bloch_generator(
         A = [[-G/2,   w,      0   ],          b = (0, 0, gamma)
              [ -w,   -G/2,  -2 mu u],
              [  0,   2 mu u,  -G  ]],   G = gamma (2 n + 1).
+
+    ``u`` and ``n`` broadcast against each other; for arrays of shape S the
+    results stack to shapes S + (3, 3) and S + (3,).
     """
     if system.dim != 2:
         raise DimensionMismatchError("Bloch generator requires a two-level system")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if n < 0:
+    u, n = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(n, dtype=float))
+    if np.any(n < 0):
         raise ValueError("occupation n must be nonnegative")
     v = system.dipole
     if abs(v[0, 0]) > STRUCTURAL_TOL or abs(v[1, 1]) > STRUCTURAL_TOL or abs(v[0, 1].imag) > STRUCTURAL_TOL:
@@ -332,14 +331,13 @@ def qubit_bloch_generator(
     mu = float(v[0, 1].real)
     omega = system.transition_frequency(0, 1)
     big_g = gamma * (2.0 * n + 1.0)
-    a = np.array(
-        [
-            [-0.5 * big_g, omega, 0.0],
-            [-omega, -0.5 * big_g, -2.0 * mu * u],
-            [0.0, 2.0 * mu * u, -big_g],
-        ]
-    )
-    b = np.array([0.0, 0.0, gamma])
+    a = np.zeros(u.shape + (3, 3))
+    a[..., 0, 0] = a[..., 1, 1] = -0.5 * big_g
+    a[..., 0, 1], a[..., 1, 0] = omega, -omega
+    a[..., 1, 2], a[..., 2, 1] = -2.0 * mu * u, 2.0 * mu * u
+    a[..., 2, 2] = -big_g
+    b = np.zeros(u.shape + (3,))
+    b[..., 2] = gamma
     return a, b
 
 
@@ -427,7 +425,6 @@ def stationary_state(
     decoherence: DecoherenceModel,
     u: float,
     n: float | Sequence[float],
-    degeneracy_tol: float = 1e-9,
 ) -> np.ndarray:
     """Null-space state of the generator: L vec(rho_ss) = 0.
 
@@ -438,7 +435,7 @@ def stationary_state(
     gen = build_liouvillian(system, decoherence, u, n)
     norm = max(1.0, float(np.linalg.norm(gen, 2)))
     _, s, vh = np.linalg.svd(gen)
-    if s[-2] < degeneracy_tol * norm:
+    if s[-2] < DEGENERACY_TOL * norm:
         raise DegenerateNullSpaceError(
             f"null space is (at least) two-dimensional: sigma={s[-2:].tolist()}"
         )

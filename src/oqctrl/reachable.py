@@ -22,9 +22,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import bloch_from_density
-from .lindblad import ControlSchedule
+from .lindblad import ControlSchedule, qubit_bloch_generator, qubit_system
 
 _EXPM_CHUNK = 200_000
+# (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than
+# MIN_BIN_COUNT samples are left out of the gap estimate
+DIRECTION_BINS = (12, 24)
+MIN_BIN_COUNT = 5
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,6 @@ class SamplerConfig:
     n_samples: int = 100_000
     seed: int = 0
     resolution: int = 10
-    direction_bins: tuple[int, int] = (12, 24)
 
     def __post_init__(self):
         if min(self.omega, self.mu, self.gamma) <= 0:
@@ -90,22 +93,14 @@ def drawn_schedules(cfg: SamplerConfig) -> Iterator[ControlSchedule]:
 
 def _segment_maps(cfg: SamplerConfig, u, n, dt) -> np.ndarray:
     """exp([[A, b], [0, 0]] dt) per segment, batched and chunked."""
+    system = qubit_system(cfg.omega, cfg.mu)
     total = u.size
     out = np.empty((total, 4, 4))
     for lo in range(0, total, _EXPM_CHUNK):
         hi = min(lo + _EXPM_CHUNK, total)
-        uu, nn, tt = u[lo:hi], n[lo:hi], dt[lo:hi]
         g = np.zeros((hi - lo, 4, 4))
-        big_g = cfg.gamma * (2.0 * nn + 1.0)
-        g[:, 0, 0] = -0.5 * big_g
-        g[:, 0, 1] = cfg.omega
-        g[:, 1, 0] = -cfg.omega
-        g[:, 1, 1] = -0.5 * big_g
-        g[:, 1, 2] = -2.0 * cfg.mu * uu
-        g[:, 2, 1] = 2.0 * cfg.mu * uu
-        g[:, 2, 2] = -big_g
-        g[:, 2, 3] = cfg.gamma
-        out[lo:hi] = expm(g * tt[:, None, None])
+        g[:, :3, :3], g[:, :3, 3] = qubit_bloch_generator(system, cfg.gamma, u[lo:hi], n[lo:hi])
+        out[lo:hi] = expm(g * dt[lo:hi, None, None])
     return out
 
 
@@ -171,21 +166,8 @@ class CoverageGrid:
     def occupancy_fraction(self) -> float:
         return self.occupied_in_ball_cells / self.total_in_ball_cells
 
-    def merge(self, other: "CoverageGrid") -> "CoverageGrid":
-        """Associative, commutative reduction for parallel sampling."""
-        if self.resolution != other.resolution or self.radial_max.shape != other.radial_max.shape:
-            raise ValueError("grids have different layouts")
-        return CoverageGrid(
-            resolution=self.resolution,
-            counts=self.counts + other.counts,
-            radial_max=np.maximum(self.radial_max, other.radial_max),
-            radial_counts=self.radial_counts + other.radial_counts,
-        )
 
-
-def coverage_map(
-    points: np.ndarray, resolution: int, direction_bins: tuple[int, int] = (12, 24)
-) -> CoverageGrid:
+def coverage_map(points: np.ndarray, resolution: int) -> CoverageGrid:
     """Deterministic binning of a Bloch point cloud."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -197,7 +179,7 @@ def coverage_map(
     counts = np.zeros((res, res, res), dtype=np.int64)
     np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1)
 
-    n_theta, n_phi = direction_bins
+    n_theta, n_phi = DIRECTION_BINS
     norms = np.linalg.norm(pts, axis=1)
     nonzero = norms > 1e-12
     p = pts[nonzero]
@@ -242,7 +224,6 @@ def unreachable_report(
     omega: float,
     slack: float = 3.0,
     occupancy_change: float | None = None,
-    min_bin_count: int = 5,
 ) -> UnreachableReport:
     """Compare the empirical unreachable region against slack * gamma/omega.
 
@@ -256,7 +237,7 @@ def unreachable_report(
         raise ValueError(
             f"grid not converged: occupancy changed by {occupancy_change:.3%} on doubling"
         )
-    usable = grid.radial_counts >= min_bin_count
+    usable = grid.radial_counts >= MIN_BIN_COUNT
     low_coverage = int((~usable).sum())
     gaps = np.where(usable, 1.0 - grid.radial_max, 0.0)
     max_gap = float(gaps.max())
@@ -297,12 +278,12 @@ def run_reachability_study(cfg: SamplerConfig, rho0, slack: float = 3.0) -> Stud
     count must change the occupancy fraction by less than 0.5%.
     """
     points = sample_reachable(cfg, rho0)
-    grid = coverage_map(points, cfg.resolution, cfg.direction_bins)
+    grid = coverage_map(points, cfg.resolution)
     nseg, _, _, _ = _draw(cfg)
     half_samples = cfg.n_samples // 2
     prefix_points = int(nseg[:half_samples].sum()) + half_samples
     if half_samples >= 1:
-        half_grid = coverage_map(points[:prefix_points], cfg.resolution, cfg.direction_bins)
+        half_grid = coverage_map(points[:prefix_points], cfg.resolution)
         change = abs(grid.occupancy_fraction - half_grid.occupancy_fraction)
     else:
         change = 0.0

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, herm, kraus_constraint_residual
+from .core import (ARMIJO_C, BACKTRACK, DimensionMismatchError, herm,
+                   kraus_constraint_residual, run_multistart)
 
 STIEFEL_TOL = 1e-10
+INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
 
 
 def _check_point(s: np.ndarray) -> int:
@@ -200,9 +203,6 @@ def maximize(
     grad_tol: float = 1e-8,
     seed: int | None = 0,
     initial: np.ndarray | None = None,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
-    initial_step: float = 1.0,
 ) -> OptimizationReport:
     """Riemannian gradient ascent of J over the Stiefel manifold.
 
@@ -229,7 +229,7 @@ def maximize(
     history = [j]
     gnorms = []
     steps = []
-    step = initial_step
+    step = INITIAL_STEP
     converged = False
     stalled = False
     stall_message = ""
@@ -256,10 +256,10 @@ def maximize(
         while t >= 1e-14:
             cand = retract(s, t * g)
             j_cand = objective(cand, r, observable)
-            if j_cand >= j + armijo_c * t * gnorm**2:
+            if j_cand >= j + ARMIJO_C * t * gnorm**2:
                 accepted = True
                 break
-            t *= backtrack
+            t *= BACKTRACK
         if not accepted:
             stalled = True
             stall_message = (
@@ -271,7 +271,7 @@ def maximize(
         s, j = cand, j_cand
         history.append(j)
         steps.append(t)
-        step = min(t / backtrack, 1e3)
+        step = min(t / BACKTRACK, 1e3)
     return OptimizationReport(
         iterations=it,
         objective_value=j,
@@ -288,26 +288,11 @@ def maximize(
 
 
 def multistart_maximize(
-    rho,
-    observable,
-    starts: int,
-    seed: int = 0,
-    workers: int = 1,
-    **kwargs,
+    rho, observable, starts: int, seed: int = 0, workers: int = 1, **kwargs
 ) -> list[OptimizationReport]:
-    """Independent :func:`maximize` runs with per-start seeds.
-
-    Seeds derive from ``seed`` through ``SeedSequence.spawn``, so the result
-    list is reproducible and independent of ``workers``.
-    """
-    child_seeds = [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(seed).spawn(starts)]
-    if workers <= 1:
-        return [maximize(rho, observable, seed=s, **kwargs) for s in child_seeds]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(maximize, rho, observable, seed=s, **kwargs) for s in child_seeds]
-        return [f.result() for f in futures]
+    """Independent :func:`maximize` runs, one per child seed of ``seed``
+    (see :func:`oqctrl.core.run_multistart`); independent of ``workers``."""
+    return run_multistart(partial(maximize, rho, observable, **kwargs), starts, seed, workers)
 
 
 def classify_critical_point(

@@ -183,6 +183,33 @@ class TestKrausSearch:
         assert outcome["found"] is False
         assert outcome["states_explored"] == 2
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_outcome_states_the_mode(self, tmp_path, mode):
+        # a negative answer: the Hadamard orbit never reaches the excited state
+        h = [
+            [[{"sqrt2": "1/2"}, 0], [{"sqrt2": "1/2"}, 0]],
+            [[{"sqrt2": "1/2"}, 0], [{"sqrt2": "-1/2"}, 0]],
+        ]
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "alphabet": [{"kraus": [h]}],
+                "initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+                "target_state": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+                "max_depth": 4,
+                "mode": mode,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["kraus-search", str(cfg), "--out", str(out)]) == 0
+        outcome = json.loads((out / "outcome.json").read_text())
+        assert outcome["found"] is False
+        assert outcome["mode"] == mode
+        assert "never claims unreachability" in outcome["note"]
+        # only float mode prunes on a rounding grid, and only it says so
+        assert ("tol/10 rounding grid" in outcome["note"]) == (mode == "float")
+        assert ("heuristic pruning" in outcome["note"]) == (mode == "float")
+
     def test_inexact_channel_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -309,6 +336,22 @@ class TestReproducibility:
         assert main(["ingrape", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
         assert main(["ingrape", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
         for name in ("runs.csv", "scan.json", "histogram.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_stiefel_max_independent_of_workers(self, tmp_path):
+        # the multistart runner's process pool must give the serial results
+        payload = {
+            "rho": [[[0.6, 0], [0.1, 0.05]], [[0.1, -0.05], [0.4, 0]]],
+            "observable": [[[1, 0], [0.3, 0]], [[0.3, 0], [-1, 0]]],
+            "starts": 3,
+            "max_iter": 200,
+            "seed": 12,
+        }
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        assert main(["stiefel-max", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
+        assert main(["stiefel-max", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
+        for name in ("iterations.csv", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_failure_leaves_marker(self, tmp_path, monkeypatch):

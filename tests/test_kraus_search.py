@@ -127,6 +127,13 @@ class TestCanonicalKeys:
         ga, ea = GROUND.to_numpy(), EXCITED.to_numpy()
         assert canonical_state_key(ga, "float") != canonical_state_key(ea, "float")
 
+    @pytest.mark.parametrize("mode", ["Exact", "floaty", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode must be"):
+            canonical_state_key(GROUND, mode)
+        with pytest.raises(ValueError, match="mode must be"):
+            canonical_state_key(GROUND.to_numpy(), mode)
+
 
 class TestBoundedReachability:
     def test_single_flip(self):
@@ -226,6 +233,23 @@ class TestBoundedReachability:
         with pytest.raises(SearchMemoryError) as err:
             bounded_reachability(alphabet, GROUND, MIXED, max_depth=10, max_states=2)
         assert err.value.states_explored > 2
+
+    @pytest.mark.parametrize("search", [bounded_reachability, brute_force_min_length])
+    @pytest.mark.parametrize("mode", ["Exact", "floaty"])
+    def test_unknown_mode_rejected(self, search, mode):
+        alphabet = ChannelAlphabet.from_kraus_lists([[PAULI_X_EXACT]])
+        with pytest.raises(ValueError, match="mode must be"):
+            search(alphabet, GROUND, EXCITED, max_depth=2, mode=mode)
+
+    def test_brute_force_float_mode_matches_exact(self):
+        p0 = exact([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+        p1 = exact([[[0, 0], [0, 0]], [[0, 0], [1, 0]]])
+        alphabet = ChannelAlphabet.from_kraus_lists([[p0, p1], [HADAMARD_EXACT], [PAULI_X_EXACT]])
+        lengths = [
+            (brute_force(alphabet, GROUND, t, 4), brute_force(alphabet, GROUND, t, 4, mode="float"))
+            for t in (GROUND, EXCITED, MIXED)
+        ]
+        assert [e for e, _ in lengths] == [f for _, f in lengths] == [0, 1, 2]
 
     def test_negative_depth_rejected(self):
         alphabet = ChannelAlphabet.from_kraus_lists([[PAULI_X_EXACT]])

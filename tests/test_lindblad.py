@@ -270,6 +270,27 @@ class TestQubitBlochGenerator:
             r_dens = bloch_from_density(propagate_segment(gen, rho, t))
             assert np.max(np.abs(r_bloch - r_dens)) < 1e-9
 
+    def test_arrays_stack_the_scalar_results(self):
+        rng = np.random.default_rng(14)
+        system = qubit_system(1.3, 0.7)
+        u = rng.uniform(-3, 3, (4, 5))
+        n = rng.uniform(0, 2, (4, 5))
+        a, b = qubit_bloch_generator(system, 0.2, u, n)
+        assert a.shape == (4, 5, 3, 3) and b.shape == (4, 5, 3)
+        for idx in np.ndindex(u.shape):
+            a1, b1 = qubit_bloch_generator(system, 0.2, u[idx], n[idx])
+            assert np.array_equal(a[idx], a1) and np.array_equal(b[idx], b1)
+        # a scalar u broadcasts against an array n
+        a_b, _ = qubit_bloch_generator(system, 0.2, 0.5, n[0])
+        assert np.array_equal(a_b, qubit_bloch_generator(system, 0.2, np.full(5, 0.5), n[0])[0])
+
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_negative_occupation_anywhere_rejected(self, where):
+        n = np.full(6, 0.5)
+        n[where] = -1e-12
+        with pytest.raises(ValueError, match="nonnegative"):
+            qubit_bloch_generator(qubit_system(1.0, 1.0), 0.1, np.zeros(6), n)
+
     def test_requires_qubit(self):
         rng = np.random.default_rng(1)
         system, _ = random_model(3, rng)

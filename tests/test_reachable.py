@@ -108,18 +108,6 @@ class TestCoverageMap:
         with pytest.raises(ValueError):
             coverage_map(np.zeros((1, 3)), resolution=1)
 
-    def test_merge_is_commutative(self):
-        cfg = small_cfg(n_samples=400)
-        pts = sample_reachable(cfg, GROUND)
-        a = coverage_map(pts[:1000], 10)
-        b = coverage_map(pts[1000:], 10)
-        ab = a.merge(b)
-        ba = b.merge(a)
-        np.testing.assert_array_equal(ab.counts, ba.counts)
-        np.testing.assert_array_equal(ab.radial_max, ba.radial_max)
-        full = coverage_map(pts, 10)
-        np.testing.assert_array_equal(ab.counts, full.counts)
-
 
 class TestUnreachableReport:
     def test_bound_echoes_inputs(self):
@@ -148,7 +136,7 @@ class TestUnreachableReport:
         for gamma in (0.1, 0.01):
             cfg = SamplerConfig(gamma=gamma, n_samples=30_000, seed=7)
             pts = sample_reachable(cfg, GROUND)
-            grid = coverage_map(pts, cfg.resolution, cfg.direction_bins)
+            grid = coverage_map(pts, cfg.resolution)
             gaps[gamma] = unreachable_report(grid, gamma, cfg.omega).max_radial_gap
         ratio = gaps[0.1] / gaps[0.01]
         assert 2.5 <= ratio <= 40.0

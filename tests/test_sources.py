@@ -1,3 +1,4 @@
+import ast
 import warnings
 from pathlib import Path
 
@@ -13,3 +14,24 @@ def test_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def _names_used(path):
+    """Identifiers a module's code refers to (not its docstrings or comments)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.rsplit(".", 1)[-1])
+    return names
+
+
+@pytest.mark.parametrize("name", ["ProcessPoolExecutor", "SeedSequence"])
+def test_one_multistart_runner(name):
+    # per-start seeds and the worker pool live in one module; a second copy
+    # of the multistart runner fails here
+    users = [p.name for p in SOURCES if name in _names_used(p)]
+    assert users == ["core.py"]

@@ -325,6 +325,11 @@ class TestMaximize:
             assert rep.converged
             assert rep.objective_value == pytest.approx(lam_max, abs=1e-5)
 
+    def test_multistart_needs_a_start(self):
+        rng = np.random.default_rng(29)
+        with pytest.raises(ValueError, match="starts"):
+            multistart_maximize(random_density(2, rng), PAULI_Z, starts=0)
+
     def test_multistart_deterministic(self):
         rng = np.random.default_rng(26)
         rho = random_density(2, rng)
