@@ -287,6 +287,14 @@ def _cmd_kraus_search(cfg: dict, out: Path, seed, workers) -> list[str]:
         raise ConfigError(f"field 'alphabet': {exc}") from exc
     rho_i = _exact_matrix(_need(cfg, "initial_state", list), "initial_state")
     rho_f = _exact_matrix(_need(cfg, "target_state", list), "target_state")
+    for field, rho in (("initial_state", rho_i), ("target_state", rho_f)):
+        if rho.dim != alphabet.dim:
+            raise ConfigError(
+                f"field '{field}': dimension {rho.dim} differs from the alphabet's {alphabet.dim}"
+            )
+    max_depth = int(_need(cfg, "max_depth", (int,)))
+    if max_depth < 0:
+        raise ConfigError("field 'max_depth' must be >= 0")
     mode = _opt(cfg, "mode", "exact")
     if mode not in ("exact", "float"):
         raise ConfigError("field 'mode' must be 'exact' or 'float'")
@@ -294,7 +302,7 @@ def _cmd_kraus_search(cfg: dict, out: Path, seed, workers) -> list[str]:
         alphabet,
         rho_i,
         rho_f,
-        max_depth=int(_need(cfg, "max_depth", (int,))),
+        max_depth=max_depth,
         mode=mode,
         tol=float(_opt(cfg, "tol", 1e-9)),
         max_states=int(_opt(cfg, "max_states", 1_000_000)),

@@ -16,13 +16,12 @@ equivalence test in the suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.linalg import expm
 
 from .core import bloch_from_density
-from .lindblad import ControlSchedule, qubit_bloch_generator, qubit_system
+from .lindblad import qubit_bloch_generator, qubit_system
 
 _EXPM_CHUNK = 200_000
 # (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than
@@ -62,6 +61,8 @@ class SamplerConfig:
             raise ValueError("segment range must satisfy 1 <= lo <= hi")
         if not (0 < self.duration_range[0] < self.duration_range[1]):
             raise ValueError("duration range must satisfy 0 < lo < hi")
+        if self.resolution < 2:
+            raise ValueError("resolution must be at least 2")
 
 
 def _draw(cfg: SamplerConfig):
@@ -75,20 +76,6 @@ def _draw(cfg: SamplerConfig):
     hi = np.log(cfg.duration_range[1] / cfg.omega)
     dt = np.exp(rng.uniform(lo, hi, size=total))
     return nseg, u, n, dt
-
-
-def drawn_schedules(cfg: SamplerConfig) -> Iterator[ControlSchedule]:
-    """The schedules the sampler would propagate, for cross-checking."""
-    nseg, u, n, dt = _draw(cfg)
-    offset = 0
-    for count in nseg:
-        count = int(count)
-        yield ControlSchedule(
-            durations=dt[offset : offset + count],
-            u=u[offset : offset + count],
-            n=n[offset : offset + count],
-        )
-        offset += count
 
 
 def _segment_maps(cfg: SamplerConfig, u, n, dt) -> np.ndarray:
@@ -108,27 +95,27 @@ def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
     """Bloch points of all boundary states of the random schedules.
 
     Each sample contributes its initial point and one point per segment, so
-    short prefixes of long schedules are represented too.  Every point
-    satisfies ||r|| <= 1 (up to roundoff).
+    short prefixes of long schedules are represented too; a sample's points
+    are contiguous and in segment order.  Every point satisfies ||r|| <= 1
+    (up to roundoff).
     """
     r0 = bloch_from_density(rho0)
     nseg, u, n, dt = _draw(cfg)
     maps = _segment_maps(cfg, u, n, dt)
-    total = int(nseg.sum())
-    points = np.empty((total + cfg.n_samples, 3))
-    offset = 0
-    k = 0
-    start = np.array([r0[0], r0[1], r0[2], 1.0])
-    for count in nseg:
-        v = start
-        points[k] = v[:3]
-        k += 1
-        for _ in range(int(count)):
-            v = maps[offset] @ v
-            points[k] = v[:3]
-            k += 1
-            offset += 1
-    return points[:k]
+    first_seg = np.cumsum(nseg) - nseg
+    first_pt = first_seg + np.arange(cfg.n_samples)
+    points = np.empty((int(nseg.sum()) + cfg.n_samples, 3))
+    points[first_pt] = r0
+    # lock-step over the segment index: at step j every sample with more
+    # than j segments applies its j-th map; the live set only shrinks
+    live = np.arange(cfg.n_samples)
+    v = np.tile(np.append(r0, 1.0), (cfg.n_samples, 1))
+    for j in range(int(nseg.max())):
+        keep = nseg[live] > j
+        live, v = live[keep], v[keep]
+        v = np.matmul(maps[first_seg[live] + j], v[:, :, None])[:, :, 0]
+        points[first_pt[live] + j + 1] = v[:, :3]
+    return points
 
 
 @dataclass

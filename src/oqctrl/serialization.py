@@ -15,6 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# the one float format of every emitted file: 17 significant digits
+# round-trip any float64 exactly
+FLOAT_FORMAT = "%.17g"
+
 
 def matrix_from_lists(rows) -> np.ndarray:
     """Complex matrix from row-major [re, im] pairs."""
@@ -48,14 +52,21 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
+        return FLOAT_FORMAT % float(x)
     return str(x)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Header line, then one line per row; a 2-D float array is formatted
+    as one block, with the same text as formatting it cell by cell."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        if rows.shape[0]:
+            template = "\n".join([",".join([FLOAT_FORMAT] * rows.shape[1])] * rows.shape[0])
+            lines.append(template % tuple(rows.ravel().tolist()))
+    else:
+        for row in rows:
+            lines.append(",".join(fmt(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -25,6 +25,10 @@ def qubit_simulate_config(n=1.0, dt=50.0):
     }
 
 
+def qutrit_basis_state(k):
+    return [[[int(i == j == k), 0] for j in range(3)] for i in range(3)]
+
+
 class TestSimulate:
     def test_detailed_balance_endpoint(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", qubit_simulate_config(n=1.0))
@@ -223,6 +227,29 @@ class TestKrausSearch:
         assert main(["kraus-search", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "alphabet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"max_depth": -1}, "max_depth"),
+            ({"initial_state": qutrit_basis_state(0)}, "initial_state"),
+            ({"target_state": qutrit_basis_state(2)}, "target_state"),
+        ],
+        ids=["negative-depth", "initial-dimension", "target-dimension"],
+    )
+    def test_config_fault_is_validation_error(self, tmp_path, capsys, change, field):
+        payload = {
+            "alphabet": [{"kraus": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]}],
+            "initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+            "target_state": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "max_depth": 3,
+        }
+        payload.update(change)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main(["kraus-search", str(cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not (out / "FAILED").exists()
+
 
 class TestReachable:
     @pytest.fixture()
@@ -288,6 +315,24 @@ class TestReachable:
         assert main(["reachable", str(cfg), "--out", str(out)]) == 2
         assert seen == [reachable.SamplerConfig().resolution]
         assert "not converged" in (out / "FAILED").read_text()
+
+    @pytest.mark.parametrize("resolution", [1, 0])
+    def test_resolution_below_two_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, resolution
+    ):
+        # rejected with the config, before any sampling
+        def never(*args, **kwargs):
+            raise AssertionError("sampled despite an invalid resolution")
+
+        monkeypatch.setattr(reachable, "sample_reachable", never)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": 100, "resolution": resolution},
+        )
+        out = tmp_path / "out"
+        assert main(["reachable", str(cfg), "--out", str(out)]) == 1
+        assert "resolution" in capsys.readouterr().err
+        assert not (out / "FAILED").exists()
 
 
 class TestReproducibility:

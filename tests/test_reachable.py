@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from oqctrl.core import bloch_from_density, density_from_bloch
-from oqctrl.lindblad import propagate_schedule, qubit_decoherence, qubit_system
+from oqctrl.lindblad import (
+    ControlSchedule,
+    propagate_schedule,
+    qubit_decoherence,
+    qubit_system,
+)
 from oqctrl.reachable import (
     CoverageGrid,
     SamplerConfig,
+    _draw,
+    _segment_maps,
     coverage_map,
-    drawn_schedules,
     run_reachability_study,
     sample_reachable,
     unreachable_report,
@@ -21,6 +27,41 @@ def small_cfg(**kw):
     defaults = dict(gamma=0.05, n_samples=200, seed=3, segment_range=(1, 5))
     defaults.update(kw)
     return SamplerConfig(**defaults)
+
+
+def drawn_schedules(cfg):
+    """The schedules the sampler propagates, one per sample."""
+    nseg, u, n, dt = _draw(cfg)
+    offset = 0
+    for count in nseg:
+        count = int(count)
+        yield ControlSchedule(
+            durations=dt[offset : offset + count],
+            u=u[offset : offset + count],
+            n=n[offset : offset + count],
+        )
+        offset += count
+
+
+def sample_reachable_per_point(cfg, rho0):
+    """Reference sampler: each sample's segment maps applied one at a time."""
+    r0 = bloch_from_density(rho0)
+    nseg, u, n, dt = _draw(cfg)
+    maps = _segment_maps(cfg, u, n, dt)
+    points = np.empty((int(nseg.sum()) + cfg.n_samples, 3))
+    offset = 0
+    k = 0
+    start = np.array([r0[0], r0[1], r0[2], 1.0])
+    for count in nseg:
+        v = start
+        points[k] = v[:3]
+        k += 1
+        for _ in range(int(count)):
+            v = maps[offset] @ v
+            points[k] = v[:3]
+            k += 1
+            offset += 1
+    return points[:k]
 
 
 class TestSampler:
@@ -50,6 +91,14 @@ class TestSampler:
                 k += 1
         assert k == len(points)
 
+    @pytest.mark.parametrize("segment_range", [(1, 1), (3, 3), (1, 5), (1, 20)])
+    @pytest.mark.parametrize("n_samples", [1, 2000])
+    def test_lock_step_equals_per_point_loop(self, segment_range, n_samples):
+        cfg = small_cfg(segment_range=segment_range, n_samples=n_samples, seed=11)
+        for rho0 in (GROUND, density_from_bloch([0.3, -0.4, 0.5])):
+            fast = sample_reachable(cfg, rho0)
+            assert np.array_equal(fast, sample_reachable_per_point(cfg, rho0))
+
     def test_closed_system_limit_stays_on_sphere(self):
         # gamma -> 0 with coherent-only schedules preserves purity
         cfg = small_cfg(gamma=1e-12, n_max=0.0, n_samples=500)
@@ -70,6 +119,16 @@ class TestSampler:
         assert np.max(np.abs(pts[:, :2])) < 1e-12
         assert pts[:, 2].min() >= -1.0 - 1e-12
         assert pts[:, 2].max() <= 1.0 + 1e-12
+
+
+class TestSamplerConfig:
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_resolution_below_two_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            SamplerConfig(resolution=resolution)
+
+    def test_resolution_two_accepted(self):
+        assert SamplerConfig(resolution=2).resolution == 2
 
 
 class TestCoverageMap:

@@ -21,3 +21,54 @@ def test_json_value_renders_like_csv_cell(tmp_path, value):
 def test_floats_keep_17_significant_digits(tmp_path):
     write_json(tmp_path / "v.json", [0.1])
     assert "0.10000000000000001" in (tmp_path / "v.json").read_text()
+
+
+def write_csv_per_cell(path, header, rows):
+    """Reference writer: every cell through fmt, one row at a time."""
+    lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def random_bit_patterns(seed, shape):
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e17, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array(SPECIAL_FLOATS * 3).reshape(-1, 3),
+        # random float64 bit patterns, NaN payloads and subnormals included
+        random_bit_patterns(0, (4000, 3)),
+        np.random.default_rng(1).standard_normal((500, 7)),
+        np.random.default_rng(2).standard_normal((300, 4)).astype(np.float32),
+        np.array(SPECIAL_FLOATS)[:, None],
+        np.empty((0, 3)),
+        np.arange(12, dtype=np.int64).reshape(4, 3) - 5,
+        np.array([[True, False, True], [False, False, True]]),
+    ],
+    ids=["special", "bit-patterns", "normal", "float32", "one-column", "no-rows", "int", "bool"],
+)
+def test_csv_of_array_matches_per_cell_fmt(tmp_path, rows):
+    header = [f"c{k}" for k in range(rows.shape[1])]
+    write_csv(tmp_path / "block.csv", header, rows)
+    write_csv_per_cell(tmp_path / "cells.csv", header, rows)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_fmt_matches_the_17_digit_format_spec():
+    for x in SPECIAL_FLOATS + random_bit_patterns(3, 20000).tolist():
+        assert fmt(x) == format(x, ".17g")
+
+
+def test_csv_of_bool_array_renders_words(tmp_path):
+    write_csv(tmp_path / "b.csv", ["a", "b"], np.array([[True, False]]))
+    assert (tmp_path / "b.csv").read_text() == "a,b\ntrue,false\n"
+
+
+def test_csv_of_empty_float_array_is_header_only(tmp_path):
+    write_csv(tmp_path / "e.csv", ["x", "y", "z"], np.empty((0, 3)))
+    assert (tmp_path / "e.csv").read_text() == "x,y,z\n"

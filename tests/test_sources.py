@@ -35,3 +35,30 @@ def test_one_multistart_runner(name):
     # of the multistart runner fails here
     users = [p.name for p in SOURCES if name in _names_used(p)]
     assert users == ["core.py"]
+
+
+def _code_strings(path):
+    """String constants in a module's code, leaving out docstrings."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+    ]
+
+
+def test_one_float_format():
+    # the 17-significant-digit rule is spelled once, in serialization.py; a
+    # second copy (a format spec, an f-string or a %-template) fails here
+    uses = [p.name for p in SOURCES for s in _code_strings(p) if "17g" in s]
+    assert uses == ["serialization.py"]
