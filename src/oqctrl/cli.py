@@ -4,13 +4,16 @@ One JSON config document per run; outputs land in the chosen directory
 together with ``manifest.json`` (config hash, effective seed, library
 versions, output list).  Exit status: 0 success, 1 config/validation error,
 2 runtime failure (which also leaves a ``FAILED`` marker instead of partial
-results presented as complete).
+results presented as complete).  ``_cmd_<name>(cfg, seed, workers)`` builds
+and checks every library object a run needs and returns ``run(out)``, which
+computes and writes; :func:`main` alone turns an exception into an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -19,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, ingrape, kraussearch, lindblad, reachable, stiefel
-from .core import bloch_from_density, validate_density
+from .core import STRUCTURAL_TOL, bloch_from_density, validate_density
 from .serialization import (
     matrix_from_lists,
     matrix_to_lists,
@@ -33,53 +36,82 @@ class ConfigError(ValueError):
     """Schema violation; the message names the offending field path."""
 
 
-def _need(cfg: dict, path: str, kind=None):
+def _read(cfg: dict, path: str, kind=None, default=...):
+    """The value at a field path such as ``segments[0].dt``, of type ``kind``
+    if given; required unless a ``default`` is given."""
     node = cfg
-    walked = []
-    for part in path.split("."):
-        walked.append(part)
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"missing required field '{'.'.join(walked)}'")
-        node = node[part]
+    for part in re.split(r"\.|(?=\[)", path):
+        if part.startswith("["):
+            key = int(part[1:-1])
+            found = isinstance(node, list) and key < len(node)
+        else:
+            key = part
+            found = isinstance(node, dict) and key in node
+        if not found:
+            if default is ...:
+                raise ConfigError(f"missing required field '{path}'")
+            return default
+        node = node[key]
     if kind is not None and not isinstance(node, kind):
         names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"field '{path}' must be of type {names}")
     return node
 
 
-def _opt(cfg: dict, path: str, default):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
-
-
-def _system_from(cfg: dict, prefix: str = "system") -> lindblad.SystemModel:
-    energies = np.asarray(_need(cfg, f"{prefix}.energies", list), dtype=float)
-    dipole = matrix_from_lists(_need(cfg, f"{prefix}.dipole", list))
+def _field(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the one place a library error gets the
+    config field path attached."""
     try:
-        return lindblad.SystemModel(energies=energies, dipole=dipole)
-    except ValueError as exc:
-        raise ConfigError(f"field '{prefix}': {exc}") from exc
+        return build(*args, **kwargs)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ConfigError(f"field '{path}': {exc}") from exc
 
 
-def _decoherence_from(cfg: dict, prefix: str = "decoherence") -> lindblad.DecoherenceModel:
-    couplings = np.asarray(_need(cfg, f"{prefix}.couplings", list), dtype=float)
-    epsilon = float(_opt(cfg, f"{prefix}.epsilon", 1.0))
-    try:
-        return lindblad.DecoherenceModel(couplings=couplings, epsilon=epsilon)
-    except ValueError as exc:
-        raise ConfigError(f"field '{prefix}': {exc}") from exc
+def _given(cfg: dict, prefix: str = "", **converts) -> dict:
+    """The optional keyword arguments the config sets (null counts as unset),
+    converted, so the library's own defaults apply to the rest."""
+    values = {name: _read(cfg, prefix + name, default=None) for name in converts}
+    return {k: _field(prefix + k, converts[k], v) for k, v in values.items() if v is not None}
 
 
-def _state_from(cfg: dict, path: str) -> np.ndarray:
-    rho = matrix_from_lists(_need(cfg, path, list))
-    report = validate_density(rho, 1e-7)
+def _matrix(cfg: dict, path: str, dim: int | None = None, hermitian: bool = False) -> np.ndarray:
+    """Complex matrix at ``path``, ``dim`` x ``dim`` when ``dim`` is given."""
+    m = _field(path, matrix_from_lists, _read(cfg, path, list))
+    if dim is not None and m.shape != (dim, dim):
+        raise ConfigError(f"field '{path}': shape {m.shape} does not fit dimension {dim}")
+    if hermitian and np.max(np.abs(m - m.conj().T)) > STRUCTURAL_TOL:
+        raise ConfigError(f"field '{path}': observable must be Hermitian")
+    return m
+
+
+def _state_from(cfg: dict, path: str, dim: int | None = None) -> np.ndarray:
+    rho = _matrix(cfg, path, dim)
+    report = _field(path, validate_density, rho, 1e-7)
     if not report.ok:
         raise ConfigError(f"field '{path}': not a density matrix ({report.worst})")
     return rho
+
+
+def _models(cfg: dict) -> tuple[lindblad.SystemModel, lindblad.DecoherenceModel]:
+    """The system and its decoherence model, checked to share one dimension."""
+    energies, couplings = (
+        _field(path, np.asarray, _read(cfg, path, list), float)
+        for path in ("system.energies", "decoherence.couplings")
+    )
+    dipole = _matrix(cfg, "system.dipole")
+    system = _field("system", lindblad.SystemModel, energies=energies, dipole=dipole)
+    epsilon = _given(cfg, "decoherence.", epsilon=float)
+    dec = _field("decoherence", lindblad.DecoherenceModel, couplings=couplings, **epsilon)
+    if dec.dim != system.dim:
+        raise ConfigError(f"field 'decoherence.couplings': dimension {dec.dim}, not {system.dim}")
+    return system, dec
+
+
+def _starts(cfg: dict) -> int:
+    starts = _field("starts", int, _read(cfg, "starts", default=1))
+    if starts < 1:
+        raise ConfigError("field 'starts' must be >= 1")
+    return starts
 
 
 def _write_manifest(out: Path, subcommand: str, config_path: Path, seed, outputs: list[str]) -> None:
@@ -100,283 +132,261 @@ def _write_manifest(out: Path, subcommand: str, config_path: Path, seed, outputs
     )
 
 
-def _cmd_simulate(cfg: dict, out: Path, seed, workers) -> list[str]:
-    system = _system_from(cfg)
-    dec = _decoherence_from(cfg)
-    rho0 = _state_from(cfg, "initial_state")
-    segments = _need(cfg, "segments", list)
+def _cmd_simulate(cfg: dict, seed, workers):
+    system, dec = _models(cfg)
+    rho0 = _state_from(cfg, "initial_state", system.dim)
+    segments = _read(cfg, "segments", list)
     if not segments:
         raise ConfigError("field 'segments' must be a nonempty list")
-    durations, u_vals, n_vals = [], [], []
-    for k, seg in enumerate(segments):
-        if not isinstance(seg, dict):
-            raise ConfigError(f"field 'segments[{k}]' must be an object")
-        for key in ("dt", "u", "n"):
-            if key not in seg:
-                raise ConfigError(f"missing required field 'segments[{k}].{key}'")
-        durations.append(float(seg["dt"]))
-        u_vals.append(float(seg["u"]))
-        n_vals.append(seg["n"])
-    n_arr = np.asarray(n_vals, dtype=float)
-    schedule = lindblad.ControlSchedule(
-        durations=np.asarray(durations), u=np.asarray(u_vals), n=n_arr
-    )
-    trajectory = lindblad.propagate_schedule(system, dec, schedule, rho0)
-    times = schedule.boundaries
-
-    fmt_kind = _opt(cfg, "output_format", "bloch" if system.dim == 2 else "dense")
+    n_pairs = len(lindblad.transition_pairs(system.dim))
+    rows = []
+    for k in range(len(segments)):
+        where = f"segments[{k}]"
+        dt, u = (_field(f"{where}.{x}", float, _read(cfg, f"{where}.{x}")) for x in ("dt", "u"))
+        occ = _field(f"{where}.n", np.asarray, _read(cfg, f"{where}.n"), float)
+        if dt <= 0:
+            raise ConfigError(f"field '{where}.dt' must be > 0")
+        if occ.ndim > 1 or occ.ndim == 1 and occ.size != n_pairs or np.any(occ < 0):
+            raise ConfigError(f"field '{where}.n': need one occupation >= 0, or {n_pairs} of them")
+        rows.append((dt, u, np.broadcast_to(occ, (n_pairs,))))
+    durations, u, n = map(np.array, zip(*rows))
+    schedule = lindblad.ControlSchedule(durations=durations, u=u, n=n)
+    fmt_kind = _read(cfg, "output_format", default="bloch" if system.dim == 2 else "dense")
     if fmt_kind not in ("bloch", "dense"):
         raise ConfigError("field 'output_format' must be 'bloch' or 'dense'")
     if fmt_kind == "bloch" and system.dim != 2:
         raise ConfigError("field 'output_format': bloch output needs a two-level system")
-    if fmt_kind == "bloch":
-        header = ["t", "x", "y", "z"]
-        rows = [[t] + list(bloch_from_density(r)) for t, r in zip(times, trajectory)]
-    else:
+
+    def run(out: Path) -> list[str]:
+        trajectory = lindblad.propagate_schedule(system, dec, schedule, rho0)
         nd = system.dim
-        header = ["t"] + [
-            f"{part}_{i}{j}" for i in range(nd) for j in range(nd) for part in ("re", "im")
-        ]
-        rows = []
-        for t, r in zip(times, trajectory):
-            row = [t]
-            for i in range(nd):
-                for j in range(nd):
-                    row += [r[i, j].real, r[i, j].imag]
-            rows.append(row)
-    write_csv(out / "trajectory.csv", header, rows)
-    write_json(out / "final_state.json", {"final_state": matrix_to_lists(trajectory[-1])})
-    return ["trajectory.csv", "final_state.json"]
+        if fmt_kind == "bloch":
+            header = ["t", "x", "y", "z"]
+            values = np.array([bloch_from_density(r) for r in trajectory])
+        else:
+            header = ["t"] + [
+                f"{part}_{i}{j}" for i in range(nd) for j in range(nd) for part in ("re", "im")
+            ]
+            # row-major complex entries viewed as interleaved (re, im) pairs
+            values = np.array(trajectory).reshape(len(trajectory), nd * nd).view(float)
+        write_csv(out / "trajectory.csv", header, np.column_stack([schedule.boundaries, values]))
+        write_json(out / "final_state.json", {"final_state": matrix_to_lists(trajectory[-1])})
+        return ["trajectory.csv", "final_state.json"]
+
+    return run
 
 
-def _cmd_stiefel_max(cfg: dict, out: Path, seed, workers) -> list[str]:
+def _cmd_stiefel_max(cfg: dict, seed, workers):
     rho = _state_from(cfg, "rho")
-    observable = matrix_from_lists(_need(cfg, "observable", list))
-    starts = int(_opt(cfg, "starts", 1))
-    if starts < 1:
-        raise ConfigError("field 'starts' must be >= 1")
-    reports = stiefel.multistart_maximize(
-        rho,
-        observable,
-        starts=starts,
-        seed=seed,
-        workers=workers,
-        max_iter=int(_opt(cfg, "max_iter", 2000)),
-        grad_tol=float(_opt(cfg, "grad_tol", 1e-8)),
-    )
-    best = max(range(starts), key=lambda i: reports[i].objective_value)
-    rep = reports[best]
-    write_csv(
-        out / "iterations.csv",
-        ["iter", "objective", "grad_norm", "step"],
-        [
-            [k, rep.objective_history[k], rep.gradient_norms[k],
-             rep.steps[k] if k < rep.steps.size else 0.0]
-            for k in range(rep.gradient_norms.size)
-        ],
-    )
-    lam_max = float(np.linalg.eigvalsh(observable).max())
-    write_json(
-        out / "report.json",
-        {
-            "best_start": best,
-            "best_objective": rep.objective_value,
-            "observable_max_eigenvalue": lam_max,
-            "runs": [
-                {
-                    "objective": r.objective_value,
-                    "iterations": r.iterations,
-                    "converged": bool(r.converged),
-                    "final_grad_norm": float(r.gradient_norms[-1]),
-                }
-                for r in reports
+    observable = _matrix(cfg, "observable", rho.shape[0], hermitian=True)
+    starts = _starts(cfg)
+    options = _given(cfg, max_iter=int, grad_tol=float)
+
+    def run(out: Path) -> list[str]:
+        reports = stiefel.multistart_maximize(
+            rho, observable, starts=starts, seed=seed, workers=workers, **options
+        )
+        best = max(range(starts), key=lambda i: reports[i].objective_value)
+        rep = reports[best]
+        write_csv(
+            out / "iterations.csv",
+            ["iter", "objective", "grad_norm", "step"],
+            [
+                [k, rep.objective_history[k], rep.gradient_norms[k],
+                 rep.steps[k] if k < rep.steps.size else 0.0]
+                for k in range(rep.gradient_norms.size)
             ],
-        },
-    )
-    return ["iterations.csv", "report.json"]
+        )
+        lam_max = float(np.linalg.eigvalsh(observable).max())
+        write_json(
+            out / "report.json",
+            {
+                "best_start": best,
+                "best_objective": rep.objective_value,
+                "observable_max_eigenvalue": lam_max,
+                "runs": [
+                    {
+                        "objective": r.objective_value,
+                        "iterations": r.iterations,
+                        "converged": bool(r.converged),
+                        "final_grad_norm": float(r.gradient_norms[-1]),
+                    }
+                    for r in reports
+                ],
+            },
+        )
+        return ["iterations.csv", "report.json"]
+
+    return run
 
 
 def _pulse_problem(cfg: dict) -> ingrape.PulseProblem:
-    kind = _need(cfg, "kind", str)
-    system = _system_from(cfg)
-    dec = _decoherence_from(cfg)
-    m = int(_need(cfg, "grid.segments", (int,)))
-    dt = float(_need(cfg, "grid.dt", (int, float)))
+    kind = _read(cfg, "kind", str)
+    if kind not in ("gate", "state"):
+        raise ConfigError("field 'kind' must be 'gate' or 'state'")
+    system, dec = _models(cfg)
+    m = int(_read(cfg, "grid.segments", (int,)))
+    dt = float(_read(cfg, "grid.dt", (int, float)))
     if m < 1 or dt <= 0:
         raise ConfigError("field 'grid': need segments >= 1 and dt > 0")
-    u_min = float(_opt(cfg, "bounds.u_min", -_opt(cfg, "bounds.u_max", 1.0)))
-    u_max = float(_need(cfg, "bounds.u_max", (int, float)))
-    n_max = float(_opt(cfg, "bounds.n_max", 0.0))
+    u_max = float(_read(cfg, "bounds.u_max", (int, float)))
+    u_min = float(_read(cfg, "bounds.u_min", (int, float), default=-u_max))
+    if u_min >= u_max:
+        raise ConfigError("field 'bounds.u_max' must exceed 'bounds.u_min' (default -u_max)")
+    n_max = float(_read(cfg, "bounds.n_max", (int, float), default=0.0))
+    if n_max < 0:
+        raise ConfigError("field 'bounds.n_max' must be >= 0")
+    common = dict(
+        system=system, decoherence=dec, n_segments=m, dt=dt, u_bounds=(u_min, u_max), n_max=n_max
+    )
     if kind == "gate":
-        target = matrix_from_lists(_need(cfg, "target", list))
-        try:
-            return ingrape.GateProblem(
-                system=system, decoherence=dec, target=target,
-                n_segments=m, dt=dt, u_bounds=(u_min, u_max), n_max=n_max,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"field 'target': {exc}") from exc
-    if kind == "state":
-        rho0 = _state_from(cfg, "initial_state")
-        observable = matrix_from_lists(_need(cfg, "observable", list))
-        return ingrape.StateTransferProblem(
-            system=system, decoherence=dec, rho0=rho0, observable=observable,
-            n_segments=m, dt=dt, u_bounds=(u_min, u_max), n_max=n_max,
-        )
-    raise ConfigError("field 'kind' must be 'gate' or 'state'")
+        # the problem's one remaining check, unitarity, names 'target' itself
+        return ingrape.GateProblem(target=_matrix(cfg, "target", system.dim), **common)
+    return ingrape.StateTransferProblem(
+        rho0=_state_from(cfg, "initial_state", system.dim),
+        observable=_matrix(cfg, "observable", system.dim, hermitian=True),
+        **common,
+    )
 
 
-def _cmd_ingrape(cfg: dict, out: Path, seed, workers) -> list[str]:
+def _cmd_ingrape(cfg: dict, seed, workers):
     problem = _pulse_problem(cfg)
-    scan = ingrape.optimize_pulse(
-        problem,
-        starts=int(_opt(cfg, "starts", 1)),
-        max_iter=int(_opt(cfg, "max_iter", 1000)),
-        seed=seed,
-        grad_tol=float(_opt(cfg, "grad_tol", 1e-7)),
-        gap_tol=float(_opt(cfg, "gap_tol", 0.02)),
-        workers=workers,
-    )
-    write_csv(
-        out / "runs.csv",
-        ["run", "final_value", "converged", "iterations"],
-        [
-            [k, scan.final_values[k], int(scan.converged[k]), scan.iterations[k]]
-            for k in range(scan.final_values.size)
-        ],
-    )
-    write_csv(
-        out / "histogram.csv",
-        ["value", "count"],
-        [[c, n] for c, n in zip(scan.clusters.centers, scan.clusters.counts)],
-    )
-    write_json(
-        out / "scan.json",
-        {
-            "kind": cfg["kind"],
-            "best_value": scan.best_value,
-            "n_clusters": scan.clusters.n_clusters,
-            "cluster_centers": list(scan.clusters.centers),
-            "cluster_counts": list(scan.clusters.counts),
-            "gap_tol": scan.clusters.gap_tol,
-            "converged_runs": int(scan.converged.sum()),
-            "total_runs": int(scan.final_values.size),
-        },
-    )
-    return ["runs.csv", "histogram.csv", "scan.json"]
+    starts = _starts(cfg)
+    options = _given(cfg, max_iter=int, grad_tol=float, gap_tol=float)
+
+    def run(out: Path) -> list[str]:
+        scan = ingrape.optimize_pulse(problem, starts=starts, seed=seed, workers=workers, **options)
+        write_csv(
+            out / "runs.csv",
+            ["run", "final_value", "converged", "iterations"],
+            [
+                [k, scan.final_values[k], int(scan.converged[k]), scan.iterations[k]]
+                for k in range(scan.final_values.size)
+            ],
+        )
+        write_csv(
+            out / "histogram.csv",
+            ["value", "count"],
+            [[c, n] for c, n in zip(scan.clusters.centers, scan.clusters.counts)],
+        )
+        write_json(
+            out / "scan.json",
+            {
+                "kind": cfg["kind"],
+                "best_value": scan.best_value,
+                "n_clusters": scan.clusters.n_clusters,
+                "cluster_centers": list(scan.clusters.centers),
+                "cluster_counts": list(scan.clusters.counts),
+                "gap_tol": scan.clusters.gap_tol,
+                "converged_runs": int(scan.converged.sum()),
+                "total_runs": int(scan.final_values.size),
+            },
+        )
+        return ["runs.csv", "histogram.csv", "scan.json"]
+
+    return run
 
 
-def _exact_matrix(rows, where: str) -> kraussearch.RationalComplexMatrix:
-    try:
-        return kraussearch.RationalComplexMatrix.from_literals(rows)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"field '{where}': {exc}") from exc
-
-
-def _cmd_kraus_search(cfg: dict, out: Path, seed, workers) -> list[str]:
-    entries = _need(cfg, "alphabet", list)
+def _cmd_kraus_search(cfg: dict, seed, workers):
+    entries = _read(cfg, "alphabet", list)
     if not entries:
         raise ConfigError("field 'alphabet' must be a nonempty list")
-    channels = []
-    for k, entry in enumerate(entries):
-        ops = _need({"alphabet": entry}, "alphabet.kraus", list)
-        channels.append([_exact_matrix(op, f"alphabet[{k}].kraus") for op in ops])
-    try:
-        alphabet = kraussearch.ChannelAlphabet.from_kraus_lists(channels)
-    except ValueError as exc:
-        raise ConfigError(f"field 'alphabet': {exc}") from exc
-    rho_i = _exact_matrix(_need(cfg, "initial_state", list), "initial_state")
-    rho_f = _exact_matrix(_need(cfg, "target_state", list), "target_state")
-    for field, rho in (("initial_state", rho_i), ("target_state", rho_f)):
-        if rho.dim != alphabet.dim:
-            raise ConfigError(
-                f"field '{field}': dimension {rho.dim} differs from the alphabet's {alphabet.dim}"
-            )
-    max_depth = int(_need(cfg, "max_depth", (int,)))
+    exact = kraussearch.RationalComplexMatrix.from_literals
+    channels = [
+        [_field(path, exact, op) for op in _read(cfg, path, list)]
+        for path in (f"alphabet[{k}].kraus" for k in range(len(entries)))
+    ]
+    alphabet = _field("alphabet", kraussearch.ChannelAlphabet.from_kraus_lists, channels)
+    states = {}
+    for name in ("initial_state", "target_state"):
+        states[name] = _field(name, exact, _read(cfg, name, list))
+        if states[name].dim != alphabet.dim:
+            raise ConfigError(f"field '{name}': dimension {states[name].dim}, not {alphabet.dim}")
+    max_depth = int(_read(cfg, "max_depth", (int,)))
     if max_depth < 0:
         raise ConfigError("field 'max_depth' must be >= 0")
-    mode = _opt(cfg, "mode", "exact")
+    mode = _read(cfg, "mode", default="exact")
     if mode not in ("exact", "float"):
         raise ConfigError("field 'mode' must be 'exact' or 'float'")
-    outcome = kraussearch.bounded_reachability(
-        alphabet,
-        rho_i,
-        rho_f,
-        max_depth=max_depth,
-        mode=mode,
-        tol=float(_opt(cfg, "tol", 1e-9)),
-        max_states=int(_opt(cfg, "max_states", 1_000_000)),
-    )
-    write_json(
-        out / "outcome.json",
-        {
-            "found": outcome.found,
-            "sequence": list(outcome.sequence) if outcome.sequence is not None else None,
-            "depth_limit": outcome.depth_limit,
-            "states_explored": outcome.states_explored,
-            "replay_verified": outcome.replay_verified,
-            "mode": mode,
-            "note": "a negative outcome is bounded: it never claims unreachability" + (
-                "; float mode merges visited states on a tol/10 rounding grid, so a "
-                "negative outcome also depends on that heuristic pruning"
-                if mode == "float" else ""
-            ),
-        },
-    )
-    return ["outcome.json"]
+    options = _given(cfg, tol=float, max_states=int)
 
-
-def _cmd_reachable(cfg: dict, out: Path, seed, workers) -> list[str]:
-    base = reachable.SamplerConfig()  # the one place the optional defaults live
-    try:
-        sampler = reachable.SamplerConfig(
-            omega=float(_need(cfg, "omega", (int, float))),
-            mu=float(_need(cfg, "mu", (int, float))),
-            gamma=float(_need(cfg, "gamma", (int, float))),
-            u_max=float(_opt(cfg, "u_max", base.u_max)),
-            n_max=float(_opt(cfg, "n_max", base.n_max)),
-            segment_range=tuple(_opt(cfg, "segments", base.segment_range)),
-            duration_range=tuple(_opt(cfg, "durations", base.duration_range)),
-            n_samples=int(_need(cfg, "samples", (int,))),
-            seed=seed,
-            resolution=int(_opt(cfg, "resolution", base.resolution)),
+    def run(out: Path) -> list[str]:
+        outcome = kraussearch.bounded_reachability(
+            alphabet, states["initial_state"], states["target_state"],
+            max_depth=max_depth, mode=mode, **options,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if "initial_state" in cfg:
-        rho0 = _state_from(cfg, "initial_state")
-    else:
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
-    study = reachable.run_reachability_study(sampler, rho0, slack=float(_opt(cfg, "slack", 3.0)))
-    write_csv(out / "points.csv", ["x", "y", "z"], study.points)
-    write_json(
-        out / "grid.json",
-        {
-            "resolution": study.grid.resolution,
-            "total_in_ball_cells": study.grid.total_in_ball_cells,
-            "occupied_in_ball_cells": study.grid.occupied_in_ball_cells,
-            "occupancy_fraction": study.grid.occupancy_fraction,
-            "counts": [int(c) for c in study.grid.counts.ravel()],
-        },
+        write_json(
+            out / "outcome.json",
+            {
+                "found": outcome.found,
+                "sequence": list(outcome.sequence) if outcome.sequence is not None else None,
+                "depth_limit": outcome.depth_limit,
+                "states_explored": outcome.states_explored,
+                "replay_verified": outcome.replay_verified,
+                "mode": mode,
+                "note": "a negative outcome is bounded: it never claims unreachability" + (
+                    "; float mode merges visited states on a tol/10 rounding grid, so a "
+                    "negative outcome also depends on that heuristic pruning"
+                    if mode == "float" else ""
+                ),
+            },
+        )
+        return ["outcome.json"]
+
+    return run
+
+
+def _cmd_reachable(cfg: dict, seed, workers):
+    base = reachable.SamplerConfig()  # the one place the optional defaults live
+    # a fault SamplerConfig finds is reported in its own words, which name the field
+    sampler = reachable.SamplerConfig(
+        omega=float(_read(cfg, "omega", (int, float))),
+        mu=float(_read(cfg, "mu", (int, float))),
+        gamma=float(_read(cfg, "gamma", (int, float))),
+        u_max=float(_read(cfg, "u_max", (int, float), base.u_max)),
+        n_max=float(_read(cfg, "n_max", (int, float), base.n_max)),
+        segment_range=tuple(_read(cfg, "segments", list, base.segment_range)),
+        duration_range=tuple(_read(cfg, "durations", list, base.duration_range)),
+        n_samples=int(_read(cfg, "samples", (int,))),
+        seed=seed,
+        resolution=int(_read(cfg, "resolution", (int,), base.resolution)),
     )
-    rep = study.report
-    write_json(
-        out / "report.json",
-        {
-            "PASS": rep.passed,
-            "max_radial_gap": rep.max_radial_gap,
-            "unreachable_volume_fraction": rep.unreachable_volume_fraction,
-            "gap_region_volume_fraction": rep.gap_region_volume_fraction,
-            "gap_region_linear_size": rep.gap_region_linear_size,
-            "gap_region_bins": rep.gap_region_bins,
-            "low_coverage_bins": rep.low_coverage_bins,
-            "bound_gamma_over_omega": rep.bound_gamma_over_omega,
-            "slack": rep.slack,
-            "occupancy_change_on_doubling": study.occupancy_change,
-            "samples": sampler.n_samples,
-        },
-    )
-    return ["points.csv", "grid.json", "report.json"]
+    rho0 = _state_from(cfg, "initial_state", 2) if "initial_state" in cfg else np.diag([1.0, 0j])
+    slack = float(_read(cfg, "slack", (int, float), reachable.SLACK))
+
+    def run(out: Path) -> list[str]:
+        study = reachable.run_reachability_study(sampler, rho0, slack=slack)
+        write_csv(out / "points.csv", ["x", "y", "z"], study.points)
+        write_json(
+            out / "grid.json",
+            {
+                "resolution": study.grid.resolution,
+                "total_in_ball_cells": study.grid.total_in_ball_cells,
+                "occupied_in_ball_cells": study.grid.occupied_in_ball_cells,
+                "occupancy_fraction": study.grid.occupancy_fraction,
+                "counts": [int(c) for c in study.grid.counts.ravel()],
+            },
+        )
+        rep = study.report
+        write_json(
+            out / "report.json",
+            {
+                "PASS": rep.passed,
+                "max_radial_gap": rep.max_radial_gap,
+                "unreachable_volume_fraction": rep.unreachable_volume_fraction,
+                "gap_region_volume_fraction": rep.gap_region_volume_fraction,
+                "gap_region_linear_size": rep.gap_region_linear_size,
+                "gap_region_bins": rep.gap_region_bins,
+                "low_coverage_bins": rep.low_coverage_bins,
+                "bound_gamma_over_omega": rep.bound_gamma_over_omega,
+                "slack": rep.slack,
+                "occupancy_change_on_doubling": study.occupancy_change,
+                "samples": sampler.n_samples,
+            },
+        )
+        return ["points.csv", "grid.json", "report.json"]
+
+    return run
 
 
 _COMMANDS = {
@@ -407,36 +417,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit status of one subcommand: 1 for a ``ValueError`` or ``TypeError``
+    raised before its run step starts, 2 (and a ``FAILED`` marker) for
+    anything else raised, 0 on success."""
+    run = None
     try:
         args = build_parser().parse_args(argv)
-        config_path: Path = args.config
-        if not config_path.is_file():
-            raise ConfigError(f"config file not found: {config_path}")
-        try:
-            cfg = json.loads(config_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config document must be a JSON object")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         out: Path = args.out
+        config_path: Path = args.config
         try:
             out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        outputs = _COMMANDS[args.subcommand](cfg, out, seed, max(1, args.workers))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            cfg = json.loads(config_path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot create --out or read the JSON config: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("config document must be a JSON object")
+        seed = args.seed if args.seed is not None else _field("seed", int, cfg.get("seed", 0))
+        run = _COMMANDS[args.subcommand](cfg, seed, max(1, args.workers))
+        outputs = run(out)
     except Exception as exc:
-        (out / "FAILED").write_text(
-            f"{type(exc).__name__}: {exc}\n\n{traceback.format_exc()}"
-        )
+        if run is None and isinstance(exc, (ValueError, TypeError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n\n{traceback.format_exc()}")
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     _write_manifest(out, args.subcommand, config_path, seed, outputs + ["manifest.json"])

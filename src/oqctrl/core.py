@@ -21,8 +21,6 @@ import numpy as np
 
 # Structural validation (Hermiticity, trace, positivity) default tolerance.
 STRUCTURAL_TOL = 1e-9
-# Tolerance for numerical identities expected to hold to machine precision.
-IDENTITY_TOL = 1e-12
 # Armijo backtracking of the Stiefel ascent and the pulse descent:
 # sufficient-change constant and step shrink factor.
 ARMIJO_C = 1e-4
@@ -31,8 +29,6 @@ BACKTRACK = 0.5
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 class DimensionMismatchError(ValueError):
@@ -49,11 +45,6 @@ def _as_square(a, name: str) -> np.ndarray:
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dag)/2."""
     return 0.5 * (a + a.conj().T)
-
-
-def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
 
 
 def vec(a: np.ndarray) -> np.ndarray:

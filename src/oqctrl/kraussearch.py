@@ -140,7 +140,7 @@ class RationalComplexMatrix:
     def from_literals(cls, rows) -> "RationalComplexMatrix":
         """Rows of [re, im] literal pairs (see Sqrt2Rational.parse)."""
         return cls(
-            [[ExactComplex(Sqrt2Rational.parse(p[0]), Sqrt2Rational.parse(p[1])) for p in row]
+            [[ExactComplex(Sqrt2Rational.parse(x), Sqrt2Rational.parse(y)) for x, y in row]
              for row in rows]
         )
 

@@ -28,6 +28,8 @@ _EXPM_CHUNK = 200_000
 # MIN_BIN_COUNT samples are left out of the gap estimate
 DIRECTION_BINS = (12, 24)
 MIN_BIN_COUNT = 5
+# default looseness of the gap bound: max radial gap <= SLACK * gamma/omega
+SLACK = 3.0
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,10 @@ class SamplerConfig:
             raise ValueError("control bounds must be nonnegative")
         if self.n_samples < 1:
             raise ValueError("sample count must be >= 1")
-        if not (1 <= self.segment_range[0] <= self.segment_range[1]):
-            raise ValueError("segment range must satisfy 1 <= lo <= hi")
-        if not (0 < self.duration_range[0] < self.duration_range[1]):
-            raise ValueError("duration range must satisfy 0 < lo < hi")
+        if len(self.segment_range) != 2 or not (1 <= self.segment_range[0] <= self.segment_range[1]):
+            raise ValueError("segment range must be (lo, hi) with 1 <= lo <= hi")
+        if len(self.duration_range) != 2 or not (0 < self.duration_range[0] < self.duration_range[1]):
+            raise ValueError("duration range must be (lo, hi) with 0 < lo < hi")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
 
@@ -209,7 +211,7 @@ def unreachable_report(
     grid: CoverageGrid,
     gamma: float,
     omega: float,
-    slack: float = 3.0,
+    slack: float = SLACK,
     occupancy_change: float | None = None,
 ) -> UnreachableReport:
     """Compare the empirical unreachable region against slack * gamma/omega.
@@ -257,7 +259,7 @@ class StudyResult:
     occupancy_change: float
 
 
-def run_reachability_study(cfg: SamplerConfig, rho0, slack: float = 3.0) -> StudyResult:
+def run_reachability_study(cfg: SamplerConfig, rho0, slack: float = SLACK) -> StudyResult:
     """Sample, check occupancy convergence under sample doubling, report.
 
     Convergence compares the grid built from the first half of the samples

@@ -13,7 +13,6 @@ evaluated in closed form; the ambient metric is Re Tr(X^dag Y).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -77,9 +76,10 @@ def random_stiefel(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _lifted(observable: np.ndarray) -> np.ndarray:
-    n = observable.shape[0]
-    return np.kron(np.eye(n**2), observable)
+def _lifted(observable: np.ndarray, x: np.ndarray) -> np.ndarray:
+    r"""(I \otimes O) X, block by block: O times each N-row block of X."""
+    n = x.shape[1]
+    return (observable @ x.reshape(-1, n, n)).reshape(x.shape)
 
 
 def objective(s: np.ndarray, rho, observable) -> float:
@@ -89,7 +89,7 @@ def objective(s: np.ndarray, rho, observable) -> float:
     o = np.asarray(observable, dtype=complex)
     if r.shape != (n, n) or o.shape != (n, n):
         raise DimensionMismatchError("state/observable dimensions do not match the point")
-    return float(np.trace(s @ r @ s.conj().T @ _lifted(o)).real)
+    return float(np.trace(s.conj().T @ _lifted(o, s) @ r).real)
 
 
 def gradient(s: np.ndarray, rho, observable) -> np.ndarray:
@@ -101,11 +101,11 @@ def gradient(s: np.ndarray, rho, observable) -> np.ndarray:
     """
     n = _check_point(s)
     r = np.asarray(rho, dtype=complex)
-    o = _lifted(np.asarray(observable, dtype=complex))
     if r.shape != (n, n):
         raise DimensionMismatchError("state dimension does not match the point")
-    osr = o @ s @ r
-    return 2.0 * osr - s @ (s.conj().T @ osr) - s @ r @ (s.conj().T @ o @ s)
+    os_ = _lifted(np.asarray(observable, dtype=complex), s)
+    osr = os_ @ r
+    return 2.0 * osr - s @ (s.conj().T @ osr) - s @ r @ (s.conj().T @ os_)
 
 
 def hessian_apply(s: np.ndarray, delta: np.ndarray, rho, observable,
@@ -124,17 +124,18 @@ def hessian_apply(s: np.ndarray, delta: np.ndarray, rho, observable,
     if res > tol:
         raise ValueError(f"delta is not tangent (residual {res:.3e})")
     r = np.asarray(rho, dtype=complex)
-    o = _lifted(np.asarray(observable, dtype=complex))
+    o = np.asarray(observable, dtype=complex)
+    os_, od = _lifted(o, s), _lifted(o, delta)
     sd = s.conj().T
     dd = delta.conj().T
     return (
-        2.0 * o @ delta @ r
-        - delta @ sd @ o @ s @ r
-        - delta @ r @ sd @ o @ s
-        - s @ sd @ o @ delta @ r
-        + s @ sd @ delta @ sd @ o @ s @ r
-        - s @ r @ dd @ o @ s
-        + o @ s @ r @ dd @ s
+        2.0 * od @ r
+        - delta @ sd @ os_ @ r
+        - delta @ r @ sd @ os_
+        - s @ sd @ od @ r
+        + s @ sd @ delta @ sd @ os_ @ r
+        - s @ r @ dd @ os_
+        + os_ @ r @ dd @ s
     )
 
 
@@ -190,7 +191,6 @@ class OptimizationReport:
     steps: np.ndarray
     converged: bool
     point: np.ndarray
-    wall_time: float
     seed: int | None = None
     stalled: bool = False
     stall_message: str = ""
@@ -224,7 +224,6 @@ def maximize(
         _check_point(s)
     else:
         s = random_stiefel(n, np.random.default_rng(seed))
-    t0 = time.perf_counter()
     j = objective(s, r, observable)
     history = [j]
     gnorms = []
@@ -280,7 +279,6 @@ def maximize(
         steps=np.array(steps),
         converged=converged,
         point=s,
-        wall_time=time.perf_counter() - t0,
         seed=seed,
         stalled=stalled,
         stall_message=stall_message,

@@ -233,8 +233,9 @@ class TestKrausSearch:
             ({"max_depth": -1}, "max_depth"),
             ({"initial_state": qutrit_basis_state(0)}, "initial_state"),
             ({"target_state": qutrit_basis_state(2)}, "target_state"),
+            ({"initial_state": [[[1, 0], [0]], [[0, 0], [0, 0]]]}, "initial_state"),
         ],
-        ids=["negative-depth", "initial-dimension", "target-dimension"],
+        ids=["negative-depth", "initial-dimension", "target-dimension", "short-pair"],
     )
     def test_config_fault_is_validation_error(self, tmp_path, capsys, change, field):
         payload = {
@@ -333,6 +334,140 @@ class TestReachable:
         assert main(["reachable", str(cfg), "--out", str(out)]) == 1
         assert "resolution" in capsys.readouterr().err
         assert not (out / "FAILED").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, words",
+        [("segments", [1], "segment range"), ("durations", [0.5], "duration range")],
+    )
+    def test_range_without_two_ends_is_validation_error(self, tmp_path, capsys, key, value, words):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": 100, key: value},
+        )
+        out = tmp_path / "out"
+        assert main(["reachable", str(cfg), "--out", str(out)]) == 1
+        assert words in capsys.readouterr().err
+        assert not (out / "FAILED").exists()
+
+
+def qubit_state_transfer_config():
+    return {
+        "kind": "state",
+        "system": {"energies": [0, 1], "dipole": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+        "decoherence": {"couplings": [[0, 0.2], [0.2, 0]]},
+        "initial_state": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+        "observable": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+        "grid": {"segments": 3, "dt": 2.0},
+        "bounds": {"u_max": 1.0, "n_max": 1.0},
+        "starts": 2,
+        "max_iter": 20,
+        "seed": 2,
+    }
+
+
+def qubit_gate_config():
+    payload = qubit_state_transfer_config()
+    del payload["initial_state"], payload["observable"]
+    payload.update(kind="gate", target=[[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
+    return payload
+
+
+def qubit_stiefel_config():
+    return {
+        "rho": [[[0.6, 0], [0.1, 0]], [[0.1, 0], [0.4, 0]]],
+        "observable": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+        "starts": 2,
+        "seed": 12,
+    }
+
+
+QUTRIT_COUPLINGS = [[0, 0.2, 0], [0.2, 0, 0.1], [0, 0.1, 0]]
+QUTRIT_OBSERVABLE = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
+QUTRIT_SHIFT = [[[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]
+NON_HERMITIAN = [[[1, 0], [1, 0]], [[0, 0], [-1, 0]]]
+
+
+def set_field(payload, path, value):
+    """Set a field path such as 'segments[0].dt' or 'bounds.u_max'."""
+    *parents, last = path.replace("[", ".").replace("]", "").split(".")
+    node = payload
+    for part in parents:
+        node = node[int(part)] if part.isdigit() else node[part]
+    node[int(last) if last.isdigit() else last] = value
+    return payload
+
+
+def two_column_occupations(payload):
+    for seg in payload["segments"]:
+        seg["n"] = [0.5, 0.5]
+    return payload
+
+
+# (subcommand, config, field the message must name); each config has one
+# fault that the parse step finds before anything runs
+CONFIG_FAULTS = {
+    "ingrape-starts-0": (
+        "ingrape", set_field(qubit_state_transfer_config(), "starts", 0), "starts",
+    ),
+    "ingrape-state-u-max-0": (
+        "ingrape", set_field(qubit_state_transfer_config(), "bounds.u_max", 0), "bounds.u_max",
+    ),
+    "ingrape-state-n-max-negative": (
+        "ingrape", set_field(qubit_state_transfer_config(), "bounds.n_max", -1), "bounds.n_max",
+    ),
+    "ingrape-gate-u-max-0": (
+        "ingrape", set_field(qubit_gate_config(), "bounds.u_max", 0), "bounds.u_max",
+    ),
+    "ingrape-qutrit-couplings": (
+        "ingrape",
+        set_field(qubit_state_transfer_config(), "decoherence.couplings", QUTRIT_COUPLINGS),
+        "decoherence.couplings",
+    ),
+    "ingrape-qutrit-target": (
+        "ingrape", set_field(qubit_gate_config(), "target", QUTRIT_SHIFT), "target",
+    ),
+    "ingrape-qutrit-observable": (
+        "ingrape", set_field(qubit_state_transfer_config(), "observable", QUTRIT_OBSERVABLE),
+        "observable",
+    ),
+    "ingrape-non-hermitian-observable": (
+        "ingrape", set_field(qubit_state_transfer_config(), "observable", NON_HERMITIAN),
+        "observable",
+    ),
+    "simulate-dt-0": (
+        "simulate", set_field(qubit_simulate_config(), "segments[0].dt", 0), "segments[0].dt",
+    ),
+    "simulate-n-negative": (
+        "simulate", set_field(qubit_simulate_config(), "segments[0].n", -1), "segments[0].n",
+    ),
+    "simulate-two-column-n": (
+        "simulate", two_column_occupations(qubit_simulate_config()), "segments[0].n",
+    ),
+    "simulate-qutrit-couplings": (
+        "simulate", set_field(qubit_simulate_config(), "decoherence.couplings", QUTRIT_COUPLINGS),
+        "decoherence.couplings",
+    ),
+    "stiefel-qutrit-observable": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "observable", QUTRIT_OBSERVABLE),
+        "observable",
+    ),
+    "stiefel-non-hermitian-observable": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "observable", NON_HERMITIAN),
+        "observable",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_FAULTS))
+def test_config_fault_found_before_anything_runs(tmp_path, capsys, case):
+    sub, payload, field = CONFIG_FAULTS[case]
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([sub, str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err
+    assert not (out / "FAILED").exists()
+    assert not (out / "manifest.json").exists()
 
 
 class TestReproducibility:

@@ -62,3 +62,45 @@ def test_one_float_format():
     # second copy (a format spec, an f-string or a %-template) fails here
     uses = [p.name for p in SOURCES for s in _code_strings(p) if "17g" in s]
     assert uses == ["serialization.py"]
+
+
+def _caught(handler):
+    """Names of the exception types an ``except`` clause catches."""
+    if handler.type is None:
+        return {"BaseException"}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None) for t in types}
+
+
+def test_one_exit_code_boundary():
+    # cli.main alone turns an exception into an exit code, and one helper
+    # alone attaches a config field path to a library ValueError
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    functions = [
+        node for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert "main" in {f.name for f in functions}
+    exit_code_sites, field_helpers = [], set()
+    for function in functions:
+        if function.name == "main":
+            continue
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int
+            ):
+                exit_code_sites.append(f"{function.name}: return {node.value.value}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("exit", "_exit"):
+                exit_code_sites.append(f"{function.name}: exit call")
+            elif isinstance(node, ast.Name) and node.id == "SystemExit":
+                exit_code_sites.append(f"{function.name}: SystemExit")
+            elif isinstance(node, ast.ExceptHandler):
+                caught = _caught(node)
+                if caught & {"Exception", "BaseException"}:
+                    exit_code_sites.append(f"{function.name}: catch-all handler")
+                if "ValueError" in caught:
+                    field_helpers.add(function.name)
+    assert exit_code_sites == []
+    assert len(field_helpers) <= 1, sorted(field_helpers)

@@ -248,6 +248,46 @@ class TestHessian:
         assert fit_slope(ts, errs) >= 2.8
 
 
+def dense_lifted(observable):
+    """kron(I_{N^2}, O), the N^3 x N^3 lift the blockwise product replaces."""
+    n = observable.shape[0]
+    return np.kron(np.eye(n**2), observable)
+
+
+class TestDenseLiftOracle:
+    # the formulas with the lifted observable as one dense matrix, as they
+    # were computed before the blockwise product
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_blockwise_equals_dense(self, n):
+        rng = np.random.default_rng(100 + n)
+        s = random_stiefel(n, rng)
+        r = random_density(n, rng)
+        o = random_hermitian(n, rng)
+        d = random_tangent(s, rng)
+        big = dense_lifted(o)
+        sd, dd = s.conj().T, d.conj().T
+        j = np.trace(s @ r @ sd @ big).real
+        g = 2.0 * big @ s @ r - s @ (sd @ big @ s @ r) - s @ r @ (sd @ big @ s)
+        h = (
+            2.0 * big @ d @ r
+            - d @ sd @ big @ s @ r
+            - d @ r @ sd @ big @ s
+            - s @ sd @ big @ d @ r
+            + s @ sd @ d @ sd @ big @ s @ r
+            - s @ r @ dd @ big @ s
+            + big @ s @ r @ dd @ s
+        )
+        assert abs(objective(s, r, o) - j) < 1e-12
+        assert np.max(np.abs(gradient(s, r, o) - g)) < 1e-12
+        assert np.max(np.abs(hessian_apply(s, d, r, o) - h)) < 1e-12
+
+    def test_observable_of_another_dimension_rejected(self):
+        rng = np.random.default_rng(7)
+        s = random_stiefel(2, rng)
+        with pytest.raises(ValueError):
+            gradient(s, random_density(2, rng), random_hermitian(4, rng))
+
+
 class TestProjectionRetraction:
     def test_projecting_the_point_gives_zero(self):
         rng = np.random.default_rng(17)
@@ -300,10 +340,10 @@ class TestMaximize:
         assert report.objective_value == pytest.approx(1.0, abs=1e-6)
 
     def test_stall_at_floating_point_optimum_is_diagnosed(self):
-        # an unreachable gradient tolerance must end in a diagnosed stall,
-        # not an endless loop or an exception
+        # an unreachable gradient tolerance (no norm is below 0) must end in
+        # a diagnosed stall, not an endless loop or an exception
         rng = np.random.default_rng(230)
-        report = maximize(random_density(2, rng), PAULI_Z, seed=1, grad_tol=1e-14)
+        report = maximize(random_density(2, rng), PAULI_Z, seed=1, grad_tol=0.0)
         assert not report.converged
         assert report.stalled
         assert "underflow" in report.stall_message
