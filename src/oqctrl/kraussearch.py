@@ -11,7 +11,7 @@ bound" -- no bounded search can certify unreachability.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -284,37 +284,163 @@ def apply_channel_exact(
     return acc
 
 
-def _grid_key(arr, tol: float) -> tuple:
-    arr = np.asarray(arr, complex)
-    grid = tol / 10.0
-    re = np.round(arr.real / grid).astype(np.int64)
-    im = np.round(arr.imag / grid).astype(np.int64)
-    return (arr.shape[0],) + tuple(re.ravel()) + tuple(im.ravel())
+def require_hermitian(rho: RationalComplexMatrix, name: str = "state") -> RationalComplexMatrix:
+    """``rho`` itself, after checking that it equals its adjoint exactly."""
+    if rho != rho.dagger():
+        raise ValueError(f"{name} is not exactly Hermitian")
+    return rho
 
 
-# One (encode, step, hit, key) kernel per search mode.  ``encode`` puts an
-# exact matrix (a state or a Kraus operator) in the mode's terms; exact states
-# compare and key on their reduced entries, float states hit within tol
-# (max-abs) and key on a tol/10 grid.  The exact step looks apply_channel_exact
-# up at call time, so a patched or traced version is the one that runs.
-_KERNELS = {
-    "exact": (
-        lambda m: m,
-        lambda kraus, st: apply_channel_exact(kraus, st, checked=True),
-        lambda st, goal, tol: st == goal,
-        lambda st, tol: st.key(),
-    ),
-    "float": (
-        RationalComplexMatrix.to_numpy,
-        lambda kraus, st: sum(k @ st @ k.conj().T for k in kraus),
-        lambda st, goal, tol: bool(np.max(np.abs(st - goal)) <= tol),
-        _grid_key,
-    ),
-}
+def _upper(d: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(d) for j in range(i + 1, d)]
 
 
-def _kernel(mode: str) -> tuple:
-    """(encode, step, hit, key) of a search mode; the one place a mode is checked."""
+def _coordinates(m: RationalComplexMatrix) -> list[Sqrt2Rational]:
+    """The d^2 real coordinates of a Hermitian matrix: its diagonal, then the
+    real and the imaginary parts of its upper triangle."""
+    e, upper = m.entries, _upper(m.dim)
+    return (
+        [e[k][k].re for k in range(m.dim)]
+        + [e[i][j].re for i, j in upper]
+        + [e[i][j].im for i, j in upper]
+    )
+
+
+def _hermitian_basis(d: int) -> list[RationalComplexMatrix]:
+    """The Hermitian matrices whose coordinates are the unit vectors."""
+    one, i_unit = ExactComplex(_ONE), ExactComplex(_ZERO, _ONE)
+
+    def matrix(cells: dict) -> RationalComplexMatrix:
+        return RationalComplexMatrix(
+            [[cells.get((i, j), ExactComplex()) for j in range(d)] for i in range(d)]
+        )
+
+    return (
+        [matrix({(k, k): one}) for k in range(d)]
+        + [matrix({(i, j): one, (j, i): one}) for i, j in _upper(d)]
+        + [matrix({(i, j): i_unit, (j, i): i_unit.conj()}) for i, j in _upper(d)]
+    )
+
+
+def _over_one_denominator(values: Sequence[Sqrt2Rational]) -> tuple[list[int], list[int], int]:
+    """Integers A, B and den > 0 with values = (A + B sqrt(2)) / den."""
+    den = math.lcm(*(f.denominator for v in values for f in (v.a, v.b)))
+    return [int(v.a * den) for v in values], [int(v.b * den) for v in values], den
+
+
+def _lowest_terms(rows: np.ndarray) -> np.ndarray:
+    """Integer rows (A, B, den) divided by their gcd: one canonical row per state."""
+    return rows // np.gcd.reduce(rows, axis=1)[:, None]
+
+
+class _ExactLattice:
+    """Exact search states as integer rows (A, B, den), meaning
+    (A + B sqrt(2)) / den on Hermitian coordinates, in lowest terms; the row is
+    the state's injective key.  Each channel acts as the real superoperator
+    (P + Q sqrt(2)) / D on those coordinates, derived once from
+    apply_channel_exact on the coordinate basis, so a step is an integer
+    product [[P, 2Q], [Q, P]] (A, B) over den * D.  The certificate replay
+    uses apply_channel_exact itself.
+    """
+
+    def __init__(self, alphabet: ChannelAlphabet, rho_initial, rho_target, tol: float):
+        self.channels, self.rho_initial, self.rho_target = alphabet.channels, rho_initial, rho_target
+        basis = _hermitian_basis(alphabet.dim)
+        n = len(basis)
+        products, dens = [], []
+        for kraus in alphabet.channels:
+            images = [apply_channel_exact(kraus, e, checked=True) for e in basis]
+            p, q, den = _over_one_denominator([c for image in images for c in _coordinates(image)])
+            # the values run column by column: reshape and transpose to (row, column)
+            p, q = (np.array(x, dtype=object).reshape(n, n).T for x in (p, q))
+            products.append(np.block([[p, 2 * q], [q, p]]).T)
+            dens.append(den)
+        self.step = np.concatenate(products, axis=1)
+        self.dens = np.array(dens, dtype=object)
+        self.start = self.encode([rho_initial])
+        self.goal = self.keys(self.encode([rho_target]))[0]
+
+    @staticmethod
+    def encode(matrices) -> np.ndarray:
+        rows = []
+        for m in matrices:
+            a, b, den = _over_one_denominator(_coordinates(require_hermitian(m)))
+            rows.append(a + b + [den])
+        return _lowest_terms(np.array(rows, dtype=object))
+
+    @staticmethod
+    def keys(rows: np.ndarray, tol: float = 0.0) -> list:
+        return list(map(tuple, rows.tolist()))
+
+    def children(self, level: np.ndarray) -> np.ndarray:
+        width = level.shape[1] - 1
+        ab = (level[:, :-1] @ self.step).reshape(-1, width)
+        den = np.multiply.outer(level[:, -1], self.dens).reshape(-1, 1)
+        return _lowest_terms(np.concatenate([ab, den], axis=1))
+
+    def first_hit(self, level, keys: list) -> int | None:
+        return keys.index(self.goal) if self.goal in keys else None
+
+    def replay(self, sequence: tuple[int, ...]) -> bool:
+        state = self.rho_initial
+        for i in sequence:
+            state = apply_channel_exact(self.channels[i], state, checked=True)
+        return state == self.rho_target
+
+
+class _FloatStack:
+    """Float search states as one (F, d, d) complex stack per BFS level.  A
+    state hits the target within ``tol`` (max-abs) and is keyed by the bytes
+    of its int64 entries on a grid of width tol/10, so two close states can
+    share a key and one of them is pruned."""
+
+    def __init__(self, alphabet: ChannelAlphabet, rho_initial, rho_target, tol: float):
+        self.channels = [[k.to_numpy() for k in ops] for ops in alphabet.channels]
+        self.tol = tol
+        self.start = self.encode([rho_initial])
+        self.goal = rho_target.to_numpy()
+
+    @staticmethod
+    def encode(matrices) -> np.ndarray:
+        return np.array([
+            m.to_numpy() if isinstance(m, RationalComplexMatrix) else np.asarray(m, complex)
+            for m in matrices
+        ])
+
+    @staticmethod
+    def keys(stack: np.ndarray, tol: float) -> list:
+        grid = tol / 10.0
+        rows = np.concatenate(
+            [np.round(part / grid).astype(np.int64).reshape(len(stack), -1)
+             for part in (stack.real, stack.imag)],
+            axis=1,
+        )
+        return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+    @staticmethod
+    def apply(kraus, stack: np.ndarray) -> np.ndarray:
+        return sum((k @ stack) @ k.conj().T for k in kraus)
+
+    def children(self, level: np.ndarray) -> np.ndarray:
+        out = np.stack([self.apply(kraus, level) for kraus in self.channels], axis=1)
+        return out.reshape(-1, *level.shape[1:])
+
+    def first_hit(self, level: np.ndarray, keys: list) -> int | None:
+        hits = np.flatnonzero(np.max(np.abs(level - self.goal), axis=(1, 2)) <= self.tol)
+        return int(hits[0]) if hits.size else None
+
+    def replay(self, sequence: tuple[int, ...]) -> bool:
+        state = self.start
+        for i in sequence:
+            state = self.apply(self.channels[i], state)
+        return self.first_hit(state, []) == 0
+
+
+_KERNELS = {"exact": _ExactLattice, "float": _FloatStack}
+
+
+def _kernel(mode: str) -> type:
+    """The kernel class of a search mode; the one place a mode is checked."""
     if mode not in _KERNELS:
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     return _KERNELS[mode]
@@ -323,12 +449,13 @@ def _kernel(mode: str) -> tuple:
 def canonical_state_key(rho, mode: str = "exact", tol: float = 1e-9):
     """Deduplication key for visited states.
 
-    Exact mode: the fully reduced rational entry tuple (injective).  Float
-    mode: entries rounded onto a grid of width tol/10 -- collisions are
-    possible, so float keying is pruning only and certificates are replayed.
+    Exact mode: the lowest-terms integer row of a Hermitian state's
+    coordinates over Q(sqrt(2)) (injective).  Float mode: the bytes of the
+    entries rounded onto a grid of width tol/10 -- collisions are possible,
+    so float keying is pruning only and certificates are replayed.
     """
-    encode, _, _, key = _kernel(mode)
-    return key(encode(rho) if isinstance(rho, RationalComplexMatrix) else rho, tol)
+    kernel = _kernel(mode)
+    return kernel.keys(kernel.encode([rho]), tol)[0]
 
 
 class SearchMemoryError(RuntimeError):
@@ -369,82 +496,58 @@ def bounded_reachability(
 ) -> SearchOutcome:
     """Breadth-first search over channel compositions up to ``max_depth``.
 
-    Expansion follows alphabet index order with a FIFO frontier, so a
-    positive answer is a shortest certificate and ties break
-    lexicographically.  Visited states are deduplicated by canonical key; in
-    float mode the keying is heuristic pruning and every certificate is
+    The search is level-synchronous: each depth steps the whole frontier
+    through every channel at once, then walks the children in (parent,
+    channel index) order, testing each for a hit before deduplicating it by
+    canonical key and counting it against ``max_states`` -- the order of a
+    FIFO search, so a positive answer is a shortest certificate with ties
+    broken lexicographically.  Both states must be exactly Hermitian.  In
+    float mode the keying is heuristic pruning; every certificate is
     verified by replay before it is returned.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    encode, step, hit, _ = _kernel(mode)
-    channels = [[encode(k) for k in ops] for ops in alphabet.channels]
-    start, goal = encode(rho_initial), encode(rho_target)
+    kernel_class = _kernel(mode)
+    require_hermitian(rho_initial, "initial state")
+    require_hermitian(rho_target, "target state")
+    kernel = kernel_class(alphabet, rho_initial, rho_target, tol)
+    width = alphabet.size
 
     def certify(sequence: tuple[int, ...]) -> SearchOutcome:
-        state = start
-        for i in sequence:
-            state = step(channels[i], state)
-        if not hit(state, goal, tol):
+        if not kernel.replay(sequence):
             raise AssertionError("certificate failed replay verification")
         return SearchOutcome(True, sequence, max_depth, len(visited), replay_verified=True)
 
-    visited = {canonical_state_key(start, mode, tol)}
-    if hit(start, goal, tol):
+    start_key = canonical_state_key(rho_initial, mode, tol)
+    visited = {start_key}
+    if kernel.first_hit(kernel.start, [start_key]) is not None:
         return certify(())
 
-    frontier = deque([(start, ())])
-    while frontier:
-        state, seq = frontier.popleft()
-        if len(seq) >= max_depth:
-            continue
-        for i in range(alphabet.size):
-            nxt = step(channels[i], state)
-            nxt_seq = seq + (i,)
-            if hit(nxt, goal, tol):
-                return certify(nxt_seq)
-            k = canonical_state_key(nxt, mode, tol)
-            if k in visited:
-                continue
-            visited.add(k)
-            if len(visited) > max_states:
-                raise SearchMemoryError(
-                    f"state budget {max_states} exceeded at depth {len(nxt_seq)} "
-                    f"(frontier {len(frontier)})",
-                    states_explored=len(visited),
-                    frontier_size=len(frontier),
-                    depth=len(nxt_seq),
-                )
-            frontier.append((nxt, nxt_seq))
-    return SearchOutcome(False, None, max_depth, len(visited))
-
-
-def brute_force_min_length(
-    alphabet: ChannelAlphabet,
-    rho_initial: RationalComplexMatrix,
-    rho_target: RationalComplexMatrix,
-    max_depth: int,
-    mode: str = "exact",
-    tol: float = 1e-9,
-) -> int | None:
-    """Minimal certificate length by exhaustive enumeration (test oracle).
-
-    Enumerates every composition sequence without deduplication; returns the
-    smallest length whose endpoint hits the target, or None.
-    """
-    encode, step, hit, _ = _kernel(mode)
-    channels = [[encode(k) for k in ops] for ops in alphabet.channels]
-    start, goal = encode(rho_initial), encode(rho_target)
-    level = [start]
-    if hit(start, goal, tol):
-        return 0
+    level, sequences = kernel.start, [()]
     for depth in range(1, max_depth + 1):
-        nxt_level = []
-        for st in level:
-            for i in range(alphabet.size):
-                nxt = step(channels[i], st)
-                if hit(nxt, goal, tol):
-                    return depth
-                nxt_level.append(nxt)
-        level = nxt_level
-    return None
+        if not sequences:
+            break
+        children = kernel.children(level)
+        keys = kernel.keys(children, tol)
+        hit = kernel.first_hit(children, keys)
+        kept = []
+        for c in range(len(keys) if hit is None else hit):
+            if keys[c] in visited:
+                continue
+            visited.add(keys[c])
+            if len(visited) > max_states:
+                # a FIFO frontier: the level's parents after this one, and
+                # the children queued so far
+                frontier = len(sequences) - c // width - 1 + len(kept)
+                raise SearchMemoryError(
+                    f"state budget {max_states} exceeded at depth {depth} (frontier {frontier})",
+                    states_explored=len(visited),
+                    frontier_size=frontier,
+                    depth=depth,
+                )
+            kept.append(c)
+        if hit is not None:
+            return certify(sequences[hit // width] + (hit % width,))
+        level = children[kept]
+        sequences = [sequences[c // width] + (c % width,) for c in kept]
+    return SearchOutcome(False, None, max_depth, len(visited))

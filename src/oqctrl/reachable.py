@@ -67,10 +67,15 @@ class SamplerConfig:
             raise ValueError("resolution must be at least 2")
 
 
+def _segment_counts(cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
+    """Each sample's segment count: the first draw from cfg.seed's stream."""
+    return rng.integers(cfg.segment_range[0], cfg.segment_range[1] + 1, size=cfg.n_samples)
+
+
 def _draw(cfg: SamplerConfig):
     """All random segment data for a run, reproducible from cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
-    nseg = rng.integers(cfg.segment_range[0], cfg.segment_range[1] + 1, size=cfg.n_samples)
+    nseg = _segment_counts(cfg, rng)
     total = int(nseg.sum())
     u = rng.uniform(-cfg.u_max, cfg.u_max, size=total)
     n = rng.uniform(0.0, cfg.n_max, size=total)
@@ -268,7 +273,7 @@ def run_reachability_study(cfg: SamplerConfig, rho0, slack: float = SLACK) -> St
     """
     points = sample_reachable(cfg, rho0)
     grid = coverage_map(points, cfg.resolution)
-    nseg, _, _, _ = _draw(cfg)
+    nseg = _segment_counts(cfg, np.random.default_rng(cfg.seed))
     half_samples = cfg.n_samples // 2
     prefix_points = int(nseg[:half_samples].sum()) + half_samples
     if half_samples >= 1:

@@ -18,7 +18,6 @@ from oqctrl.kraussearch import (
     RationalComplexMatrix,
     apply_channel_exact,
     bounded_reachability,
-    brute_force_min_length,
 )
 from oqctrl.lindblad import (
     ControlSchedule,
@@ -40,6 +39,8 @@ from oqctrl.stiefel import (
     random_stiefel,
     retract,
 )
+
+from kraus_oracles import brute_force_min_length
 
 
 def _report(num: int, name: str, ok: bool, detail: str, elapsed: float) -> None:

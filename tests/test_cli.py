@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from oqctrl import reachable
+from oqctrl import reachable, stiefel
 from oqctrl.cli import main
 from oqctrl.serialization import matrix_to_lists
 
@@ -98,6 +99,35 @@ class TestStiefelMax:
         lines = (out / "iterations.csv").read_text().splitlines()
         assert lines[0] == "iter,objective,grad_norm,step"
         assert len(lines) > 2
+
+    @pytest.mark.parametrize("lift, best", [(4e-16, 0), (1e-9, 1)], ids=["roundoff-tie", "better"])
+    def test_best_start_is_the_lowest_within_a_tie(self, tmp_path, monkeypatch, lift, best):
+        # start 1 ends above start 0 by `lift`: by one ulp it is a tie, which
+        # goes to the lower index; by 1e-9 it is better
+        real = stiefel.multistart_maximize
+
+        def nudged(*args, **kwargs):
+            reports = real(*args, **kwargs)
+            top = reports[0].objective_value
+            return [dataclasses.replace(reports[0], objective_value=top),
+                    dataclasses.replace(reports[1], objective_value=top + lift)]
+
+        monkeypatch.setattr(stiefel, "multistart_maximize", nudged)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "rho": [[[0.5, 0], [0.1, 0.05]], [[0.1, -0.05], [0.5, 0]]],
+                "observable": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                "starts": 2,
+                "seed": 4,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["stiefel-max", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["runs"][1]["objective"] > report["runs"][0]["objective"]
+        assert report["best_start"] == best
+        assert report["best_objective"] == report["runs"][best]["objective"]
 
 
 class TestInGrape:
@@ -251,6 +281,24 @@ class TestKrausSearch:
         assert field in capsys.readouterr().err
         assert not (out / "FAILED").exists()
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("field", ["initial_state", "target_state"])
+    def test_non_hermitian_state_is_validation_error(self, tmp_path, capsys, mode, field):
+        payload = {
+            "alphabet": [{"kraus": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]}],
+            "initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+            "target_state": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "max_depth": 3,
+            "mode": mode,
+        }
+        payload[field] = [[["1/2", 0], ["1/2", 0]], [[0, 0], ["1/2", 0]]]
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main(["kraus-search", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and "not exactly Hermitian" in err
+        assert not (out / "FAILED").exists()
+
 
 class TestReachable:
     @pytest.fixture()
@@ -347,6 +395,29 @@ class TestReachable:
         out = tmp_path / "out"
         assert main(["reachable", str(cfg), "--out", str(out)]) == 1
         assert words in capsys.readouterr().err
+        assert not (out / "FAILED").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("samples", 0), ("u_max", -1.0), ("n_max", -0.5), ("segments", [3, 1]),
+            ("segments", [0, 2]), ("durations", [2.0, 1.0]), ("resolution", 1),
+            ("omega", 0.0), ("mu", -1.0), ("gamma", 0),
+        ],
+        ids=["samples", "u_max", "n_max", "segments-order", "segments-zero", "durations",
+             "resolution", "omega", "mu", "gamma"],
+    )
+    def test_sampler_fault_names_the_config_key(self, tmp_path, capsys, monkeypatch, key, value):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled despite an invalid config")
+
+        monkeypatch.setattr(reachable, "sample_reachable", never)
+        payload = {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": 100}
+        payload[key] = value
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["reachable", str(cfg), "--out", str(out)]) == 1
+        assert f"field '{key}'" in capsys.readouterr().err
         assert not (out / "FAILED").exists()
 
 

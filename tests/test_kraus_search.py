@@ -5,15 +5,16 @@ from fractions import Fraction
 from oqctrl import kraussearch
 from oqctrl.kraussearch import (
     ChannelAlphabet,
+    ExactComplex,
     RationalComplexMatrix,
     SearchMemoryError,
     Sqrt2Rational,
     apply_channel_exact,
     bounded_reachability,
-    brute_force_min_length,
     canonical_state_key,
-    brute_force_min_length as brute_force,
 )
+from kraus_oracles import bounded_reachability_fifo, brute_force_min_length
+from kraus_oracles import brute_force_min_length as brute_force
 
 
 def exact(rows):
@@ -255,3 +256,201 @@ class TestBoundedReachability:
         alphabet = ChannelAlphabet.from_kraus_lists([[PAULI_X_EXACT]])
         with pytest.raises(ValueError):
             bounded_reachability(alphabet, GROUND, EXCITED, max_depth=-1)
+
+
+S_EXACT = exact([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+T_EXACT = exact([[[1, 0], [0, 0]], [[0, 0], [{"sqrt2": "1/2"}, {"sqrt2": "1/2"}]]])
+P0_EXACT = exact([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+P1_EXACT = exact([[[0, 0], [0, 0]], [[0, 0], [1, 0]]])
+RESET_EXACT = [P0_EXACT, exact([[[0, 0], [1, 0]], [[0, 0], [0, 0]]])]
+MIX_EXACT = [exact([[[0, 0], ["3/5", 0]], [["3/5", 0], [0, 0]]]),
+             exact([[["4/5", 0], [0, 0]], [[0, 0], ["4/5", 0]]])]
+QUBIT_POOL = [
+    [PAULI_X_EXACT], [exact([[[1, 0], [0, 0]], [[0, 0], [-1, 0]]])], [S_EXACT], [T_EXACT],
+    [HADAMARD_EXACT], [P0_EXACT, P1_EXACT], RESET_EXACT, MIX_EXACT,
+]
+PLUS = exact([[["1/2", 0], ["1/2", 0]], [["1/2", 0], ["1/2", 0]]])
+SKEW = exact([[["3/4", 0], ["1/4", 0]], [["1/4", 0], ["1/4", 0]]])
+QUBIT_STATES = [GROUND, EXCITED, MIXED, PLUS, SKEW]
+
+
+def _unit(d, cells):
+    return exact([[cells.get((i, j), [0, 0]) for j in range(d)] for i in range(d)])
+
+
+# a qutrit alphabet: a cyclic shift, a complex 3/5-4/5 rotation on levels 0 and
+# 1 (a rational unitary), reset to level 0, and a Hadamard on levels 1 and 2
+QUTRIT_ALPHABET = [
+    [_unit(3, {(1, 0): [1, 0], (2, 1): [1, 0], (0, 2): [1, 0]})],
+    [_unit(3, {(0, 0): ["3/5", 0], (0, 1): [0, "4/5"], (1, 0): [0, "4/5"],
+               (1, 1): ["3/5", 0], (2, 2): [1, 0]})],
+    [_unit(3, {(0, j): [1, 0]}) for j in range(3)],
+    [_unit(3, {(0, 0): [1, 0], (1, 1): [{"sqrt2": "1/2"}, 0], (1, 2): [{"sqrt2": "1/2"}, 0],
+               (2, 1): [{"sqrt2": "1/2"}, 0], (2, 2): [{"sqrt2": "-1/2"}, 0]})],
+]
+
+
+def _random_q(rng):
+    return Sqrt2Rational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))),
+                         Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))))
+
+
+def _random_hermitian(d, rng):
+    """An exact Hermitian matrix with random Q(sqrt2) parts (not a state)."""
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = ExactComplex(_random_q(rng))
+        for j in range(i + 1, d):
+            rows[i][j] = ExactComplex(_random_q(rng), _random_q(rng))
+            rows[j][i] = rows[i][j].conj()
+    return RationalComplexMatrix(rows)
+
+
+def _decode(row, d):
+    """The Hermitian matrix of a lattice row (A, B, den): coordinates
+    (A + B sqrt2)/den, ordered as the diagonal, then the real and the
+    imaginary parts of the upper triangle."""
+    n = d * d
+    *ab, den = row
+    coords = [Sqrt2Rational(Fraction(ab[c], den), Fraction(ab[n + c], den)) for c in range(n)]
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    rows = [[ExactComplex() for _ in range(d)] for _ in range(d)]
+    for k in range(d):
+        rows[k][k] = ExactComplex(coords[k])
+    for m, (i, j) in enumerate(upper):
+        rows[i][j] = ExactComplex(coords[d + m], coords[d + len(upper) + m])
+        rows[j][i] = rows[i][j].conj()
+    return RationalComplexMatrix(rows)
+
+
+class TestLevelKernels:
+    @pytest.mark.parametrize("pool, d", [
+        ([[HADAMARD_EXACT], [T_EXACT], [S_EXACT], MIX_EXACT, RESET_EXACT], 2),
+        (QUTRIT_ALPHABET, 3),
+    ], ids=["qubit", "qutrit"])
+    def test_lattice_step_decodes_to_apply_channel_exact(self, pool, d):
+        alphabet = ChannelAlphabet.from_kraus_lists(pool)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            states = [_random_hermitian(d, rng) for _ in range(3)]
+            lattice = kraussearch._ExactLattice(alphabet, states[0], states[0], 0.0)
+            children = lattice.children(lattice.encode(states))
+            assert children.shape == (len(states) * alphabet.size, 2 * d * d + 1)
+            for c, row in enumerate(children.tolist()):
+                rho, ops = states[c // alphabet.size], alphabet.channels[c % alphabet.size]
+                expected = apply_channel_exact(ops, rho)
+                assert _decode(row, d) == expected
+                assert tuple(row) == canonical_state_key(expected)
+                assert row[-1] > 0 and np.gcd.reduce(row) == 1
+
+    def test_exact_key_is_the_lowest_terms_row(self):
+        assert canonical_state_key(MIXED) == (1, 1, 0, 0, 0, 0, 0, 0, 2)
+        assert canonical_state_key(PLUS) == (1, 1, 1, 0, 0, 0, 0, 0, 2)
+
+    def test_float_level_step_is_the_per_state_step(self):
+        alphabet = ChannelAlphabet.from_kraus_lists(QUBIT_POOL)
+        rng = np.random.default_rng(6)
+        states = [_random_hermitian(2, rng) for _ in range(6)]
+        stack = kraussearch._FloatStack(alphabet, states[0], states[0], 1e-9)
+        children = stack.children(stack.encode(states))
+        for c, child in enumerate(children):
+            st = states[c // alphabet.size].to_numpy()
+            ops = [k.to_numpy() for k in alphabet.channels[c % alphabet.size]]
+            assert np.array_equal(child, sum(k @ st @ k.conj().T for k in ops))
+
+    def test_float_keys_are_the_grid_rows(self):
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        keys = kraussearch._FloatStack.keys(stack, 1e-9)
+        for st, key in zip(stack, keys):
+            grid = np.round(np.concatenate([st.real.ravel(), st.imag.ravel()]) / 1e-10)
+            assert key == grid.astype(np.int64).tobytes()
+            assert key == canonical_state_key(st, "float", 1e-9)
+
+
+def _random_instance(rng):
+    """A criterion-8-style instance: 1-3 qubit channels, a start state, and a
+    target that is either reachable by construction or drawn from the pool."""
+    picks = rng.choice(len(QUBIT_POOL), size=int(rng.integers(1, 4)), replace=False)
+    alphabet = ChannelAlphabet.from_kraus_lists([QUBIT_POOL[i] for i in picks])
+    rho_i = QUBIT_STATES[int(rng.integers(len(QUBIT_STATES)))]
+    rho_f = QUBIT_STATES[int(rng.integers(len(QUBIT_STATES)))]
+    if rng.random() < 0.5:
+        rho_f = rho_i
+        for _ in range(int(rng.integers(1, 5))):
+            rho_f = apply_channel_exact(alphabet.channels[int(rng.integers(alphabet.size))], rho_f)
+    return alphabet, rho_i, rho_f, int(rng.integers(2, 7))
+
+
+class TestAgainstFifoOracle:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_same_answers_as_fifo_search(self, mode):
+        rng = np.random.default_rng(2024)
+        found = 0
+        for _ in range(120):
+            alphabet, rho_i, rho_f, depth = _random_instance(rng)
+            new = bounded_reachability(alphabet, rho_i, rho_f, depth, mode=mode)
+            old = bounded_reachability_fifo(alphabet, rho_i, rho_f, depth, mode=mode)
+            assert (new.found, new.sequence, new.states_explored, new.replay_verified) == (
+                old.found, old.sequence, old.states_explored, old.replay_verified)
+            found += new.found
+        assert 20 < found < 100
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_same_budget_failure_as_fifo_search(self, mode):
+        rng = np.random.default_rng(99)
+        raised = []
+        for _ in range(30):
+            alphabet, rho_i, rho_f, depth = _random_instance(rng)
+            for max_states in (1, 2, 4, 8):
+                outcomes = []
+                for search in (bounded_reachability, bounded_reachability_fifo):
+                    try:
+                        out = search(alphabet, rho_i, rho_f, depth, mode=mode, max_states=max_states)
+                        outcomes.append((out.found, out.sequence, out.states_explored))
+                    except SearchMemoryError as err:
+                        outcomes.append((str(err), err.states_explored, err.frontier_size, err.depth))
+                assert outcomes[0] == outcomes[1]
+                if len(outcomes[0]) == 4:
+                    raised.append(outcomes[0])
+        assert len(raised) > 20
+        assert len({frontier for _, _, frontier, _ in raised}) > 2
+
+    def test_no_exact_matrix_product_per_state(self, monkeypatch):
+        # the kraus-maps alphabet (H, T and a 3/5-4/5 bit-flip mix) from |0><0|
+        # never reaches the skewed state; RationalComplexMatrix products happen
+        # in setup only, so the count does not grow with the depth
+        alphabet = ChannelAlphabet.from_kraus_lists([[HADAMARD_EXACT], [T_EXACT], MIX_EXACT])
+        real = RationalComplexMatrix.__matmul__
+        calls = []
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(RationalComplexMatrix, "__matmul__", counted)
+        counts = {}
+        for depth in (3, 9):
+            calls.clear()
+            outcome = bounded_reachability(alphabet, GROUND, SKEW, max_depth=depth)
+            assert not outcome.found
+            counts[depth] = (len(calls), outcome.states_explored)
+        assert counts[3][0] == counts[9][0]
+        assert counts[9][1] == 1072 > counts[3][1]
+
+
+NON_HERMITIAN = exact([[["1/2", 0], ["1/2", 0]], [[0, 0], ["1/2", 0]]])
+
+
+class TestHermitianStates:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("which", ["initial", "target"])
+    def test_non_hermitian_state_rejected(self, mode, which):
+        alphabet = ChannelAlphabet.from_kraus_lists([[PAULI_X_EXACT]])
+        states = {"initial": GROUND, "target": EXCITED, which: NON_HERMITIAN}
+        with pytest.raises(ValueError, match=f"{which} state is not exactly Hermitian"):
+            bounded_reachability(alphabet, states["initial"], states["target"], 2, mode=mode)
+
+    def test_imaginary_diagonal_is_not_hermitian(self):
+        with pytest.raises(ValueError, match="not exactly Hermitian"):
+            canonical_state_key(exact([[[1, 1], [0, 0]], [[0, 0], [0, 0]]]))

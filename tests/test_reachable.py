@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oqctrl import reachable
 from oqctrl.core import bloch_from_density, density_from_bloch
 from oqctrl.lindblad import (
     ControlSchedule,
@@ -188,6 +189,20 @@ class TestUnreachableReport:
         assert study.report.passed
         assert study.report.max_radial_gap <= 3.0 * 0.1
         assert study.occupancy_change <= 0.005
+
+    def test_study_draws_the_schedules_once(self, monkeypatch):
+        # the half-sample grid takes its prefix from the segment counts alone
+        cfg = SamplerConfig(gamma=0.1, n_samples=4000, seed=11, resolution=4)
+        nseg = _draw(cfg)[0]
+        half = cfg.n_samples // 2
+        draws = []
+        monkeypatch.setattr(reachable, "_draw", lambda c: draws.append(c) or _draw(c))
+        study = run_reachability_study(cfg, GROUND)
+        assert draws == [cfg]
+        half_grid = coverage_map(study.points[: int(nseg[:half].sum()) + half], cfg.resolution)
+        assert study.occupancy_change == abs(
+            study.grid.occupancy_fraction - half_grid.occupancy_fraction
+        )
 
     def test_gap_scales_with_gamma(self):
         # the declared size claim: empirical gap tracks gamma/omega
