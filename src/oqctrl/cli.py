@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 import traceback
@@ -62,6 +63,19 @@ def _read(cfg: dict, path: str, kind=None, default=...):
     return node
 
 
+def _require_finite(node, path: str = "") -> None:
+    """Reject the first NaN or infinity in a loaded config (``json`` parses
+    both), naming its field path."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"field '{path}' must be finite")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _require_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            _require_finite(value, f"{path}[{k}]")
+
+
 def _field(path: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``; the one place a library error gets the
     config field path attached."""
@@ -90,7 +104,7 @@ def _matrix(cfg: dict, path: str, dim: int | None = None, hermitian: bool = Fals
 
 def _state_from(cfg: dict, path: str, dim: int | None = None) -> np.ndarray:
     rho = _matrix(cfg, path, dim)
-    report = _field(path, validate_density, rho, 1e-7)
+    report = _field(path, validate_density, rho, lindblad.VALIDATION_TOL)
     if not report.ok:
         raise ConfigError(f"field '{path}': not a density matrix ({report.worst})")
     return rho
@@ -317,6 +331,8 @@ def _cmd_kraus_search(cfg: dict, seed, workers):
     if mode not in ("exact", "float"):
         raise ConfigError("field 'mode' must be 'exact' or 'float'")
     options = _given(cfg, tol=float, max_states=int)
+    if not options.get("tol", kraussearch.SEARCH_TOL) > 0:
+        raise ConfigError("field 'tol' must be > 0")
 
     def run(out: Path) -> list[str]:
         outcome = kraussearch.bounded_reachability(
@@ -444,6 +460,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create --out or read the JSON config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config document must be a JSON object")
+        _require_finite(cfg)
         seed = args.seed if args.seed is not None else _field("seed", int, cfg.get("seed", 0))
         run = _COMMANDS[args.subcommand](cfg, seed, max(1, args.workers))
         outputs = run(out)

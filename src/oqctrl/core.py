@@ -118,13 +118,13 @@ def bloch_from_density(rho) -> np.ndarray:
     )
 
 
-def density_from_bloch(r, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def density_from_bloch(r) -> np.ndarray:
     """Qubit state (I + r . sigma)/2 for a Bloch vector inside the unit ball."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise DimensionMismatchError("Bloch vector must have three components")
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + tol:
+    if norm > 1.0 + STRUCTURAL_TOL:
         raise ValueError(f"Bloch vector has norm {norm} > 1")
     return 0.5 * (np.eye(2, dtype=complex) + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
 
@@ -148,16 +148,18 @@ def kraus_constraint_residual(kraus: Sequence[np.ndarray]) -> float:
     return float(np.linalg.norm(acc - np.eye(n)))
 
 
-def apply_kraus(kraus: Sequence[np.ndarray], rho, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def apply_kraus(kraus: Sequence[np.ndarray], rho) -> np.ndarray:
     """Apply the channel rho -> sum_i K_i rho K_i^dag.
 
     Raises if the operator list misses the trace-preservation constraint by
-    more than ``tol``.
+    more than ``STRUCTURAL_TOL``.
     """
     m = _as_square(rho, "rho")
     residual = kraus_constraint_residual(kraus)
-    if residual > tol:
-        raise ValueError(f"Kraus constraint residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    if residual > STRUCTURAL_TOL:
+        raise ValueError(
+            f"Kraus constraint residual {residual:.3e} exceeds tolerance {STRUCTURAL_TOL:.3e}"
+        )
     if np.asarray(kraus[0]).shape[0] != m.shape[0]:
         raise DimensionMismatchError("Kraus operators and state have different dimensions")
     out = np.zeros_like(m)
@@ -181,10 +183,9 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return herm(a)
 
 
-def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random full-rank (or fixed-rank) density matrix, Wishart construction."""
-    r = n if rank is None else rank
-    a = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix, Wishart construction."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = a @ a.conj().T
     return m / np.trace(m).real
 

@@ -22,15 +22,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .core import ARMIJO_C, BACKTRACK, DimensionMismatchError, run_multistart, unvec, vec
-from .lindblad import (
-    ControlSchedule,
-    DecoherenceModel,
-    SystemModel,
-    build_liouvillian,
-    hamiltonian_superoperator,
-    propagate_schedule,
-)
+from .core import ARMIJO_C, BACKTRACK, DimensionMismatchError, run_multistart, vec
+from .lindblad import DecoherenceModel, SystemModel, build_liouvillian, hamiltonian_superoperator
 
 
 @dataclass(frozen=True)
@@ -59,14 +52,10 @@ class ControlVector:
     def n_segments(self) -> int:
         return self.u.size
 
-    def schedule(self) -> ControlSchedule:
-        return ControlSchedule(
-            durations=np.full(self.n_segments, self.dt), u=self.u, n=self.n
-        )
 
-
-class _AffineGeneratorCache:
-    """Per-problem precompute shared by both problem kinds.
+@dataclass(frozen=True, kw_only=True)
+class PulseProblem:
+    """Pulse grid, control bounds and models shared by both problem kinds.
 
     Both controls enter the GKSL generator linearly,
 
@@ -74,8 +63,24 @@ class _AffineGeneratorCache:
 
     so the triple is built once per problem (on first use) and every segment
     generator is one broadcast away.  The cache lives in the instance
-    ``__dict__`` and travels with the problem when it is pickled.
+    ``__dict__`` and travels with the problem when it is pickled.  Each kind
+    defines ``pairing`` = (offset, sign, P) with objective
+    = offset + sign * Re sum(P * G) on the end-to-end superoperator G; the
+    sign, exactly +1 or -1, is also the direction of improvement.
     """
+
+    system: SystemModel
+    decoherence: DecoherenceModel
+    n_segments: int
+    dt: float
+    u_bounds: tuple[float, float] = (-1.0, 1.0)
+    n_max: float = 1.0
+
+    def __post_init__(self):
+        if self.u_bounds[0] >= self.u_bounds[1]:
+            raise ValueError("u bounds must satisfy u_min < u_max")
+        if self.n_max < 0:
+            raise ValueError("n_max must be nonnegative")
 
     @cached_property
     def affine_generator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,48 +91,28 @@ class _AffineGeneratorCache:
         return l0, du, dn
 
 
-@dataclass(frozen=True)
-class StateTransferProblem(_AffineGeneratorCache):
+@dataclass(frozen=True, kw_only=True)
+class StateTransferProblem(PulseProblem):
     """Maximize the expectation of ``observable`` at the horizon."""
 
-    system: SystemModel
-    decoherence: DecoherenceModel
     rho0: np.ndarray
     observable: np.ndarray
-    n_segments: int
-    dt: float
-    u_bounds: tuple[float, float] = (-1.0, 1.0)
-    n_max: float = 1.0
-
-    minimize = False
 
     def __post_init__(self):
         object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=complex))
         object.__setattr__(self, "observable", np.asarray(self.observable, dtype=complex))
-        if self.u_bounds[0] >= self.u_bounds[1]:
-            raise ValueError("u bounds must satisfy u_min < u_max")
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
+        super().__post_init__()
 
     @cached_property
     def pairing(self) -> tuple[float, float, np.ndarray]:
-        """(offset, sign, P) with objective = offset + sign * Re sum(P * G)."""
         return 0.0, 1.0, np.outer(vec(self.observable).conj(), vec(self.rho0))
 
 
-@dataclass(frozen=True)
-class GateProblem(_AffineGeneratorCache):
+@dataclass(frozen=True, kw_only=True)
+class GateProblem(PulseProblem):
     """Minimize the process infidelity against a target unitary."""
 
-    system: SystemModel
-    decoherence: DecoherenceModel
     target: np.ndarray
-    n_segments: int
-    dt: float
-    u_bounds: tuple[float, float] = (-1.0, 1.0)
-    n_max: float = 1.0
-
-    minimize = True
 
     def __post_init__(self):
         u = np.asarray(self.target, dtype=complex)
@@ -135,30 +120,11 @@ class GateProblem(_AffineGeneratorCache):
         if u.shape != (n, n) or np.linalg.norm(u.conj().T @ u - np.eye(n)) > 1e-12:
             raise ValueError("target must be unitary to 1e-12")
         object.__setattr__(self, "target", u)
-        if self.u_bounds[0] >= self.u_bounds[1]:
-            raise ValueError("u bounds must satisfy u_min < u_max")
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
+        super().__post_init__()
 
     @cached_property
     def pairing(self) -> tuple[float, float, np.ndarray]:
-        """(offset, sign, P) with objective = offset + sign * Re sum(P * G)."""
         return 1.0, -1.0, _gate_pairing(self.target)
-
-
-PulseProblem = StateTransferProblem | GateProblem
-
-
-def choi_of_superoperator(g: np.ndarray) -> np.ndarray:
-    r"""Choi matrix sum_ij E_ij \otimes Phi(E_ij); trace N for TP maps."""
-    n = int(round(np.sqrt(g.shape[0])))
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            choi += np.kron(e, unvec(g @ vec(e)))
-    return choi
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -188,58 +154,22 @@ def _segment_generators(problem: PulseProblem, controls: ControlVector) -> np.nd
     return l0 + controls.u[:, None, None] * du + controls.n[:, None, None] * dn
 
 
-def _segment_superoperators(problem: PulseProblem, controls: ControlVector) -> np.ndarray:
-    if controls.n_segments == 0:
-        nd = problem.system.dim
-        return np.empty((0, nd**2, nd**2), dtype=complex)
-    return expm(_segment_generators(problem, controls) * controls.dt)
-
-
 def total_superoperator(problem: PulseProblem, controls: ControlVector) -> np.ndarray:
     """End-to-end superoperator of the pulse, G = G_M ... G_1."""
-    nd = problem.system.dim
-    g = np.eye(nd**2, dtype=complex)
-    for e in _segment_superoperators(problem, controls):
-        g = e @ g
+    g = np.eye(problem.system.dim**2, dtype=complex)
+    if controls.n_segments:
+        for e in expm(_segment_generators(problem, controls) * controls.dt):
+            g = e @ g
     return g
 
 
 def objective_value(controls: ControlVector, problem: PulseProblem) -> float:
+    """Tr[rho(T) O] for state transfer; 1 - Tr[Choi(Phi) Choi(U)]/N^2, in
+    [0, 1] and 0 iff the pulse implements the target up to global phase, for
+    a gate."""
     offset, sign, pairing = problem.pairing
     g = total_superoperator(problem, controls)
     return offset + sign * float(np.real(np.sum(pairing * g)))
-
-
-def superoperator_infidelity(g: np.ndarray, target: np.ndarray) -> float:
-    """1 - Tr[Choi(G) Choi(U)]/N^2 for an arbitrary channel superoperator."""
-    n = target.shape[0]
-    if g.shape != (n * n, n * n):
-        raise DimensionMismatchError("superoperator and target dimensions differ")
-    pairing = _gate_pairing(target)
-    return 1.0 - float(np.real(np.sum(pairing * g)))
-
-
-def state_objective(controls: ControlVector, problem: StateTransferProblem) -> float:
-    """Tr[rho(T) O] for the schedule encoded by ``controls``."""
-    if not isinstance(problem, StateTransferProblem):
-        raise TypeError("state_objective requires a StateTransferProblem")
-    return objective_value(controls, problem)
-
-
-def gate_infidelity(controls: ControlVector, problem: GateProblem) -> float:
-    """1 - Tr[Choi(Phi) Choi(U)]/N^2, in [0, 1]; 0 iff the pulse implements
-    the target exactly (up to global phase)."""
-    if not isinstance(problem, GateProblem):
-        raise TypeError("gate_infidelity requires a GateProblem")
-    return objective_value(controls, problem)
-
-
-def final_state(controls: ControlVector, problem: StateTransferProblem) -> np.ndarray:
-    """rho(T) through the density-matrix propagator (cross-check path)."""
-    if controls.n_segments == 0:
-        return problem.rho0.copy()
-    traj = propagate_schedule(problem.system, problem.decoherence, controls.schedule(), problem.rho0)
-    return traj[-1]
 
 
 def grape_gradient(
@@ -328,7 +258,7 @@ def optimize_run(
     A line-search underflow (no step down to 1e-16 satisfies the Armijo
     condition) ends the run with ``stalled=True`` and a diagnostic message.
     """
-    direction = -1.0 if problem.minimize else 1.0
+    direction = problem.pairing[1]
     lo, hi = problem.u_bounds
     cur = _clip(initial, problem)
     value, gu, gn = grape_gradient(cur, problem)

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _SQRT2 = 1.4142135623730951
+# default float-mode hit tolerance (max-abs); visited states key on a tol/10 grid
+SEARCH_TOL = 1e-9
 
 
 class Sqrt2Rational:
@@ -194,12 +196,6 @@ class RationalComplexMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def key(self) -> tuple:
-        """Canonical hashable form (Fractions are auto-reduced)."""
-        return tuple(
-            (e.re.a, e.re.b, e.im.a, e.im.b) for row in self.entries for e in row
-        )
-
     def to_numpy(self) -> np.ndarray:
         return np.array([[complex(e) for e in row] for row in self.entries])
 
@@ -221,38 +217,21 @@ def _check_exact_channel(kraus: Sequence[RationalComplexMatrix]) -> int:
 
 @dataclass(frozen=True)
 class ChannelAlphabet:
-    """Finite indexed family of exactly trace-preserving channels.
-
-    ``unitary[k]`` flags single-operator unitary channels; flags are checked
-    on construction against the operator lists.
-    """
+    """Finite indexed family of exactly trace-preserving channels."""
 
     channels: tuple[tuple[RationalComplexMatrix, ...], ...]
-    unitary: tuple[bool, ...]
 
     def __post_init__(self):
         if len(self.channels) == 0:
             raise ValueError("alphabet must contain at least one channel")
-        if len(self.unitary) != len(self.channels):
-            raise ValueError("one unitary flag per channel required")
-        dims = set()
-        for ops, flag in zip(self.channels, self.unitary):
-            dims.add(_check_exact_channel(ops))
-            if flag and len(ops) != 1:
-                raise ValueError("a unitary channel must consist of a single operator")
-        if len(dims) != 1:
+        if len({_check_exact_channel(ops) for ops in self.channels}) != 1:
             raise ValueError("all channels must share one dimension")
 
     @classmethod
     def from_kraus_lists(
         cls, channels: Iterable[Sequence[RationalComplexMatrix]]
     ) -> "ChannelAlphabet":
-        chans = tuple(tuple(ops) for ops in channels)
-        flags = tuple(
-            len(ops) == 1 and ops[0].dagger() @ ops[0] == RationalComplexMatrix.identity(ops[0].dim)
-            for ops in chans
-        )
-        return cls(chans, flags)
+        return cls(tuple(tuple(ops) for ops in channels))
 
     @property
     def dim(self) -> int:
@@ -439,14 +418,17 @@ class _FloatStack:
 _KERNELS = {"exact": _ExactLattice, "float": _FloatStack}
 
 
-def _kernel(mode: str) -> type:
-    """The kernel class of a search mode; the one place a mode is checked."""
+def _kernel(mode: str, tol: float) -> type:
+    """The kernel class of a search mode; the one place a mode and a
+    tolerance are checked."""
     if mode not in _KERNELS:
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     return _KERNELS[mode]
 
 
-def canonical_state_key(rho, mode: str = "exact", tol: float = 1e-9):
+def canonical_state_key(rho, mode: str = "exact", tol: float = SEARCH_TOL):
     """Deduplication key for visited states.
 
     Exact mode: the lowest-terms integer row of a Hermitian state's
@@ -454,7 +436,7 @@ def canonical_state_key(rho, mode: str = "exact", tol: float = 1e-9):
     entries rounded onto a grid of width tol/10 -- collisions are possible,
     so float keying is pruning only and certificates are replayed.
     """
-    kernel = _kernel(mode)
+    kernel = _kernel(mode, tol)
     return kernel.keys(kernel.encode([rho]), tol)[0]
 
 
@@ -491,7 +473,7 @@ def bounded_reachability(
     rho_target: RationalComplexMatrix,
     max_depth: int,
     mode: str = "exact",
-    tol: float = 1e-9,
+    tol: float = SEARCH_TOL,
     max_states: int = 1_000_000,
 ) -> SearchOutcome:
     """Breadth-first search over channel compositions up to ``max_depth``.
@@ -507,7 +489,7 @@ def bounded_reachability(
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    kernel_class = _kernel(mode)
+    kernel_class = _kernel(mode, tol)
     require_hermitian(rho_initial, "initial state")
     require_hermitian(rho_target, "target state")
     kernel = kernel_class(alphabet, rho_initial, rho_target, tol)

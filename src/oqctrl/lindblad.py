@@ -444,7 +444,7 @@ def stationary_state(
     if abs(tr) < 1e-8:
         raise DegenerateNullSpaceError("null vector is traceless; no stationary state found")
     rho_ss = candidate / tr
-    report: ValidationReport = validate_density(rho_ss, 1e-7)
+    report: ValidationReport = validate_density(rho_ss, VALIDATION_TOL)
     if not report.ok:
         raise DegenerateNullSpaceError(f"null-space candidate is not a state ({report.worst})")
     return rho_ss

@@ -53,9 +53,10 @@ class SamplerConfig:
     resolution: int = 10
 
     def __post_init__(self):
-        if min(self.omega, self.mu, self.gamma) <= 0:
+        # written as "not x > 0" so that a NaN fails too
+        if not (self.omega > 0 and self.mu > 0 and self.gamma > 0):
             raise ValueError("omega, mu, gamma must be positive")
-        if self.u_max < 0 or self.n_max < 0:
+        if not (self.u_max >= 0 and self.n_max >= 0):
             raise ValueError("control bounds must be nonnegative")
         if self.n_samples < 1:
             raise ValueError("sample count must be >= 1")

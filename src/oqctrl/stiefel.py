@@ -24,6 +24,12 @@ from .core import (ARMIJO_C, BACKTRACK, DimensionMismatchError, herm,
 
 STIEFEL_TOL = 1e-10
 INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
+TANGENCY_TOL = 1e-8  # largest |S^dag dS + dS^dag S| of a tangent vector
+# critical-point classification: Rayleigh samples from a fixed seed, the
+# curvature band counted as flat, and the largest gradient norm of a critical point
+CLASSIFY_SAMPLES = 200
+CURVATURE_TOL = 1e-7
+CRITICAL_GRAD_TOL = 1e-6
 
 
 def _check_point(s: np.ndarray) -> int:
@@ -47,7 +53,7 @@ def tangency_residual(s: np.ndarray, delta: np.ndarray) -> float:
     return float(np.linalg.norm(w + w.conj().T))
 
 
-def stiefel_from_kraus(kraus: Sequence[np.ndarray], tol: float = STIEFEL_TOL) -> np.ndarray:
+def stiefel_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Stack a Kraus set (padded with zero blocks to N^2 operators)."""
     if len(kraus) == 0:
         raise ValueError("empty Kraus operator list")
@@ -55,8 +61,8 @@ def stiefel_from_kraus(kraus: Sequence[np.ndarray], tol: float = STIEFEL_TOL) ->
     if len(kraus) > n**2:
         raise ValueError(f"at most {n**2} Kraus operators fit an N={n} channel")
     residual = kraus_constraint_residual(kraus)
-    if residual > tol:
-        raise ValueError(f"Kraus constraint residual {residual:.3e} exceeds {tol:.3e}")
+    if residual > STIEFEL_TOL:
+        raise ValueError(f"Kraus constraint residual {residual:.3e} exceeds {STIEFEL_TOL:.3e}")
     s = np.zeros((n**3, n), dtype=complex)
     for i, k in enumerate(kraus):
         s[i * n : (i + 1) * n, :] = np.asarray(k, dtype=complex)
@@ -108,20 +114,20 @@ def gradient(s: np.ndarray, rho, observable) -> np.ndarray:
     return 2.0 * osr - s @ (s.conj().T @ osr) - s @ r @ (s.conj().T @ os_)
 
 
-def hessian_apply(s: np.ndarray, delta: np.ndarray, rho, observable,
-                  tol: float = 1e-8) -> np.ndarray:
+def hessian_apply(s: np.ndarray, delta: np.ndarray, rho, observable) -> np.ndarray:
     """Closed-form Hessian action on a tangent vector (ambient output).
 
     The quadratic form Re <dS, hessian_apply(S, dS)> equals the second
     derivative of J along manifold curves at critical points of J (where it
-    is curve-independent); away from criticality it matches curves produced
-    by :func:`hessian_curve`.  Linear in ``delta``.
+    is curve-independent); away from criticality it matches curves whose
+    initial acceleration averages the embedded-geodesic and canonical-geodesic
+    ones.  Linear in ``delta``.
     """
     n = _check_point(s)
     if delta.shape != s.shape:
         raise DimensionMismatchError("tangent vector shape does not match the point")
     res = tangency_residual(s, delta)
-    if res > tol:
+    if res > TANGENCY_TOL:
         raise ValueError(f"delta is not tangent (residual {res:.3e})")
     r = np.asarray(rho, dtype=complex)
     o = np.asarray(observable, dtype=complex)
@@ -159,27 +165,6 @@ def retract(s: np.ndarray, step: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _polar(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(x.conj().T @ x)
-    return x @ (v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T)
-
-
-def hessian_curve(s: np.ndarray, delta: np.ndarray, t: float) -> np.ndarray:
-    """Manifold curve through S with velocity ``delta`` whose second-order
-    Taylor term matches :func:`hessian_apply`.
-
-    Implemented as the polar retraction of
-    ``S + t dS + (t^2/4)(dS W - S W^2)`` with ``W = S^dag dS``; its initial
-    acceleration is the average of the embedded-geodesic and
-    canonical-geodesic accelerations, which is the curve family the
-    closed-form Hessian differentiates along.  At critical points the
-    quadratic model holds for any retraction.
-    """
-    w = s.conj().T @ delta
-    correction = 0.25 * t * t * (delta @ w - s @ w @ w)
-    return _polar(s + t * delta + correction)
-
-
 @dataclass
 class OptimizationReport:
     """Result of a single gradient-ascent run."""
@@ -191,7 +176,6 @@ class OptimizationReport:
     steps: np.ndarray
     converged: bool
     point: np.ndarray
-    seed: int | None = None
     stalled: bool = False
     stall_message: str = ""
 
@@ -202,7 +186,6 @@ def maximize(
     max_iter: int = 2000,
     grad_tol: float = 1e-8,
     seed: int | None = 0,
-    initial: np.ndarray | None = None,
 ) -> OptimizationReport:
     """Riemannian gradient ascent of J over the Stiefel manifold.
 
@@ -218,12 +201,7 @@ def maximize(
     looping forever.
     """
     r = np.asarray(rho, dtype=complex)
-    n = r.shape[0]
-    if initial is not None:
-        s = np.asarray(initial, dtype=complex)
-        _check_point(s)
-    else:
-        s = random_stiefel(n, np.random.default_rng(seed))
+    s = random_stiefel(r.shape[0], np.random.default_rng(seed))
     j = objective(s, r, observable)
     history = [j]
     gnorms = []
@@ -279,7 +257,6 @@ def maximize(
         steps=np.array(steps),
         converged=converged,
         point=s,
-        seed=seed,
         stalled=stalled,
         stall_message=stall_message,
     )
@@ -293,39 +270,32 @@ def multistart_maximize(
     return run_multistart(partial(maximize, rho, observable, **kwargs), starts, seed, workers)
 
 
-def classify_critical_point(
-    s: np.ndarray,
-    rho,
-    observable,
-    samples: int = 200,
-    seed: int = 0,
-    tol: float = 1e-7,
-    grad_tol: float = 1e-6,
-) -> str:
+def classify_critical_point(s: np.ndarray, rho, observable) -> str:
     """Signature of the Hessian at a critical point by Rayleigh sampling.
 
-    Draws random unit tangent directions and inspects the quotients
-    Re <dS, Hess dS>: all below ``tol`` means a maximum, all above ``-tol`` a
-    minimum, mixed signs a saddle, and everything inside ``[-tol, tol]`` is
-    flat to within tolerance ("indefinite-tolerance").
+    Draws ``CLASSIFY_SAMPLES`` random unit tangent directions and inspects
+    the quotients Re <dS, Hess dS>: all below ``CURVATURE_TOL`` means a
+    maximum, all above ``-CURVATURE_TOL`` a minimum, mixed signs a saddle, and
+    everything inside that band is flat to within tolerance
+    ("indefinite-tolerance").
     """
-    n = _check_point(s)
+    _check_point(s)
     g = project_tangent(s, gradient(s, rho, observable))
     gnorm = float(np.linalg.norm(g))
-    if gnorm >= grad_tol:
+    if gnorm >= CRITICAL_GRAD_TOL:
         raise ValueError(f"not a critical point: tangent gradient norm {gnorm:.3e}")
-    rng = np.random.default_rng(seed)
-    quotients = np.empty(samples)
-    for k in range(samples):
+    rng = np.random.default_rng(0)
+    quotients = np.empty(CLASSIFY_SAMPLES)
+    for k in range(CLASSIFY_SAMPLES):
         z = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
         d = project_tangent(s, z)
         d /= np.linalg.norm(d)
         h = hessian_apply(s, d, rho, observable)
         quotients[k] = float(np.real(np.sum(d.conj() * h)))
-    if np.all(np.abs(quotients) <= tol):
+    if np.all(np.abs(quotients) <= CURVATURE_TOL):
         return "indefinite-tolerance"
-    if np.all(quotients <= tol):
+    if np.all(quotients <= CURVATURE_TOL):
         return "maximum"
-    if np.all(quotients >= -tol):
+    if np.all(quotients >= -CURVATURE_TOL):
         return "minimum"
     return "saddle"

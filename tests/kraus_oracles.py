@@ -22,6 +22,11 @@ from oqctrl.kraussearch import (
 )
 
 
+def exact_key(m: RationalComplexMatrix) -> tuple:
+    """Canonical hashable form of an exact matrix (Fractions are auto-reduced)."""
+    return tuple((e.re.a, e.re.b, e.im.a, e.im.b) for row in m.entries for e in row)
+
+
 def _grid_key(arr, tol: float) -> tuple:
     arr = np.asarray(arr, complex)
     grid = tol / 10.0
@@ -37,7 +42,7 @@ _KERNELS = {
         lambda m: m,
         lambda kraus, st: apply_channel_exact(kraus, st, checked=True),
         lambda st, goal, tol: st == goal,
-        lambda st, tol: st.key(),
+        lambda st, tol: exact_key(st),
     ),
     "float": (
         RationalComplexMatrix.to_numpy,

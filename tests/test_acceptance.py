@@ -32,7 +32,6 @@ from oqctrl.reachable import SamplerConfig, run_reachability_study
 from oqctrl.stiefel import (
     gradient,
     hessian_apply,
-    hessian_curve,
     multistart_maximize,
     objective,
     project_tangent,
@@ -41,6 +40,7 @@ from oqctrl.stiefel import (
 )
 
 from kraus_oracles import brute_force_min_length
+from stiefel_oracles import hessian_curve
 
 
 def _report(num: int, name: str, ok: bool, detail: str, elapsed: float) -> None:

@@ -452,6 +452,25 @@ def qubit_stiefel_config():
     }
 
 
+def qubit_search_config():
+    """Float search with the H and X channels from |0><0| to |+><+| (found at depth 1)."""
+    h = [
+        [[{"sqrt2": "1/2"}, 0], [{"sqrt2": "1/2"}, 0]],
+        [[{"sqrt2": "1/2"}, 0], [{"sqrt2": "-1/2"}, 0]],
+    ]
+    return {
+        "alphabet": [{"kraus": [h]}, {"kraus": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]}],
+        "initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+        "target_state": [[["1/2", 0], ["1/2", 0]], [["1/2", 0], ["1/2", 0]]],
+        "max_depth": 5,
+        "mode": "float",
+    }
+
+
+def qubit_reachable_config():
+    return {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": 100}
+
+
 QUTRIT_COUPLINGS = [[0, 0.2, 0], [0.2, 0, 0.1], [0, 0.1, 0]]
 QUTRIT_OBSERVABLE = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
 QUTRIT_SHIFT = [[[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]
@@ -525,6 +544,31 @@ CONFIG_FAULTS = {
     "stiefel-non-hermitian-observable": (
         "stiefel-max", set_field(qubit_stiefel_config(), "observable", NON_HERMITIAN),
         "observable",
+    ),
+    "kraus-search-tol-0": ("kraus-search", set_field(qubit_search_config(), "tol", 0), "tol"),
+    "kraus-search-tol-negative": (
+        "kraus-search", set_field(qubit_search_config(), "tol", -1), "tol",
+    ),
+    "kraus-search-tol-nan": (
+        "kraus-search", set_field(qubit_search_config(), "tol", float("nan")), "tol",
+    ),
+    # json reads NaN and Infinity; the parse step rejects any non-finite number
+    "reachable-gamma-nan": (
+        "reachable", set_field(qubit_reachable_config(), "gamma", float("nan")), "gamma",
+    ),
+    "reachable-u-max-infinity": (
+        "reachable", set_field(qubit_reachable_config(), "u_max", float("inf")), "u_max",
+    ),
+    "ingrape-dt-nan": (
+        "ingrape", set_field(qubit_gate_config(), "grid.dt", float("nan")), "grid.dt",
+    ),
+    "simulate-u-nan": (
+        "simulate", set_field(qubit_simulate_config(), "segments[1].u", float("nan")),
+        "segments[1].u",
+    ),
+    "stiefel-observable-nan": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "observable[1][1][0]", float("nan")),
+        "observable[1][1][0]",
     ),
 }
 

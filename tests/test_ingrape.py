@@ -8,17 +8,12 @@ from oqctrl.ingrape import (
     ControlVector,
     GateProblem,
     StateTransferProblem,
-    choi_of_superoperator,
     choi_of_unitary,
     cluster_report,
-    final_state,
-    gate_infidelity,
     grape_gradient,
     objective_value,
     optimize_pulse,
     optimize_run,
-    state_objective,
-    superoperator_infidelity,
     total_superoperator,
 )
 from oqctrl.lindblad import (
@@ -28,6 +23,8 @@ from oqctrl.lindblad import (
     qubit_decoherence,
     qubit_system,
 )
+
+from pulse_oracles import choi_of_superoperator, final_state, superoperator_infidelity
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -62,7 +59,7 @@ class TestStateObjective:
             n_segments=0, dt=1.0,
         )
         controls = ControlVector(np.zeros(0), np.zeros(0), 1.0)
-        assert state_objective(controls, problem) == pytest.approx(
+        assert objective_value(controls, problem) == pytest.approx(
             expectation(rho0, PAULI_Z), abs=1e-12
         )
 
@@ -79,7 +76,7 @@ class TestStateObjective:
                 n_segments=segments, dt=t_total / segments,
             )
             controls = ControlVector(np.full(segments, u), np.zeros(segments), t_total / segments)
-            assert state_objective(controls, problem) == pytest.approx(-1.0, abs=1e-12)
+            assert objective_value(controls, problem) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_two_by_two_exponential_oracle(self):
         mu, u, t = 1.0, 0.33, 1.7
@@ -92,7 +89,7 @@ class TestStateObjective:
         controls = ControlVector(np.array([u]), np.zeros(1), t)
         unitary = expm(-1j * mu * u * t * PAULI_X)
         oracle = expectation(unitary @ rho0 @ unitary.conj().T, PAULI_Z)
-        assert state_objective(controls, problem) == pytest.approx(oracle, abs=1e-12)
+        assert objective_value(controls, problem) == pytest.approx(oracle, abs=1e-12)
 
     def test_relaxation_restores_ground_expectation(self):
         problem = StateTransferProblem(
@@ -101,7 +98,7 @@ class TestStateObjective:
             n_segments=1, dt=100.0,
         )
         controls = ControlVector(np.zeros(1), np.zeros(1), 100.0)
-        assert state_objective(controls, problem) == pytest.approx(1.0, abs=1e-8)
+        assert objective_value(controls, problem) == pytest.approx(1.0, abs=1e-8)
 
     def test_superoperator_path_matches_density_path(self):
         rng = np.random.default_rng(1)
@@ -111,7 +108,7 @@ class TestStateObjective:
             n_segments=4, dt=0.3,
         )
         controls = ControlVector(rng.uniform(-1, 1, 4), rng.uniform(0, 1, 4), 0.3)
-        via_pairing = state_objective(controls, problem)
+        via_pairing = objective_value(controls, problem)
         via_density = expectation(final_state(controls, problem), PAULI_Y)
         assert via_pairing == pytest.approx(via_density, abs=1e-12)
 
@@ -124,7 +121,7 @@ class TestGateInfidelity:
             n_segments=3, dt=0.4,
         )
         controls = ControlVector(np.zeros(3), np.zeros(3), 0.4)
-        assert gate_infidelity(controls, problem) == pytest.approx(0.0, abs=1e-12)
+        assert objective_value(controls, problem) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_channel_against_bit_flip_target(self):
         system, dec = closed_qubit()
@@ -133,7 +130,7 @@ class TestGateInfidelity:
             n_segments=2, dt=0.1,
         )
         controls = ControlVector(np.zeros(2), np.zeros(2), 0.1)
-        assert gate_infidelity(controls, problem) == pytest.approx(1.0, abs=1e-12)
+        assert objective_value(controls, problem) == pytest.approx(1.0, abs=1e-12)
 
     def test_global_phase_ignored(self):
         system, dec = closed_qubit()
@@ -143,8 +140,8 @@ class TestGateInfidelity:
                              target=np.exp(1j * 0.7) * HADAMARD, n_segments=2, dt=0.3)
         rng = np.random.default_rng(2)
         controls = ControlVector(rng.uniform(-1, 1, 2), np.zeros(2), 0.3)
-        assert gate_infidelity(controls, base) == pytest.approx(
-            gate_infidelity(controls, phased), abs=1e-12
+        assert objective_value(controls, base) == pytest.approx(
+            objective_value(controls, phased), abs=1e-12
         )
 
     def test_depolarizing_channel_infidelity(self):
@@ -169,7 +166,7 @@ class TestGateInfidelity:
         problem = gate_problem(T_GATE, m=4, dt=0.3, gamma=0.05)
         for _ in range(20):
             controls = ControlVector(rng.uniform(-5, 5, 4), rng.uniform(0, 1, 4), 0.3)
-            value = gate_infidelity(controls, problem)
+            value = objective_value(controls, problem)
             assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_non_unitary_target_rejected(self):
@@ -177,6 +174,24 @@ class TestGateInfidelity:
         with pytest.raises(ValueError, match="unitary"):
             GateProblem(system=system, decoherence=dec,
                         target=np.diag([1.0, 0.5]), n_segments=1, dt=0.1)
+
+
+class TestProblemBounds:
+    # both kinds check their bounds in the shared PulseProblem base
+    @pytest.mark.parametrize("kind", ["state", "gate"])
+    @pytest.mark.parametrize(
+        "bounds, words",
+        [({"u_bounds": (1.0, 1.0)}, "u_min < u_max"), ({"u_bounds": (2.0, -2.0)}, "u_min < u_max"),
+         ({"n_max": -0.5}, "n_max")],
+    )
+    def test_bad_bounds_rejected(self, kind, bounds, words):
+        system, dec = closed_qubit()
+        common = dict(system=system, decoherence=dec, n_segments=2, dt=0.5, **bounds)
+        with pytest.raises(ValueError, match=words):
+            if kind == "gate":
+                GateProblem(target=HADAMARD, **common)
+            else:
+                StateTransferProblem(rho0=np.eye(2) / 2, observable=PAULI_Z, **common)
 
 
 class TestGradient:
@@ -271,8 +286,8 @@ class TestGradient:
         n = rng.uniform(0, 1, 3)
         coarse = ControlVector(u, n, 0.5)
         fine = ControlVector(np.repeat(u, 2), np.repeat(n, 2), 0.25)
-        assert gate_infidelity(coarse, problem_c) == pytest.approx(
-            gate_infidelity(fine, problem_f), abs=1e-10
+        assert objective_value(coarse, problem_c) == pytest.approx(
+            objective_value(fine, problem_f), abs=1e-10
         )
 
 

@@ -13,7 +13,7 @@ from oqctrl.kraussearch import (
     bounded_reachability,
     canonical_state_key,
 )
-from kraus_oracles import bounded_reachability_fifo, brute_force_min_length
+from kraus_oracles import bounded_reachability_fifo, brute_force_min_length, exact_key
 from kraus_oracles import brute_force_min_length as brute_force
 
 
@@ -53,7 +53,7 @@ class TestExactScalars:
     def test_canonical_reduction_in_keys(self):
         a = exact([[["1/2", 0], [0, 0]], [[0, 0], ["1/2", 0]]])
         b = exact([[["2/4", 0], [0, 0]], [[0, 0], ["3/6", 0]]])
-        assert a.key() == b.key()
+        assert exact_key(a) == exact_key(b)
         assert a == b
 
 
@@ -108,14 +108,6 @@ class TestExactChannels:
         with pytest.raises(ValueError, match="trace preserving"):
             apply_channel_exact([p0, half_p1], MIXED)
 
-    def test_alphabet_flags(self):
-        alphabet = ChannelAlphabet.from_kraus_lists([[HADAMARD_EXACT], [PAULI_X_EXACT]])
-        assert alphabet.unitary == (True, True)
-        p0 = exact([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
-        p1 = exact([[[0, 0], [0, 0]], [[0, 0], [1, 0]]])
-        alphabet = ChannelAlphabet.from_kraus_lists([[p0, p1]])
-        assert alphabet.unitary == (False,)
-
 
 class TestCanonicalKeys:
     def test_grid_rounding_merges_close_states(self):
@@ -137,6 +129,16 @@ class TestCanonicalKeys:
 
 
 class TestBoundedReachability:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tol_must_be_positive(self, mode, tol):
+        # a zero-width grid keys every state alike, and a negative tol hits nothing
+        alphabet = ChannelAlphabet.from_kraus_lists([[HADAMARD_EXACT], [PAULI_X_EXACT]])
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            bounded_reachability(alphabet, GROUND, PLUS, max_depth=5, mode=mode, tol=tol)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            canonical_state_key(GROUND, mode, tol)
+
     def test_single_flip(self):
         alphabet = ChannelAlphabet.from_kraus_lists([[PAULI_X_EXACT]])
         outcome = bounded_reachability(alphabet, GROUND, EXCITED, max_depth=3)

@@ -131,6 +131,11 @@ class TestSamplerConfig:
     def test_resolution_two_accepted(self):
         assert SamplerConfig(resolution=2).resolution == 2
 
+    @pytest.mark.parametrize("name", ["omega", "mu", "gamma", "u_max", "n_max"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match="positive|nonnegative"):
+            SamplerConfig(**{name: float("nan")})
+
 
 class TestCoverageMap:
     def test_single_point_single_cell(self):

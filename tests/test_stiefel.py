@@ -14,7 +14,6 @@ from oqctrl.stiefel import (
     classify_critical_point,
     gradient,
     hessian_apply,
-    hessian_curve,
     kraus_from_stiefel,
     maximize,
     multistart_maximize,
@@ -26,6 +25,8 @@ from oqctrl.stiefel import (
     stiefel_residual,
     tangency_residual,
 )
+
+from stiefel_oracles import hessian_curve
 
 
 def inner(a, b):
