@@ -85,11 +85,15 @@ def _field(path: str, build, *args, **kwargs):
         raise ConfigError(f"field '{path}': {exc}") from exc
 
 
-def _given(cfg: dict, prefix: str = "", **converts) -> dict:
-    """The optional keyword arguments the config sets (null counts as unset),
-    converted, so the library's own defaults apply to the rest."""
-    values = {name: _read(cfg, prefix + name, default=None) for name in converts}
-    return {k: _field(prefix + k, converts[k], v) for k, v in values.items() if v is not None}
+def _given(cfg: dict, prefix: str = "", **kinds) -> dict:
+    """The optional numbers the config sets (null counts as unset), so the
+    library's own defaults apply to the rest: a JSON integer where ``kinds``
+    names ``int``, any JSON number where it names ``float``."""
+    given = {}
+    for name, kind in kinds.items():
+        if _read(cfg, prefix + name, default=None) is not None:
+            given[name] = kind(_read(cfg, prefix + name, (int,) if kind is int else (int, float)))
+    return given
 
 
 def _matrix(cfg: dict, path: str, dim: int | None = None, hermitian: bool = False) -> np.ndarray:
@@ -125,11 +129,14 @@ def _models(cfg: dict) -> tuple[lindblad.SystemModel, lindblad.DecoherenceModel]
     return system, dec
 
 
-def _starts(cfg: dict) -> int:
-    starts = _field("starts", int, _read(cfg, "starts", default=1))
-    if starts < 1:
-        raise ConfigError("field 'starts' must be >= 1")
-    return starts
+def _multistart(cfg: dict, **kinds) -> tuple[int, dict]:
+    """The number of starts (default 1) and the optimizer options the config
+    sets: ``max_iter``, ``grad_tol`` and ``kinds``.  Counts must be >= 1."""
+    options = _given(cfg, starts=int, max_iter=int, grad_tol=float, **kinds)
+    for count in ("starts", "max_iter"):
+        if options.get(count, 1) < 1:
+            raise ConfigError(f"field '{count}' must be >= 1")
+    return options.pop("starts", 1), options
 
 
 def _write_manifest(out: Path, subcommand: str, config_path: Path, seed, outputs: list[str]) -> None:
@@ -197,8 +204,7 @@ def _cmd_simulate(cfg: dict, seed, workers):
 def _cmd_stiefel_max(cfg: dict, seed, workers):
     rho = _state_from(cfg, "rho")
     observable = _matrix(cfg, "observable", rho.shape[0], hermitian=True)
-    starts = _starts(cfg)
-    options = _given(cfg, max_iter=int, grad_tol=float)
+    starts, options = _multistart(cfg)
 
     def run(out: Path) -> list[str]:
         reports = stiefel.multistart_maximize(
@@ -272,8 +278,7 @@ def _pulse_problem(cfg: dict) -> ingrape.PulseProblem:
 
 def _cmd_ingrape(cfg: dict, seed, workers):
     problem = _pulse_problem(cfg)
-    starts = _starts(cfg)
-    options = _given(cfg, max_iter=int, grad_tol=float, gap_tol=float)
+    starts, options = _multistart(cfg, gap_tol=float)
 
     def run(out: Path) -> list[str]:
         scan = ingrape.optimize_pulse(problem, starts=starts, seed=seed, workers=workers, **options)

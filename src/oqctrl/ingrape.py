@@ -258,6 +258,8 @@ def optimize_run(
     A line-search underflow (no step down to 1e-16 satisfies the Armijo
     condition) ends the run with ``stalled=True`` and a diagnostic message.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     direction = problem.pairing[1]
     lo, hi = problem.u_bounds
     cur = _clip(initial, problem)
@@ -267,7 +269,6 @@ def optimize_run(
     converged = False
     stalled = False
     stall_message = ""
-    it = 0
     for it in range(1, max_iter + 1):
         pu = direction * gu
         pn = direction * gn

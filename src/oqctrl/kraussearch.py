@@ -1,19 +1,21 @@
 """Bounded breadth-first search for channel sequences steering one state to
 another, with an exact arithmetic kernel.
 
-States and channels live over the field Q(sqrt(2)): every scalar is
-``a + b sqrt(2)`` with exact rational ``a, b`` (arbitrary-precision
-integers), which covers rational matrix entries and the Hadamard gate's
-``1/sqrt(2)`` without rounding.  A positive answer comes with a replayable
-certificate; a negative answer is only ever "not found up to the depth
-bound" -- no bounded search can certify unreachability.
+States and channels are exact matrices over Q(sqrt(2)) + i Q(sqrt(2)): every
+real and imaginary part is ``a + b sqrt(2)`` with exact rational ``a, b``
+(arbitrary-precision integers), which covers rational matrix entries and the
+Hadamard gate's ``1/sqrt(2)`` without rounding.  A positive answer comes with
+a replayable certificate; a negative answer is only ever "not found up to the
+depth bound" -- no bounded search can certify unreachability.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,194 +25,89 @@ _SQRT2 = 1.4142135623730951
 SEARCH_TOL = 1e-9
 
 
-class Sqrt2Rational:
-    """Exact scalar a + b*sqrt(2) with rational a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @classmethod
-    def parse(cls, literal) -> "Sqrt2Rational":
-        """Accepts int, Fraction, "p/q" strings and
-        {"rational": "p/q", "sqrt2": "r/s"} objects."""
-        if isinstance(literal, Sqrt2Rational):
-            return literal
-        if isinstance(literal, dict):
-            return cls(Fraction(literal.get("rational", 0)), Fraction(literal.get("sqrt2", 0)))
-        if isinstance(literal, (int, str, Fraction)):
-            return cls(Fraction(literal))
-        raise TypeError(f"cannot parse exact scalar from {literal!r}")
-
-    def __add__(self, other):
-        return Sqrt2Rational(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return Sqrt2Rational(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        return Sqrt2Rational(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def __neg__(self):
-        return Sqrt2Rational(-self.a, -self.b)
-
-    def __truediv__(self, other):
-        norm = other.a * other.a - 2 * other.b * other.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        inv = Sqrt2Rational(other.a / norm, -other.b / norm)
-        return self * inv
-
-    def __eq__(self, other):
-        return isinstance(other, Sqrt2Rational) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * _SQRT2
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}*sqrt2"
-
-
-_ZERO = Sqrt2Rational()
-_ONE = Sqrt2Rational(1)
-
-
-class ExactComplex:
-    """Complex number with Q(sqrt(2)) real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=_ZERO, im=_ZERO):
-        self.re = re if isinstance(re, Sqrt2Rational) else Sqrt2Rational.parse(re)
-        self.im = im if isinstance(im, Sqrt2Rational) else Sqrt2Rational.parse(im)
-
-    def __add__(self, other):
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self):
-        return ExactComplex(self.re, -self.im)
-
-    def __eq__(self, other):
-        return isinstance(other, ExactComplex) and self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"({self.re!r}, {self.im!r})"
+def _scalar(literal) -> tuple[Fraction, Fraction]:
+    """(a, b) with literal = a + b sqrt(2), from an int, a Fraction, a "p/q"
+    string or a {"rational": "p/q", "sqrt2": "r/s"} object."""
+    if isinstance(literal, dict):
+        return Fraction(literal.get("rational", 0)), Fraction(literal.get("sqrt2", 0))
+    if isinstance(literal, (int, str, Fraction)):
+        return Fraction(literal), Fraction(0)
+    raise TypeError(f"cannot parse exact scalar from {literal!r}")
 
 
 class RationalComplexMatrix:
-    """Immutable square matrix over Q(sqrt(2)) + i Q(sqrt(2))."""
+    """Immutable square matrix over Q(sqrt(2)) + i Q(sqrt(2)): a (4, d, d)
+    object array ``parts`` of Fractions, entry (j, k) being
+    x + y sqrt(2) + i (z + w sqrt(2)) with (x, y, z, w) = parts[:, j, k]."""
 
-    __slots__ = ("entries", "dim")
+    __slots__ = ("parts",)
 
-    def __init__(self, entries: Sequence[Sequence[ExactComplex]]):
-        rows = tuple(tuple(e for e in row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        self.entries = rows
-        self.dim = n
+    def __init__(self, parts: np.ndarray):
+        parts.flags.writeable = False
+        self.parts = parts
+
+    @property
+    def dim(self) -> int:
+        return self.parts.shape[1]
 
     @classmethod
     def from_literals(cls, rows) -> "RationalComplexMatrix":
-        """Rows of [re, im] literal pairs (see Sqrt2Rational.parse)."""
-        return cls(
-            [[ExactComplex(Sqrt2Rational.parse(x), Sqrt2Rational.parse(y)) for x, y in row]
-             for row in rows]
-        )
+        """Rows of [re, im] literal pairs (see ``_scalar``)."""
+        n = len(rows) if isinstance(rows, (list, tuple)) else 0
+        if n == 0 or any(not isinstance(row, (list, tuple)) or len(row) != n for row in rows):
+            raise ValueError("matrix must be a nonempty square list of rows")
+        parts = np.empty((4, n, n), dtype=object)
+        for j, row in enumerate(rows):
+            for k, pair in enumerate(row):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ValueError(f"entry ({j}, {k}) must be a [re, im] pair, got {pair!r}")
+                parts[:, j, k] = _scalar(pair[0]) + _scalar(pair[1])
+        return cls(parts)
 
     @classmethod
     def identity(cls, n: int) -> "RationalComplexMatrix":
-        return cls(
-            [[ExactComplex(_ONE if i == j else _ZERO) for j in range(n)] for i in range(n)]
-        )
+        parts = np.full((4, n, n), Fraction(0), dtype=object)
+        np.fill_diagonal(parts[0], Fraction(1))
+        return cls(parts)
 
     def __matmul__(self, other: "RationalComplexMatrix") -> "RationalComplexMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ExactComplex()
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return RationalComplexMatrix(rows)
+        x, y, z, w = self.parts
+        p, q, r, s = other.parts
+        return RationalComplexMatrix(np.stack([
+            x @ p + 2 * (y @ q) - z @ r - 2 * (w @ s),
+            x @ q + y @ p - z @ s - w @ r,
+            x @ r + 2 * (y @ s) + z @ p + 2 * (w @ q),
+            x @ s + y @ r + z @ q + w @ p,
+        ]))
 
     def __add__(self, other: "RationalComplexMatrix") -> "RationalComplexMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return RationalComplexMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return RationalComplexMatrix(self.parts + other.parts)
 
     def dagger(self) -> "RationalComplexMatrix":
-        n = self.dim
-        return RationalComplexMatrix(
-            [[self.entries[j][i].conj() for j in range(n)] for i in range(n)]
-        )
-
-    def trace(self) -> ExactComplex:
-        acc = ExactComplex()
-        for i in range(self.dim):
-            acc = acc + self.entries[i][i]
-        return acc
+        t = self.parts.transpose(0, 2, 1)
+        return RationalComplexMatrix(np.concatenate([t[:2], -t[2:]]))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalComplexMatrix)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(self.entries)
+        return isinstance(other, RationalComplexMatrix) and np.array_equal(self.parts, other.parts)
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[complex(e) for e in row] for row in self.entries])
+        x, y, z, w = self.parts.astype(float)
+        out = np.empty(x.shape, dtype=complex)
+        out.real, out.imag = x + y * _SQRT2, z + w * _SQRT2
+        return out
 
 
 def _check_exact_channel(kraus: Sequence[RationalComplexMatrix]) -> int:
     if len(kraus) == 0:
         raise ValueError("channel needs at least one Kraus operator")
     n = kraus[0].dim
-    acc = None
-    for k in kraus:
-        if k.dim != n:
-            raise ValueError("Kraus operators must share one dimension")
-        term = k.dagger() @ k
-        acc = term if acc is None else acc + term
-    if acc != RationalComplexMatrix.identity(n):
+    if any(k.dim != n for k in kraus):
+        raise ValueError("Kraus operators must share one dimension")
+    if reduce(operator.add, (k.dagger() @ k for k in kraus)) != RationalComplexMatrix.identity(n):
         raise ValueError("channel is not exactly trace preserving")
     return n
 
@@ -256,11 +153,7 @@ def apply_channel_exact(
         _check_exact_channel(kraus)
     if kraus[0].dim != rho.dim:
         raise ValueError("channel and state dimensions differ")
-    acc = None
-    for k in kraus:
-        term = k @ rho @ k.dagger()
-        acc = term if acc is None else acc + term
-    return acc
+    return reduce(operator.add, (k @ rho @ k.dagger() for k in kraus))
 
 
 def require_hermitian(rho: RationalComplexMatrix, name: str = "state") -> RationalComplexMatrix:
@@ -270,41 +163,35 @@ def require_hermitian(rho: RationalComplexMatrix, name: str = "state") -> Ration
     return rho
 
 
-def _upper(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
-def _coordinates(m: RationalComplexMatrix) -> list[Sqrt2Rational]:
-    """The d^2 real coordinates of a Hermitian matrix: its diagonal, then the
-    real and the imaginary parts of its upper triangle."""
-    e, upper = m.entries, _upper(m.dim)
-    return (
-        [e[k][k].re for k in range(m.dim)]
-        + [e[i][j].re for i, j in upper]
-        + [e[i][j].im for i, j in upper]
+def _coordinates(m: RationalComplexMatrix) -> np.ndarray:
+    """The d^2 real coordinates of a Hermitian matrix -- its diagonal, then the
+    real and the imaginary parts of its upper triangle -- as a (2, d^2) array
+    of their rational and sqrt(2) parts."""
+    i, j = np.triu_indices(m.dim, 1)
+    parts = m.parts
+    return np.concatenate(
+        [np.diagonal(parts[:2], axis1=1, axis2=2), parts[:2, i, j], parts[2:, i, j]], axis=1
     )
 
 
 def _hermitian_basis(d: int) -> list[RationalComplexMatrix]:
     """The Hermitian matrices whose coordinates are the unit vectors."""
-    one, i_unit = ExactComplex(_ONE), ExactComplex(_ZERO, _ONE)
-
-    def matrix(cells: dict) -> RationalComplexMatrix:
-        return RationalComplexMatrix(
-            [[cells.get((i, j), ExactComplex()) for j in range(d)] for i in range(d)]
-        )
-
-    return (
-        [matrix({(k, k): one}) for k in range(d)]
-        + [matrix({(i, j): one, (j, i): one}) for i, j in _upper(d)]
-        + [matrix({(i, j): i_unit, (j, i): i_unit.conj()}) for i, j in _upper(d)]
-    )
+    i, j = np.triu_indices(d, 1)
+    k, u = np.arange(d), np.arange(len(i))
+    re, im = d + u, d + len(i) + u
+    parts = np.full((d * d, 4, d, d), Fraction(0), dtype=object)
+    parts[k, 0, k, k] = Fraction(1)
+    parts[re, 0, i, j] = parts[re, 0, j, i] = parts[im, 2, i, j] = Fraction(1)
+    parts[im, 2, j, i] = Fraction(-1)
+    return [RationalComplexMatrix(p) for p in parts]
 
 
-def _over_one_denominator(values: Sequence[Sqrt2Rational]) -> tuple[list[int], list[int], int]:
-    """Integers A, B and den > 0 with values = (A + B sqrt(2)) / den."""
-    den = math.lcm(*(f.denominator for v in values for f in (v.a, v.b)))
-    return [int(v.a * den) for v in values], [int(v.b * den) for v in values], den
+def _over_one_denominator(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python integers AB, shaped like ``coords``, and den > 0 with
+    coords = AB / den."""
+    den = math.lcm(*(f.denominator for f in coords.flat))
+    ints = [f.numerator * (den // f.denominator) for f in coords.flat]
+    return np.array(ints, dtype=object).reshape(coords.shape), den
 
 
 def _lowest_terms(rows: np.ndarray) -> np.ndarray:
@@ -325,13 +212,11 @@ class _ExactLattice:
     def __init__(self, alphabet: ChannelAlphabet, rho_initial, rho_target, tol: float):
         self.channels, self.rho_initial, self.rho_target = alphabet.channels, rho_initial, rho_target
         basis = _hermitian_basis(alphabet.dim)
-        n = len(basis)
         products, dens = [], []
         for kraus in alphabet.channels:
-            images = [apply_channel_exact(kraus, e, checked=True) for e in basis]
-            p, q, den = _over_one_denominator([c for image in images for c in _coordinates(image)])
-            # the values run column by column: reshape and transpose to (row, column)
-            p, q = (np.array(x, dtype=object).reshape(n, n).T for x in (p, q))
+            # column c holds the coordinates of the image of basis matrix c
+            images = [_coordinates(apply_channel_exact(kraus, e, checked=True)) for e in basis]
+            (p, q), den = _over_one_denominator(np.stack(images, axis=2))
             products.append(np.block([[p, 2 * q], [q, p]]).T)
             dens.append(den)
         self.step = np.concatenate(products, axis=1)
@@ -343,8 +228,8 @@ class _ExactLattice:
     def encode(matrices) -> np.ndarray:
         rows = []
         for m in matrices:
-            a, b, den = _over_one_denominator(_coordinates(require_hermitian(m)))
-            rows.append(a + b + [den])
+            ab, den = _over_one_denominator(_coordinates(require_hermitian(m)))
+            rows.append([*ab.ravel(), den])
         return _lowest_terms(np.array(rows, dtype=object))
 
     @staticmethod

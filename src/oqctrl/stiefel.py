@@ -200,6 +200,8 @@ def maximize(
     the run with ``stalled=True`` and a diagnostic message instead of
     looping forever.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     r = np.asarray(rho, dtype=complex)
     s = random_stiefel(r.shape[0], np.random.default_rng(seed))
     j = objective(s, r, observable)
@@ -212,7 +214,6 @@ def maximize(
     stall_message = ""
     s_prev = None
     g_prev = None
-    it = 0
     for it in range(1, max_iter + 1):
         g = project_tangent(s, gradient(s, r, observable))
         gnorm = float(np.linalg.norm(g))

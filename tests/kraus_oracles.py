@@ -24,7 +24,7 @@ from oqctrl.kraussearch import (
 
 def exact_key(m: RationalComplexMatrix) -> tuple:
     """Canonical hashable form of an exact matrix (Fractions are auto-reduced)."""
-    return tuple((e.re.a, e.re.b, e.im.a, e.im.b) for row in m.entries for e in row)
+    return tuple(m.parts.flat)
 
 
 def _grid_key(arr, tol: float) -> tuple:

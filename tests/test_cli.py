@@ -570,6 +570,30 @@ CONFIG_FAULTS = {
         "stiefel-max", set_field(qubit_stiefel_config(), "observable[1][1][0]", float("nan")),
         "observable[1][1][0]",
     ),
+    # optional numbers must have their JSON type: float() would read "nan"
+    # and int() would read "7" or truncate 7.5
+    "stiefel-grad-tol-string": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "grad_tol", "nan"), "grad_tol",
+    ),
+    "stiefel-max-iter-string": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "max_iter", "7"), "max_iter",
+    ),
+    "ingrape-max-iter-fraction": (
+        "ingrape", set_field(qubit_gate_config(), "max_iter", 7.5), "max_iter",
+    ),
+    "ingrape-gap-tol-string": (
+        "ingrape", set_field(qubit_state_transfer_config(), "gap_tol", "inf"), "gap_tol",
+    ),
+    "kraus-search-max-states-string": (
+        "kraus-search", set_field(qubit_search_config(), "max_states", "100"), "max_states",
+    ),
+    "stiefel-max-iter-0": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "max_iter", 0), "max_iter",
+    ),
+    "ingrape-max-iter-0": ("ingrape", set_field(qubit_gate_config(), "max_iter", 0), "max_iter"),
+    "ingrape-max-iter-negative": (
+        "ingrape", set_field(qubit_state_transfer_config(), "max_iter", -3), "max_iter",
+    ),
 }
 
 

@@ -303,6 +303,13 @@ class TestOptimization:
         assert result.iterations == 1
         assert result.objective_value == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_needs_an_iteration(self, max_iter):
+        problem = gate_problem(HADAMARD, m=3, dt=0.5, gamma=1e-3)
+        start = ControlVector(np.zeros(3), np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            optimize_run(problem, start, max_iter=max_iter)
+
     def test_monotone_descent(self):
         rng = np.random.default_rng(8)
         problem = gate_problem(HADAMARD, m=6, dt=0.5, gamma=1e-3)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from functools import reduce
 
 from oqctrl import kraussearch
 from oqctrl.kraussearch import (
     ChannelAlphabet,
-    ExactComplex,
     RationalComplexMatrix,
     SearchMemoryError,
-    Sqrt2Rational,
     apply_channel_exact,
     bounded_reachability,
     canonical_state_key,
@@ -34,27 +33,113 @@ MIXED = exact([[["1/2", 0], [0, 0]], [[0, 0], ["1/2", 0]]])
 
 
 class TestExactScalars:
+    # scalars are 1x1 matrices
     def test_sqrt2_squares_to_two(self):
-        r = Sqrt2Rational(0, 1)
-        assert r * r == Sqrt2Rational(2, 0)
+        r = exact([[[{"sqrt2": 1}, 0]]])
+        assert r @ r == exact([[[2, 0]]])
 
     def test_parse_fraction_string(self):
-        assert Sqrt2Rational.parse("3/4") == Sqrt2Rational(Fraction(3, 4))
-
-    def test_division(self):
-        x = Sqrt2Rational(1, 1)  # 1 + sqrt2
-        assert x / x == Sqrt2Rational(1, 0)
-        inv = Sqrt2Rational(1, 0) / x
-        assert inv * x == Sqrt2Rational(1, 0)
+        assert exact([[["3/4", 0]]]) == exact([[[Fraction(3, 4), 0]]])
 
     def test_float_value(self):
-        assert float(Sqrt2Rational(0, Fraction(1, 2))) == pytest.approx(np.sqrt(2) / 2)
+        assert exact([[[{"sqrt2": "1/2"}, 0]]]).to_numpy()[0, 0] == pytest.approx(np.sqrt(2) / 2)
 
     def test_canonical_reduction_in_keys(self):
         a = exact([[["1/2", 0], [0, 0]], [[0, 0], ["1/2", 0]]])
         b = exact([[["2/4", 0], [0, 0]], [[0, 0], ["3/6", 0]]])
         assert exact_key(a) == exact_key(b)
         assert a == b
+
+
+def _random_matrix(d, rng):
+    """A d x d exact matrix with random signed Q(sqrt2) parts."""
+    draws = [[_random_q(rng) + _random_q(rng) for _ in range(d)] for _ in range(d)]
+    return RationalComplexMatrix(np.array(draws, dtype=object).transpose(2, 0, 1))
+
+
+# the per-entry reference: an entry is ((x, y), (z, w)), meaning
+# x + y sqrt2 + i (z + w sqrt2), read off the parts one entry at a time
+def _entries(m):
+    return [[((m.parts[0, j, k], m.parts[1, j, k]), (m.parts[2, j, k], m.parts[3, j, k]))
+             for k in range(m.dim)] for j in range(m.dim)]
+
+
+def _q_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _q_mul(a, b):
+    return (a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _q_neg(a):
+    return (-a[0], -a[1])
+
+
+def _c_add(a, b):
+    return (_q_add(a[0], b[0]), _q_add(a[1], b[1]))
+
+
+def _c_mul(a, b):
+    return (_q_add(_q_mul(a[0], b[0]), _q_neg(_q_mul(a[1], b[1]))),
+            _q_add(_q_mul(a[0], b[1]), _q_mul(a[1], b[0])))
+
+
+class TestExactArithmetic:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_operations_match_the_entrywise_reference(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            a, b = _random_matrix(d, rng), _random_matrix(d, rng)
+            ea, eb = _entries(a), _entries(b)
+            assert _entries(a @ b) == [
+                [reduce(_c_add, (_c_mul(ea[j][m], eb[m][k]) for m in range(d))) for k in range(d)]
+                for j in range(d)
+            ]
+            assert _entries(a + b) == [[_c_add(ea[j][k], eb[j][k]) for k in range(d)]
+                                       for j in range(d)]
+            assert _entries(a.dagger()) == [[(ea[k][j][0], _q_neg(ea[k][j][1])) for k in range(d)]
+                                            for j in range(d)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equality_is_entrywise(self, d):
+        rng = np.random.default_rng(10 + d)
+        a = _random_matrix(d, rng)
+        assert a == RationalComplexMatrix(a.parts.copy())
+        assert a == a.dagger().dagger()
+        assert a != a + RationalComplexMatrix.identity(d)
+        assert a != _random_matrix(d + 1, rng)
+        assert a != a.to_numpy()
+        for part in range(4):
+            changed = a.parts.copy()
+            changed[part, d - 1, 0] += Fraction(1, 7)
+            assert a != RationalComplexMatrix(changed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_to_numpy_is_the_entrywise_float_formula(self, d):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(5):
+            m = _random_matrix(d, rng)
+            root2 = kraussearch._SQRT2
+            expected = np.array([
+                [complex(float(x) + float(y) * root2, float(z) + float(w) * root2)
+                 for (x, y), (z, w) in row]
+                for row in _entries(m)
+            ])
+            assert m.to_numpy().dtype == np.complex128
+            assert m.to_numpy().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([[[1, 0], [0, 0]], [[0, 0]]], ValueError, "square"),
+        ([[[1, 0], [0, 0]]], ValueError, "square"),
+        ([], ValueError, "nonempty"),
+        ([[[1]]], ValueError, r"entry \(0, 0\) must be a \[re, im\] pair"),
+        ([[[0.5, 0]]], TypeError, "cannot parse exact scalar from 0.5"),
+        ([[[0, {"sqrt2": "1/2"}], [0, 0.25]], [[0, 0], [1, 0]]], TypeError, "from 0.25"),
+    ], ids=["ragged", "non-square", "empty", "one-element-pair", "float-entry", "float-imag"])
+    def test_malformed_literals_name_the_problem(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            RationalComplexMatrix.from_literals(rows)
 
 
 class TestExactChannels:
@@ -76,8 +161,9 @@ class TestExactChannels:
     def test_trace_exactly_one(self):
         rho = exact([[["1/3", 0], ["1/7", "1/9"]], [["1/7", "-1/9"], ["2/3", 0]]])
         out = apply_channel_exact([HADAMARD_EXACT], rho)
-        assert out.trace().re == Sqrt2Rational(1)
-        assert not out.trace().im
+        x, y, z, w = np.trace(out.parts, axis1=1, axis2=2)
+        assert (x, y) == (1, 0)
+        assert not (z or w)
 
     def test_composition_matches_composed_channel(self):
         rng = np.random.default_rng(0)
@@ -293,19 +379,24 @@ QUTRIT_ALPHABET = [
 
 
 def _random_q(rng):
-    return Sqrt2Rational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))),
-                         Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))))
+    """(a, b) of a random a + b sqrt2 with small signed rational a, b."""
+    return (Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))),
+            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))))
+
+
+def _zero_parts(d):
+    return np.full((4, d, d), Fraction(0), dtype=object)
 
 
 def _random_hermitian(d, rng):
     """An exact Hermitian matrix with random Q(sqrt2) parts (not a state)."""
-    rows = [[None] * d for _ in range(d)]
+    parts = _zero_parts(d)
     for i in range(d):
-        rows[i][i] = ExactComplex(_random_q(rng))
+        parts[:2, i, i] = _random_q(rng)
         for j in range(i + 1, d):
-            rows[i][j] = ExactComplex(_random_q(rng), _random_q(rng))
-            rows[j][i] = rows[i][j].conj()
-    return RationalComplexMatrix(rows)
+            x, y, z, w = _random_q(rng) + _random_q(rng)
+            parts[:, i, j], parts[:, j, i] = (x, y, z, w), (x, y, -z, -w)
+    return RationalComplexMatrix(parts)
 
 
 def _decode(row, d):
@@ -314,15 +405,15 @@ def _decode(row, d):
     imaginary parts of the upper triangle."""
     n = d * d
     *ab, den = row
-    coords = [Sqrt2Rational(Fraction(ab[c], den), Fraction(ab[n + c], den)) for c in range(n)]
+    coords = [(Fraction(ab[c], den), Fraction(ab[n + c], den)) for c in range(n)]
     upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rows = [[ExactComplex() for _ in range(d)] for _ in range(d)]
+    parts = _zero_parts(d)
     for k in range(d):
-        rows[k][k] = ExactComplex(coords[k])
+        parts[:2, k, k] = coords[k]
     for m, (i, j) in enumerate(upper):
-        rows[i][j] = ExactComplex(coords[d + m], coords[d + len(upper) + m])
-        rows[j][i] = rows[i][j].conj()
-    return RationalComplexMatrix(rows)
+        (x, y), (z, w) = coords[d + m], coords[d + len(upper) + m]
+        parts[:, i, j], parts[:, j, i] = (x, y, z, w), (x, y, -z, -w)
+    return RationalComplexMatrix(parts)
 
 
 class TestLevelKernels:

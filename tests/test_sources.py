@@ -104,3 +104,22 @@ def test_one_exit_code_boundary():
                     field_helpers.add(function.name)
     assert exit_code_sites == []
     assert len(field_helpers) <= 1, sorted(field_helpers)
+
+
+@pytest.mark.parametrize("method", ["__matmul__", "__add__", "dagger"])
+def test_exact_matrix_arithmetic_has_no_python_loop(method):
+    # the exact matrix works on whole (4, d, d) part arrays; a loop or a
+    # comprehension over the entries brings back per-scalar arithmetic
+    path = next(p for p in SOURCES if p.name == "kraussearch.py")
+    cls = next(
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "RationalComplexMatrix"
+    )
+    function = next(
+        node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == method
+    )
+    loops = [
+        type(node).__name__ for node in ast.walk(function)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    assert loops == []

@@ -366,6 +366,12 @@ class TestMaximize:
             assert rep.converged
             assert rep.objective_value == pytest.approx(lam_max, abs=1e-5)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_needs_an_iteration(self, max_iter):
+        rng = np.random.default_rng(28)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            maximize(random_density(2, rng), PAULI_Z, max_iter=max_iter)
+
     def test_multistart_needs_a_start(self):
         rng = np.random.default_rng(29)
         with pytest.raises(ValueError, match="starts"):
