@@ -57,7 +57,8 @@ def _read(cfg: dict, path: str, kind=None, default=...):
                 raise ConfigError(f"missing required field '{path}'")
             return default
         node = node[key]
-    if kind is not None and not isinstance(node, kind):
+    # JSON booleans are ints to Python, but no field takes one as a number
+    if kind is not None and (isinstance(node, bool) or not isinstance(node, kind)):
         names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"field '{path}' must be of type {names}")
     return node
@@ -167,11 +168,14 @@ def _cmd_simulate(cfg: dict, seed, workers):
     rows = []
     for k in range(len(segments)):
         where = f"segments[{k}]"
-        dt, u = (_field(f"{where}.{x}", float, _read(cfg, f"{where}.{x}")) for x in ("dt", "u"))
-        occ = _field(f"{where}.n", np.asarray, _read(cfg, f"{where}.n"), float)
+        dt, u = (float(_read(cfg, f"{where}.{x}", (int, float))) for x in ("dt", "u"))
+        occ = _read(cfg, f"{where}.n", (int, float, list))
+        if isinstance(occ, list) and not all(type(x) in (int, float) for x in occ):
+            raise ConfigError(f"field '{where}.n' must hold numbers")
+        occ = np.asarray(occ, dtype=float)
         if dt <= 0:
             raise ConfigError(f"field '{where}.dt' must be > 0")
-        if occ.ndim > 1 or occ.ndim == 1 and occ.size != n_pairs or np.any(occ < 0):
+        if occ.ndim == 1 and occ.size != n_pairs or np.any(occ < 0):
             raise ConfigError(f"field '{where}.n': need one occupation >= 0, or {n_pairs} of them")
         rows.append((dt, u, np.broadcast_to(occ, (n_pairs,))))
     durations, u, n = map(np.array, zip(*rows))
@@ -279,6 +283,8 @@ def _pulse_problem(cfg: dict) -> ingrape.PulseProblem:
 def _cmd_ingrape(cfg: dict, seed, workers):
     problem = _pulse_problem(cfg)
     starts, options = _multistart(cfg, gap_tol=float)
+    if options.get("gap_tol", 0.0) < 0:
+        raise ConfigError("field 'gap_tol' must be >= 0")
 
     def run(out: Path) -> list[str]:
         scan = ingrape.optimize_pulse(problem, starts=starts, seed=seed, workers=workers, **options)

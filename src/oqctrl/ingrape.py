@@ -9,8 +9,11 @@ Choi matrices normalized to trace N, which is phase-insensitive and equals 1
 exactly when the channel implements the target unitary.  Both objectives are
 linear in the end-to-end superoperator, so exact gradients follow from the
 adjoint (forward/backward) decomposition with Frechet derivatives of the
-per-segment matrix exponentials, evaluated through augmented block
-exponentials in one batched call.
+per-segment matrix exponentials.  Each segment needs one Van Loan block
+[[A, lam^T], [0, A]] with the adjoint lam^T in the corner: by the identity
+sum(lam o L(A, E)) = sum(L(A, lam^T)^T o E) for the Frechet derivative L,
+its top-right block gives the derivative along both the coherent and the
+incoherent direction (see :func:`grape_gradient`).
 """
 
 from __future__ import annotations
@@ -177,50 +180,46 @@ def grape_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective value and its exact gradient wrt (u_m, n_m).
 
-    Uses the forward/backward segment decomposition: the derivative of the
-    end-to-end superoperator wrt a segment parameter is
-    B_{m+1} dG_m F_{m-1}, with the Frechet derivative dG_m of the segment
-    exponential extracted from an augmented block exponential.  All 2M block
-    exponentials are evaluated in one batched call.
+    With segment k's exponent A_k = dt L_k, the forward products
+    F_k = G_{k-1} ... G_0 and the backward products B_{k+1} = G_{M-1} ...
+    G_{k+1}, a segment parameter with generator direction D moves the
+    objective by sign * Re sum(lam_k o L(A_k, dt D)), where
+    lam_k = B_{k+1}^T P F_k^T and L(A, E) is the Frechet derivative of the
+    exponential.  Since L(A, E) = int_0^1 e^{sA} E e^{(1-s)A} ds and the
+    trace is cyclic,
+
+        sum(lam o L(A, E)) = sum(L(A, lam^T)^T o E),
+
+    so one adjoint block exp([[A_k, lam_k^T], [0, A_k]]), whose top-right
+    block is X_k = L(A_k, lam_k^T), gives both directions:
+    g[k] = sign * dt * Re sum(X_k^T o D) for D = Du and D = Dn.  A call makes
+    two batched exponentials: the M segment propagators (d^2 x d^2) and the
+    M adjoint blocks (2d^2 x 2d^2).
     """
     m = controls.n_segments
     offset, sign, pairing = problem.pairing
-    nd = problem.system.dim
-    d2 = nd**2
+    d2 = problem.system.dim**2
     if m == 0:
         return offset + sign * float(np.real(np.sum(pairing * np.eye(d2)))), np.zeros(0), np.zeros(0)
 
-    gens = _segment_generators(problem, controls)
+    exponents = _segment_generators(problem, controls) * controls.dt
+    segs = expm(exponents)
+    forward = np.empty((m + 1, d2, d2), dtype=complex)  # forward[k] = F_k
+    backward = np.empty_like(forward)  # backward[k] = G_{M-1} ... G_k
+    forward[0] = backward[m] = np.eye(d2)
+    for k in range(m):
+        forward[k + 1] = segs[k] @ forward[k]
+        backward[m - 1 - k] = backward[m - k] @ segs[m - 1 - k]
+
+    blocks = np.zeros((m, 2 * d2, 2 * d2), dtype=complex)
+    blocks[:, :d2, :d2] = blocks[:, d2:, d2:] = exponents
+    blocks[:, :d2, d2:] = forward[:m] @ pairing.T @ backward[1:]  # lam_k^T
+    adjoint = expm(blocks)[:, :d2, d2:]
     _, du, dn = problem.affine_generator
-
-    blocks = np.zeros((2 * m, 2 * d2, 2 * d2), dtype=complex)
-    blocks[:m, :d2, :d2] = gens
-    blocks[:m, d2:, d2:] = gens
-    blocks[:m, :d2, d2:] = du[None, :, :]
-    blocks[m:, :d2, :d2] = gens
-    blocks[m:, d2:, d2:] = gens
-    blocks[m:, :d2, d2:] = dn[None, :, :]
-    eb = expm(blocks * controls.dt)
-    segs = eb[:m, :d2, :d2]
-    frechet_u = eb[:m, :d2, d2:]
-    frechet_n = eb[m:, :d2, d2:]
-
-    forward = [np.eye(d2, dtype=complex)]
-    for k in range(m):
-        forward.append(segs[k] @ forward[-1])
-    backward = [np.eye(d2, dtype=complex)]
-    for k in range(m - 1, -1, -1):
-        backward.append(backward[-1] @ segs[k])
-    backward = backward[::-1]  # backward[k] = G_M ... G_{k+1}
-
-    value = offset + sign * float(np.real(np.sum(pairing * forward[-1])))
-    grad_u = np.empty(m)
-    grad_n = np.empty(m)
-    for k in range(m):
-        # sum P o (B dG F) = sum (B^T P F^T) o dG
-        lam = backward[k + 1].T @ pairing @ forward[k].T
-        grad_u[k] = sign * float(np.real(np.sum(lam * frechet_u[k])))
-        grad_n[k] = sign * float(np.real(np.sum(lam * frechet_n[k])))
+    grad_u, grad_n = sign * controls.dt * np.real(
+        np.einsum("kji,dij->dk", adjoint, np.stack([du, dn]))
+    )
+    value = offset + sign * float(np.real(np.sum(pairing * forward[m])))
     return value, grad_u, grad_n
 
 
@@ -330,6 +329,8 @@ class ClusterReport:
 
 
 def cluster_report(values: Sequence[float], gap_tol: float) -> ClusterReport:
+    if not gap_tol >= 0:
+        raise ValueError(f"gap_tol must be >= 0, got {gap_tol!r}")
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         raise ValueError("cannot cluster an empty value list")

@@ -594,6 +594,40 @@ CONFIG_FAULTS = {
     "ingrape-max-iter-negative": (
         "ingrape", set_field(qubit_state_transfer_config(), "max_iter", -3), "max_iter",
     ),
+    # a negative gap would split equal final values into separate clusters
+    "ingrape-gap-tol-negative": (
+        "ingrape", set_field(qubit_state_transfer_config(), "gap_tol", -1), "gap_tol",
+    ),
+    # JSON booleans are Python ints, but no field takes one as a number
+    "ingrape-max-iter-true": ("ingrape", set_field(qubit_gate_config(), "max_iter", True), "max_iter"),
+    "ingrape-starts-true": ("ingrape", set_field(qubit_gate_config(), "starts", True), "starts"),
+    "ingrape-grid-segments-true": (
+        "ingrape", set_field(qubit_gate_config(), "grid.segments", True), "grid.segments",
+    ),
+    "ingrape-grad-tol-false": (
+        "ingrape", set_field(qubit_gate_config(), "grad_tol", False), "grad_tol",
+    ),
+    "stiefel-max-iter-true": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "max_iter", True), "max_iter",
+    ),
+    "kraus-search-max-depth-true": (
+        "kraus-search", set_field(qubit_search_config(), "max_depth", True), "max_depth",
+    ),
+    "reachable-samples-true": (
+        "reachable", set_field(qubit_reachable_config(), "samples", True), "samples",
+    ),
+    "simulate-dt-true": (
+        "simulate", set_field(qubit_simulate_config(), "segments[0].dt", True), "segments[0].dt",
+    ),
+    "simulate-u-true": (
+        "simulate", set_field(qubit_simulate_config(), "segments[0].u", True), "segments[0].u",
+    ),
+    "simulate-n-true": (
+        "simulate", set_field(qubit_simulate_config(), "segments[1].n", True), "segments[1].n",
+    ),
+    "simulate-n-list-of-true": (
+        "simulate", set_field(qubit_simulate_config(), "segments[0].n", [True]), "segments[0].n",
+    ),
 }
 
 

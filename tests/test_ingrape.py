@@ -402,6 +402,46 @@ MODELS = {
 }
 
 
+def random_problem(kind, system, dec, m, dt, rng):
+    """A gate problem with a Haar-random target, or a state problem with a
+    random initial state and a diagonal observable."""
+    if kind == "gate":
+        return GateProblem(system=system, decoherence=dec,
+                           target=haar_unitary(system.dim, rng), n_segments=m, dt=dt)
+    observable = np.diag(np.linspace(-1.0, 1.0, system.dim)).astype(complex)
+    return StateTransferProblem(system=system, decoherence=dec,
+                                rho0=random_density(system.dim, rng),
+                                observable=observable, n_segments=m, dt=dt)
+
+
+def _zero_controls(rng, m):
+    return np.zeros(m), np.zeros(m)
+
+
+# (models, M, dt, controls drawn from (rng, M)) where the adjoint block is
+# most likely to lose accuracy
+FRAGILE = {
+    # |dt L|_1 is about 30, so scipy's expm scales and squares several times
+    "large-norm": (
+        MODELS["qutrit-eps"], 6, 3.0,
+        lambda rng, m: (2.0 * rng.choice([-1.0, 1.0], m), rng.uniform(0, 1, m)),
+    ),
+    # a purely Hamiltonian generator with repeated eigenvalues
+    "zero-controls-no-couplings": (qutrit_ladder(np.zeros((3, 3)), 0.0), 5, 0.4, _zero_controls),
+    "degenerate-energies": (
+        (
+            SystemModel(np.array([0.0, 1.0, 1.0]), MODELS["qutrit-eps"][0].dipole),
+            DecoherenceModel(0.05 * (1.0 - np.eye(3)), epsilon=0.0),
+        ),
+        5, 0.4, _zero_controls,
+    ),
+    # the grid of the qutrit state-transfer benchmark workload
+    "twenty-segments": (
+        MODELS["qutrit-eps"], 20, 0.5, lambda rng, m: (rng.uniform(-1, 1, m), rng.uniform(0, 1, m)),
+    ),
+}
+
+
 def per_segment_path(controls, problem):
     """Objective and gradient with every segment generator rebuilt by
     build_liouvillian and Frechet derivatives from scipy (slow-path oracle)."""
@@ -471,14 +511,7 @@ class TestAffineFastPath:
         system, dec = MODELS[name]
         rng = np.random.default_rng(42)
         m, dt = 5, 0.4
-        if kind == "gate":
-            problem = GateProblem(system=system, decoherence=dec,
-                                  target=haar_unitary(system.dim, rng), n_segments=m, dt=dt)
-        else:
-            observable = np.diag(np.linspace(-1.0, 1.0, system.dim)).astype(complex)
-            problem = StateTransferProblem(system=system, decoherence=dec,
-                                           rho0=random_density(system.dim, rng),
-                                           observable=observable, n_segments=m, dt=dt)
+        problem = random_problem(kind, system, dec, m, dt, rng)
         controls = ControlVector(rng.uniform(-1, 1, m), rng.uniform(0, 1, m), dt)
         value, gu, gn = grape_gradient(controls, problem)
         ref_value, ref_gu, ref_gn = per_segment_path(controls, problem)
@@ -486,6 +519,34 @@ class TestAffineFastPath:
         assert value == pytest.approx(ref_value, abs=1e-12)
         np.testing.assert_allclose(gu, ref_gu, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gn, ref_gn, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(FRAGILE))
+    @pytest.mark.parametrize("kind", ["gate", "state"])
+    def test_gradient_matches_per_segment_path_where_the_adjoint_block_is_fragile(
+        self, case, kind
+    ):
+        # the adjoint block carries lam^T, not dt*Du or dt*Dn, in its corner;
+        # it must match scipy's expm_frechet to 1e-12 (absolute) also where
+        # expm squares several times or the generator has repeated eigenvalues
+        (system, dec), m, dt, draw = FRAGILE[case]
+        rng = np.random.default_rng(44)
+        problem = random_problem(kind, system, dec, m, dt, rng)
+        controls = ControlVector(*draw(rng, m), dt)
+        value, gu, gn = grape_gradient(controls, problem)
+        ref_value, ref_gu, ref_gn = per_segment_path(controls, problem)
+        assert value == pytest.approx(ref_value, abs=1e-12)
+        np.testing.assert_allclose(gu, ref_gu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gn, ref_gn, rtol=0, atol=1e-12)
+
+    def test_gradient_makes_one_propagator_and_one_adjoint_exponential(self, monkeypatch):
+        shapes = []
+        real = ingrape.expm
+        monkeypatch.setattr(ingrape, "expm", lambda a: shapes.append(a.shape) or real(a))
+        system, dec = MODELS["qutrit-eps"]
+        m = 7
+        problem = random_problem("gate", system, dec, m, 0.4, np.random.default_rng(45))
+        grape_gradient(ControlVector(np.full(m, 0.3), np.full(m, 0.2), 0.4), problem)
+        assert shapes == [(m, 9, 9), (m, 18, 18)]
 
     def test_precompute_is_built_once_per_problem(self, monkeypatch):
         calls = []
@@ -525,3 +586,13 @@ class TestClusterReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cluster_report([], gap_tol=0.1)
+
+    @pytest.mark.parametrize("gap_tol", [-1.0, -1e-300, float("nan")])
+    def test_negative_or_nan_gap_rejected(self, gap_tol):
+        # a negative gap would report [0.3, 0.3, 0.3] as three clusters
+        with pytest.raises(ValueError, match="gap_tol"):
+            cluster_report([0.3, 0.3, 0.3], gap_tol=gap_tol)
+
+    def test_zero_gap_merges_only_equal_values(self):
+        report = cluster_report([0.3, 0.3, 0.4], gap_tol=0.0)
+        np.testing.assert_array_equal(report.counts, [2, 1])
