@@ -25,16 +25,13 @@ import scipy
 
 from . import __version__, ingrape, kraussearch, lindblad, reachable, stiefel
 from .core import STRUCTURAL_TOL, bloch_from_density, validate_density
-from .serialization import (
-    matrix_from_lists,
-    matrix_to_lists,
-    sha256_file,
-    write_csv,
-    write_json,
-)
+from .serialization import matrix_to_lists, sha256_file, write_csv, write_json
 
 # stiefel-max objectives this close to the best count as tied with it
 BEST_TIE = 1e-12
+# a field path splits at each "." and before each "["; compiled once, since
+# simulate reads a few paths per segment
+_PATH_PARTS = re.compile(r"\.|(?=\[)")
 
 
 class ConfigError(ValueError):
@@ -45,7 +42,7 @@ def _read(cfg: dict, path: str, kind=None, default=...):
     """The value at a field path such as ``segments[0].dt``, of type ``kind``
     if given; required unless a ``default`` is given."""
     node = cfg
-    for part in re.split(r"\.|(?=\[)", path):
+    for part in _PATH_PARTS.split(path):
         if part.startswith("["):
             key = int(part[1:-1])
             found = isinstance(node, list) and key < len(node)
@@ -57,11 +54,35 @@ def _read(cfg: dict, path: str, kind=None, default=...):
                 raise ConfigError(f"missing required field '{path}'")
             return default
         node = node[key]
+    return node if kind is None else _typed(node, kind, path)
+
+
+def _typed(node, kind, path: str, entry: str = ""):
+    """``node`` if it is of type ``kind``; the one leaf rule of the config
+    reader.  ``entry`` locates the node inside the array at ``path``."""
     # JSON booleans are ints to Python, but no field takes one as a number
-    if kind is not None and (isinstance(node, bool) or not isinstance(node, kind)):
+    if isinstance(node, bool) or not isinstance(node, kind):
         names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"field '{path}' must be of type {names}")
+        where = f"field '{path}'" + (f" entry {entry}" if entry else "")
+        raise ConfigError(f"{where} must be of type {names}")
     return node
+
+
+def _array(cfg: dict, path: str, kind=(int, float), depth: int = 1) -> np.ndarray:
+    """The ``depth`` levels of nested lists at ``path`` as an array (of ints
+    for ``kind=int``, else of floats), every leaf of type ``kind``."""
+
+    def check(node, entry: str, level: int) -> None:
+        if level == depth:
+            _typed(node, kind, path, entry)
+        else:
+            for k, item in enumerate(_typed(node, list, path, entry)):
+                check(item, f"{entry}[{k}]", level + 1)
+
+    node = _read(cfg, path)
+    check(node, "", 0)
+    # numpy finds rows of unequal length; sizes are the caller's to check
+    return _field(path, np.array, node, int if kind is int else float)
 
 
 def _require_finite(node, path: str = "") -> None:
@@ -98,8 +119,14 @@ def _given(cfg: dict, prefix: str = "", **kinds) -> dict:
 
 
 def _matrix(cfg: dict, path: str, dim: int | None = None, hermitian: bool = False) -> np.ndarray:
-    """Complex matrix at ``path``, ``dim`` x ``dim`` when ``dim`` is given."""
-    m = _field(path, matrix_from_lists, _read(cfg, path, list))
+    """Complex matrix at ``path`` from row-major ``[re, im]`` pairs, ``dim`` x
+    ``dim`` when ``dim`` is given."""
+    pairs = _array(cfg, path, depth=3)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ConfigError(f"field '{path}' must be a nonempty list of rows of [re, im] pairs")
+    # set the parts, not re + 1j * im, which turns an imaginary -0.0 into 0.0
+    m = np.empty(pairs.shape[:2], dtype=complex)
+    m.real, m.imag = pairs[..., 0], pairs[..., 1]
     if dim is not None and m.shape != (dim, dim):
         raise ConfigError(f"field '{path}': shape {m.shape} does not fit dimension {dim}")
     if hermitian and np.max(np.abs(m - m.conj().T)) > STRUCTURAL_TOL:
@@ -117,12 +144,9 @@ def _state_from(cfg: dict, path: str, dim: int | None = None) -> np.ndarray:
 
 def _models(cfg: dict) -> tuple[lindblad.SystemModel, lindblad.DecoherenceModel]:
     """The system and its decoherence model, checked to share one dimension."""
-    energies, couplings = (
-        _field(path, np.asarray, _read(cfg, path, list), float)
-        for path in ("system.energies", "decoherence.couplings")
-    )
-    dipole = _matrix(cfg, "system.dipole")
+    energies, dipole = _array(cfg, "system.energies"), _matrix(cfg, "system.dipole")
     system = _field("system", lindblad.SystemModel, energies=energies, dipole=dipole)
+    couplings = _array(cfg, "decoherence.couplings", depth=2)
     epsilon = _given(cfg, "decoherence.", epsilon=float)
     dec = _field("decoherence", lindblad.DecoherenceModel, couplings=couplings, **epsilon)
     if dec.dim != system.dim:
@@ -170,14 +194,12 @@ def _cmd_simulate(cfg: dict, seed, workers):
         where = f"segments[{k}]"
         dt, u = (float(_read(cfg, f"{where}.{x}", (int, float))) for x in ("dt", "u"))
         occ = _read(cfg, f"{where}.n", (int, float, list))
-        if isinstance(occ, list) and not all(type(x) in (int, float) for x in occ):
-            raise ConfigError(f"field '{where}.n' must hold numbers")
-        occ = np.asarray(occ, dtype=float)
+        occ = _array(cfg, f"{where}.n") if isinstance(occ, list) else np.full(n_pairs, float(occ))
         if dt <= 0:
             raise ConfigError(f"field '{where}.dt' must be > 0")
-        if occ.ndim == 1 and occ.size != n_pairs or np.any(occ < 0):
+        if occ.size != n_pairs or np.any(occ < 0):
             raise ConfigError(f"field '{where}.n': need one occupation >= 0, or {n_pairs} of them")
-        rows.append((dt, u, np.broadcast_to(occ, (n_pairs,))))
+        rows.append((dt, u, occ))
     durations, u, n = map(np.array, zip(*rows))
     schedule = lindblad.ControlSchedule(durations=durations, u=u, n=n)
     fmt_kind = _read(cfg, "output_format", default="bloch" if system.dim == 2 else "dense")
@@ -375,21 +397,21 @@ def _cmd_reachable(cfg: dict, seed, workers):
     # SamplerConfig (the one place the optional defaults live) takes one config
     # key at a time, so a fault its check finds is reported under that key
     sampler = reachable.SamplerConfig(seed=seed)
-    number, span, count = ((int, float), float), (list, tuple), ((int,), int)
-    for key, attr, (kind, convert) in (
+    number = lambda key: float(_read(cfg, key, (int, float)))
+    count = lambda key: _read(cfg, key, int)
+    for key, attr, read in (
         ("omega", "omega", number),
         ("mu", "mu", number),
         ("gamma", "gamma", number),
         ("u_max", "u_max", number),
         ("n_max", "n_max", number),
-        ("segments", "segment_range", span),
-        ("durations", "duration_range", span),
+        ("segments", "segment_range", lambda key: tuple(_array(cfg, key, int).tolist())),
+        ("durations", "duration_range", lambda key: tuple(_array(cfg, key).tolist())),
         ("samples", "n_samples", count),
         ("resolution", "resolution", count),
     ):
-        default = ... if key in ("omega", "mu", "gamma", "samples") else getattr(sampler, attr)
-        value = convert(_read(cfg, key, kind, default))
-        sampler = _field(key, dataclasses.replace, sampler, **{attr: value})
+        if key in cfg or key in ("omega", "mu", "gamma", "samples"):
+            sampler = _field(key, dataclasses.replace, sampler, **{attr: read(key)})
     rho0 = _state_from(cfg, "initial_state", 2) if "initial_state" in cfg else np.diag([1.0, 0j])
     slack = float(_read(cfg, "slack", (int, float), reachable.SLACK))
 
@@ -472,7 +494,10 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("config document must be a JSON object")
         _require_finite(cfg)
-        seed = args.seed if args.seed is not None else _field("seed", int, cfg.get("seed", 0))
+        seed = _read(cfg, "seed", int, 0) if args.seed is None else args.seed
+        if seed < 0:
+            source = "field 'seed'" if args.seed is None else "option '--seed'"
+            raise ConfigError(f"{source} must be >= 0")
         run = _COMMANDS[args.subcommand](cfg, seed, max(1, args.workers))
         outputs = run(out)
     except Exception as exc:

@@ -76,9 +76,6 @@ class ValidationReport:
     min_eigenvalue: float
     worst: str
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_density(rho, tol: float = STRUCTURAL_TOL) -> ValidationReport:
     """Check the Hermiticity, trace and positivity invariants of a state.

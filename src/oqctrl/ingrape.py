@@ -236,13 +236,10 @@ class PulseRunResult:
     stall_message: str = ""
 
 
-def _clip(controls: ControlVector, problem: PulseProblem) -> ControlVector:
+def _clip(u: np.ndarray, n: np.ndarray, dt: float, problem: PulseProblem) -> ControlVector:
+    """The controls (u, n, dt) clipped into the problem's bounds."""
     lo, hi = problem.u_bounds
-    return ControlVector(
-        u=np.clip(controls.u, lo, hi),
-        n=np.clip(controls.n, 0.0, problem.n_max),
-        dt=controls.dt,
-    )
+    return ControlVector(u=np.clip(u, lo, hi), n=np.clip(n, 0.0, problem.n_max), dt=dt)
 
 
 def optimize_run(
@@ -261,7 +258,7 @@ def optimize_run(
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     direction = problem.pairing[1]
     lo, hi = problem.u_bounds
-    cur = _clip(initial, problem)
+    cur = _clip(initial.u, initial.n, initial.dt, problem)
     value, gu, gn = grape_gradient(cur, problem)
     history = [value]
     step = 1.0
@@ -283,11 +280,7 @@ def optimize_run(
         t = step
         accepted = False
         while t >= 1e-16:
-            cand = ControlVector(
-                u=np.clip(cur.u + t * pu, lo, hi),
-                n=np.clip(cur.n + t * pn, 0.0, problem.n_max),
-                dt=cur.dt,
-            )
+            cand = _clip(cur.u + t * pu, cur.n + t * pn, cur.dt, problem)
             cand_value = objective_value(cand, problem)
             if direction * (cand_value - value) >= ARMIJO_C * t * gnorm2:
                 accepted = True

@@ -27,12 +27,13 @@ SEARCH_TOL = 1e-9
 
 def _scalar(literal) -> tuple[Fraction, Fraction]:
     """(a, b) with literal = a + b sqrt(2), from an int, a Fraction, a "p/q"
-    string or a {"rational": "p/q", "sqrt2": "r/s"} object."""
-    if isinstance(literal, dict):
-        return Fraction(literal.get("rational", 0)), Fraction(literal.get("sqrt2", 0))
-    if isinstance(literal, (int, str, Fraction)):
-        return Fraction(literal), Fraction(0)
-    raise TypeError(f"cannot parse exact scalar from {literal!r}")
+    string or a {"rational": "p/q", "sqrt2": "r/s"} object; never a boolean."""
+    parts = literal if isinstance(literal, dict) else {"rational": literal}
+    a, b = parts.get("rational", 0), parts.get("sqrt2", 0)
+    # JSON booleans are ints to Python, but no literal is one
+    if bool in (type(a), type(b)) or not isinstance(literal, (dict, int, str, Fraction)):
+        raise TypeError(f"cannot parse exact scalar from {literal!r}")
+    return Fraction(a), Fraction(b)
 
 
 class RationalComplexMatrix:

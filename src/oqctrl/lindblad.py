@@ -180,16 +180,6 @@ class ControlSchedule:
         """t_0 = 0 < t_1 < ... < t_M."""
         return np.concatenate([[0.0], np.cumsum(self.durations)])
 
-    def occupations(self, m: int, n_pairs: int) -> np.ndarray:
-        """Occupation per transition pair for segment m."""
-        if self.n.ndim == 1:
-            return np.full(n_pairs, self.n[m])
-        if self.n.shape[1] != n_pairs:
-            raise DimensionMismatchError(
-                f"schedule has {self.n.shape[1]} occupation columns, model needs {n_pairs}"
-            )
-        return self.n[m]
-
 
 def _jump_superoperator(c: np.ndarray) -> np.ndarray:
     """Superoperator of D[C] under column stacking."""
@@ -273,12 +263,10 @@ def propagate_schedule(
     report = validate_density(rho0, VALIDATION_TOL)
     if not report.ok:
         raise PropagationFailure(f"initial state invalid ({report.worst})")
-    n_pairs = len(transition_pairs(system.dim))
     states = [np.asarray(rho0, dtype=complex).copy()]
     for m in range(schedule.n_segments):
-        gen = build_liouvillian(
-            system, decoherence, float(schedule.u[m]), schedule.occupations(m, n_pairs)
-        )
+        # one shared occupation or one per level pair, as build_liouvillian takes it
+        gen = build_liouvillian(system, decoherence, float(schedule.u[m]), schedule.n[m])
         nxt = propagate_segment(gen, states[-1], float(schedule.durations[m]))
         report = validate_density(nxt, VALIDATION_TOL)
         if not report.ok:

@@ -1,9 +1,10 @@
-"""Structured-text ingestion and deterministic file emission.
+"""Deterministic file emission.
 
-Matrix literals are row-major lists of ``[re, im]`` pairs; this convention
-is shared by every module and the CLI.  All floating-point output is
-printed with 17 significant digits so files round-trip bit-exactly and
-identical (config, seed) pairs produce byte-identical outputs.
+Matrices are written as row-major lists of ``[re, im]`` pairs, the form in
+which configs give them (``oqctrl.cli`` reads those).  All floating-point
+output is printed with 17 significant digits so files round-trip
+bit-exactly and identical (config, seed) pairs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -20,27 +21,9 @@ import numpy as np
 FLOAT_FORMAT = "%.17g"
 
 
-def matrix_from_lists(rows) -> np.ndarray:
-    """Complex matrix from row-major [re, im] pairs."""
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("matrix literal must be a nonempty list of rows")
-    data = []
-    width = None
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or (width is not None and len(row) != width):
-            raise ValueError(f"row {r} is not a list of equal length")
-        width = len(row)
-        entries = []
-        for c, pair in enumerate(row):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError(f"entry ({r}, {c}) is not an [re, im] pair")
-            entries.append(complex(float(pair[0]), float(pair[1])))
-        data.append(entries)
-    return np.array(data, dtype=complex)
-
-
 def matrix_to_lists(m: np.ndarray) -> list:
-    """Inverse of :func:`matrix_from_lists`."""
+    """Row-major [re, im] pairs of a complex matrix, the form in which configs
+    give matrices; ``oqctrl.cli`` reads them back bit-exactly."""
     a = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 

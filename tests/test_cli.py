@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from oqctrl import reachable, stiefel
+from oqctrl import cli, reachable, stiefel
 from oqctrl.cli import main
 from oqctrl.serialization import matrix_to_lists
 
@@ -628,19 +629,120 @@ CONFIG_FAULTS = {
     "simulate-n-list-of-true": (
         "simulate", set_field(qubit_simulate_config(), "segments[0].n", [True]), "segments[0].n",
     ),
+    # every array leaf is a JSON number too: float() would read true as 1
+    # and the strings "1" and "nan" as numbers
+    "simulate-dipole-true": (
+        "simulate", set_field(qubit_simulate_config(), "system.dipole[0][1][0]", True),
+        "system.dipole",
+    ),
+    "stiefel-observable-string": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "observable[0][0][0]", "1"), "observable",
+    ),
+    "simulate-dipole-nan-string": (
+        "simulate", set_field(qubit_simulate_config(), "system.dipole[1][0][0]", "nan"),
+        "system.dipole",
+    ),
+    "simulate-energies-true": (
+        "simulate", set_field(qubit_simulate_config(), "system.energies[1]", True),
+        "system.energies",
+    ),
+    "ingrape-energies-string": (
+        "ingrape", set_field(qubit_state_transfer_config(), "system.energies[1]", "1.0"),
+        "system.energies",
+    ),
+    "simulate-couplings-true": (
+        "simulate", set_field(qubit_simulate_config(), "decoherence.couplings", [[0, True], [1, 0]]),
+        "decoherence.couplings",
+    ),
+    "ingrape-couplings-string": (
+        "ingrape",
+        set_field(qubit_state_transfer_config(), "decoherence.couplings", [[0, "1.0"], [1, 0]]),
+        "decoherence.couplings",
+    ),
+    "reachable-segments-true": (
+        "reachable", set_field(qubit_reachable_config(), "segments", [True, 3]), "segments",
+    ),
+    "reachable-segments-fraction": (
+        "reachable", set_field(qubit_reachable_config(), "segments", [1.5, 3]), "segments",
+    ),
+    "reachable-durations-true": (
+        "reachable", set_field(qubit_reachable_config(), "durations", [0.01, True]), "durations",
+    ),
+    # the seed is an integer >= 0, from the config or from --seed
+    "stiefel-seed-true": ("stiefel-max", set_field(qubit_stiefel_config(), "seed", True), "seed"),
+    "stiefel-seed-string": ("stiefel-max", set_field(qubit_stiefel_config(), "seed", "5"), "seed"),
+    "stiefel-seed-fraction": ("stiefel-max", set_field(qubit_stiefel_config(), "seed", 5.7), "seed"),
+    "stiefel-seed-negative": ("stiefel-max", set_field(qubit_stiefel_config(), "seed", -1), "seed"),
+    "stiefel-seed-option-negative": (
+        "stiefel-max", qubit_stiefel_config(), "--seed", "--seed", "-1",
+    ),
+    "kraus-search-literal-true": (
+        "kraus-search", set_field(qubit_search_config(), "alphabet[1].kraus[0][0][1][0]", True),
+        "alphabet[1].kraus",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(CONFIG_FAULTS))
 def test_config_fault_found_before_anything_runs(tmp_path, capsys, case):
-    sub, payload, field = CONFIG_FAULTS[case]
+    sub, payload, field, *options = CONFIG_FAULTS[case]
     cfg = write_config(tmp_path / "cfg.json", payload)
     out = tmp_path / "out"
-    assert main([sub, str(cfg), "--out", str(out)]) == 1
+    assert main([sub, str(cfg), "--out", str(out), *options]) == 1
     err = capsys.readouterr().err
     assert f"'{field}'" in err
     assert not (out / "FAILED").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_matrix_entries_parse_bit_exactly():
+    # every [re, im] pair lands in the matrix unrounded, an imaginary -0.0 included
+    rows = [[[0.1, -0.0], [-0.0, 1e-300]], [[1, 2], [-3, 5e-324]]]
+    m = cli._matrix({"m": rows}, "m")
+    assert m.view(float).tobytes() == np.array(rows, dtype=float).tobytes()
+
+
+def numeric_leaves(node, path=""):
+    """The field path (as set_field takes it) of every JSON number in node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from numeric_leaves(value, f"{path}[{k}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+EXAMPLE_CONFIGS = {
+    "simulate": qubit_simulate_config,
+    "ingrape": qubit_state_transfer_config,
+    "stiefel-max": qubit_stiefel_config,
+    "kraus-search": qubit_search_config,
+    "reachable": qubit_reachable_config,
+}
+# kraus-search reads its matrices as exact literals, which may be "p/q" strings
+EXACT_LITERALS = ("alphabet", "initial_state", "target_state")
+
+
+@pytest.mark.parametrize("sub", list(EXAMPLE_CONFIGS))
+def test_every_number_leaf_rejects_booleans_and_strings(tmp_path, capsys, sub):
+    # each numeric leaf in turn becomes true, "nan" or "1"; every run must be
+    # a config error that names the leaf or a field holding it
+    misreads = []
+    for k, leaf in enumerate(numeric_leaves(EXAMPLE_CONFIGS[sub]())):
+        literal = sub == "kraus-search" and leaf.startswith(EXACT_LITERALS)
+        for value in (True, "nan") if literal else (True, "nan", "1"):
+            cfg = write_config(tmp_path / "cfg.json", set_field(EXAMPLE_CONFIGS[sub](), leaf, value))
+            out = tmp_path / f"out{k}-{value}"
+            code = main([sub, str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            prefixes = [leaf[:m.start()] for m in re.finditer(r"[.\[]", leaf)] + [leaf]
+            named = any(f"'{prefix}'" in err for prefix in prefixes)
+            left = [f.name for f in (out / "FAILED", out / "manifest.json") if f.exists()]
+            if code != 1 or not named or left:
+                misreads.append(f"{leaf}={value!r}: exit {code}, {err.strip()!r}, left {left}")
+    assert not misreads
 
 
 class TestReproducibility:

@@ -136,7 +136,12 @@ class TestExactArithmetic:
         ([[[1]]], ValueError, r"entry \(0, 0\) must be a \[re, im\] pair"),
         ([[[0.5, 0]]], TypeError, "cannot parse exact scalar from 0.5"),
         ([[[0, {"sqrt2": "1/2"}], [0, 0.25]], [[0, 0], [1, 0]]], TypeError, "from 0.25"),
-    ], ids=["ragged", "non-square", "empty", "one-element-pair", "float-entry", "float-imag"])
+        # JSON booleans are Python ints, but never a literal
+        ([[[True, 0]]], TypeError, "from True"),
+        ([[[1, {"sqrt2": False}]]], TypeError, "from {'sqrt2': False}"),
+        ([[[{"rational": True, "sqrt2": 0}, 0]]], TypeError, "from {'rational': True"),
+    ], ids=["ragged", "non-square", "empty", "one-element-pair", "float-entry", "float-imag",
+            "bool-entry", "bool-sqrt2-part", "bool-rational-part"])
     def test_malformed_literals_name_the_problem(self, rows, error, message):
         with pytest.raises(error, match=message):
             RationalComplexMatrix.from_literals(rows)

@@ -209,6 +209,16 @@ class TestPropagation:
         for earlier, later in zip(dists, dists[1:]):
             assert later <= earlier + 1e-12
 
+    @pytest.mark.parametrize("columns", [1, 2, 4])
+    def test_wrong_occupation_column_count_raises(self, columns):
+        # a qutrit has three level pairs; one occupation row per segment
+        # must give one column for each of them
+        rng = np.random.default_rng(13)
+        system, dec = random_model(3, rng)
+        schedule = ControlSchedule(np.array([0.5, 0.5]), np.zeros(2), np.full((2, columns), 0.3))
+        with pytest.raises(DimensionMismatchError):
+            propagate_schedule(system, dec, schedule, random_density(3, rng))
+
     def test_blowup_reported(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         schedule = ControlSchedule(np.array([1.0]), np.array([0.0]), np.array([0.0]))
