@@ -60,11 +60,17 @@ def _read(cfg: dict, path: str, kind=None, default=...):
 def _typed(node, kind, path: str, entry: str = ""):
     """``node`` if it is of type ``kind``; the one leaf rule of the config
     reader.  ``entry`` locates the node inside the array at ``path``."""
+    where = f"field '{path}'" + (f" entry {entry}" if entry else "")
     # JSON booleans are ints to Python, but no field takes one as a number
     if isinstance(node, bool) or not isinstance(node, kind):
         names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        where = f"field '{path}'" + (f" entry {entry}" if entry else "")
         raise ConfigError(f"{where} must be of type {names}")
+    # a real-valued field is read as a float, which a JSON integer can exceed
+    if isinstance(node, int) and float in (kind if isinstance(kind, tuple) else (kind,)):
+        try:
+            float(node)
+        except OverflowError:
+            raise ConfigError(f"{where} is outside the float range") from None
     return node
 
 

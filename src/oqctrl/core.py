@@ -21,6 +21,9 @@ import numpy as np
 
 # Structural validation (Hermiticity, trace, positivity) default tolerance.
 STRUCTURAL_TOL = 1e-9
+# Relative size of an imaginary part that real Hermitian coordinates drop as
+# roundoff (observed: below 1e-16 on random GKSL generators, d <= 4).
+ROUNDOFF_TOL = 1e-13
 # Armijo backtracking of the Stiefel ascent and the pulse descent:
 # sufficient-change constant and step shrink factor.
 ARMIJO_C = 1e-4
@@ -59,6 +62,44 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if n * n != v.size:
         raise DimensionMismatchError(f"vector of length {v.size} is not a square matrix")
     return v.reshape(n, n, order="F")
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Coordinate map T of the orthonormal Hermitian basis of d x d matrices.
+
+    The basis holds the diagonal units E_kk, then (E_jk + E_kj)/sqrt(2), then
+    i(E_kj - E_jk)/sqrt(2), over the pairs j < k in ``np.triu_indices``
+    order (the index order of ``kraussearch._coordinates``).  Row a of T is
+    vec(B_a)^dag, so T vec(A) are the coordinates Tr(B_a A) -- A_kk, then
+    sqrt(2) Re A_jk, then sqrt(2) Im A_kj, real for a Hermitian A -- and T is
+    unitary.  For a qubit the off-diagonal coordinates are x/sqrt(2) and
+    y/sqrt(2) of the Bloch vector.
+    """
+    j, k = np.triu_indices(d, 1)
+    diag, re = np.arange(d), d + np.arange(j.size)
+    im = re + j.size
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[diag, diag, diag] = 1.0
+    basis[re, j, k] = basis[re, k, j] = np.sqrt(0.5)
+    basis[im, k, j] = 1j * np.sqrt(0.5)
+    basis[im, j, k] = -1j * np.sqrt(0.5)
+    return basis.transpose(0, 2, 1).reshape(d * d, d * d).conj()
+
+
+def hermitian_coordinates(superop: np.ndarray) -> np.ndarray:
+    """T S T^dag (T from :func:`hermitian_basis`) for a superoperator S that
+    maps Hermitian matrices to Hermitian ones: a real matrix.  Raises
+    ValueError when the imaginary part it drops is above roundoff, that is
+    when S does not preserve Hermiticity."""
+    t = hermitian_basis(int(round(np.sqrt(superop.shape[0]))))
+    s = t @ superop @ t.conj().T
+    dropped = float(np.max(np.abs(s.imag)))
+    if dropped > ROUNDOFF_TOL * max(1.0, float(np.max(np.abs(s.real)))):
+        raise ValueError(
+            f"superoperator does not preserve Hermiticity: imaginary part {dropped:.3e} "
+            "in Hermitian coordinates"
+        )
+    return np.ascontiguousarray(s.real)
 
 
 @dataclass(frozen=True)
@@ -175,34 +216,11 @@ def expectation(rho, observable) -> float:
     return float(np.trace(m @ o).real)
 
 
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return herm(a)
-
-
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrix, Wishart construction."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = a @ a.conj().T
     return m / np.trace(m).real
-
-
-def random_kraus(n: int, n_ops: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random trace-preserving Kraus set via QR orthonormalization.
-
-    The stacked (n_ops*n, n) block matrix is drawn Gaussian and
-    orthonormalized, so the constraint holds to machine precision.
-    """
-    z = rng.standard_normal((n_ops * n, n)) + 1j * rng.standard_normal((n_ops * n, n))
-    q, _ = np.linalg.qr(z)
-    return [q[i * n : (i + 1) * n, :].copy() for i in range(n_ops)]
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def run_multistart(task: Callable, starts: int, seed: int, workers: int = 1) -> list:

@@ -14,18 +14,32 @@ per-segment matrix exponentials.  Each segment needs one Van Loan block
 sum(lam o L(A, E)) = sum(L(A, lam^T)^T o E) for the Frechet derivative L,
 its top-right block gives the derivative along both the coherent and the
 incoherent direction (see :func:`grape_gradient`).
+
+Superoperators here act on the real coordinates of Hermitian matrices in the
+orthonormal basis of :func:`core.hermitian_basis`, where a GKSL generator is
+a real matrix, so every stack exponential is real.  The descent keeps the
+forward pass of the line-search trial it accepts, and the gradient at the
+new iterate reuses its segment propagators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .core import ARMIJO_C, BACKTRACK, DimensionMismatchError, run_multistart, vec
+from .core import (
+    ARMIJO_C,
+    BACKTRACK,
+    DimensionMismatchError,
+    hermitian_basis,
+    hermitian_coordinates,
+    run_multistart,
+    vec,
+)
 from .lindblad import DecoherenceModel, SystemModel, build_liouvillian, hamiltonian_superoperator
 
 
@@ -64,12 +78,13 @@ class PulseProblem:
 
         L(u, n) = L0 + u Du + n Dn,
 
-    so the triple is built once per problem (on first use) and every segment
+    so the triple is built once per problem (at construction) and every segment
     generator is one broadcast away.  The cache lives in the instance
     ``__dict__`` and travels with the problem when it is pickled.  Each kind
     defines ``pairing`` = (offset, sign, P) with objective
-    = offset + sign * Re sum(P * G) on the end-to-end superoperator G; the
-    sign, exactly +1 or -1, is also the direction of improvement.
+    = offset + sign * sum(P * G) on the end-to-end superoperator G, both
+    real in Hermitian coordinates; the sign, exactly +1 or -1, is also the
+    direction of improvement.
     """
 
     system: SystemModel
@@ -84,14 +99,25 @@ class PulseProblem:
             raise ValueError("u bounds must satisfy u_min < u_max")
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
+        # built now, so a dipole that is Hermitian only to a tolerance above
+        # roundoff fails at construction, not in the first evaluation
+        self.affine_generator
 
     @cached_property
     def affine_generator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(L0, Du, Dn): the generator at u = n = 0 and its two directions."""
+        """(L0, Du, Dn): the generator at u = n = 0 and its two directions,
+        each the real matrix T L T^dag in Hermitian coordinates."""
         l0 = build_liouvillian(self.system, self.decoherence, 0.0, 0.0)
         dn = build_liouvillian(self.system, self.decoherence, 0.0, 1.0) - l0
         du = hamiltonian_superoperator(self.system.dipole)
-        return l0, du, dn
+        return hermitian_coordinates(l0), hermitian_coordinates(du), hermitian_coordinates(dn)
+
+    def _real_pairing(self, pairing: np.ndarray) -> np.ndarray:
+        """Re(conj(T) P T^T): sum(P o G) for G in column-stacked coordinates
+        equals sum(conj(T) P T^T o T G T^dag), and the propagator T G T^dag
+        is real."""
+        t = hermitian_basis(self.system.dim)
+        return np.ascontiguousarray(np.real(t.conj() @ pairing @ t.T))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -108,7 +134,7 @@ class StateTransferProblem(PulseProblem):
 
     @cached_property
     def pairing(self) -> tuple[float, float, np.ndarray]:
-        return 0.0, 1.0, np.outer(vec(self.observable).conj(), vec(self.rho0))
+        return 0.0, 1.0, self._real_pairing(np.outer(vec(self.observable).conj(), vec(self.rho0)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -127,7 +153,7 @@ class GateProblem(PulseProblem):
 
     @cached_property
     def pairing(self) -> tuple[float, float, np.ndarray]:
-        return 1.0, -1.0, _gate_pairing(self.target)
+        return 1.0, -1.0, self._real_pairing(_gate_pairing(self.target))
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -157,33 +183,48 @@ def _segment_generators(problem: PulseProblem, controls: ControlVector) -> np.nd
     return l0 + controls.u[:, None, None] * du + controls.n[:, None, None] * dn
 
 
-def total_superoperator(problem: PulseProblem, controls: ControlVector) -> np.ndarray:
-    """End-to-end superoperator of the pulse, G = G_M ... G_1."""
-    g = np.eye(problem.system.dim**2, dtype=complex)
-    if controls.n_segments:
-        for e in expm(_segment_generators(problem, controls) * controls.dt):
-            g = e @ g
-    return g
+class ForwardPass(NamedTuple):
+    """One pulse's forward pass: the segment exponents A_k = dt L_k, their
+    propagators G_k = exp(A_k), the forward products forward[k] =
+    G_{k-1} ... G_0 (k = 0..M, so forward[M] is the end-to-end
+    superoperator) and the objective value there."""
+
+    value: float
+    exponents: np.ndarray
+    segments: np.ndarray
+    forward: np.ndarray
+
+
+def forward_pass(controls: ControlVector, problem: PulseProblem) -> ForwardPass:
+    """The forward pass of ``controls``: one stack exponential of the M
+    segment generators and the M forward products."""
+    offset, sign, pairing = problem.pairing
+    exponents = _segment_generators(problem, controls) * controls.dt
+    segments = expm(exponents)
+    forward = np.empty((controls.n_segments + 1,) + pairing.shape)
+    forward[0] = np.eye(pairing.shape[0])
+    for k, g in enumerate(segments):
+        forward[k + 1] = g @ forward[k]
+    value = offset + sign * float(np.sum(pairing * forward[-1]))
+    return ForwardPass(value, exponents, segments, forward)
 
 
 def objective_value(controls: ControlVector, problem: PulseProblem) -> float:
     """Tr[rho(T) O] for state transfer; 1 - Tr[Choi(Phi) Choi(U)]/N^2, in
     [0, 1] and 0 iff the pulse implements the target up to global phase, for
     a gate."""
-    offset, sign, pairing = problem.pairing
-    g = total_superoperator(problem, controls)
-    return offset + sign * float(np.real(np.sum(pairing * g)))
+    return forward_pass(controls, problem).value
 
 
 def grape_gradient(
-    controls: ControlVector, problem: PulseProblem
+    controls: ControlVector, problem: PulseProblem, trial: ForwardPass | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective value and its exact gradient wrt (u_m, n_m).
 
     With segment k's exponent A_k = dt L_k, the forward products
     F_k = G_{k-1} ... G_0 and the backward products B_{k+1} = G_{M-1} ...
     G_{k+1}, a segment parameter with generator direction D moves the
-    objective by sign * Re sum(lam_k o L(A_k, dt D)), where
+    objective by sign * sum(lam_k o L(A_k, dt D)), where
     lam_k = B_{k+1}^T P F_k^T and L(A, E) is the Frechet derivative of the
     exponential.  Since L(A, E) = int_0^1 e^{sA} E e^{(1-s)A} ds and the
     trace is cyclic,
@@ -192,34 +233,27 @@ def grape_gradient(
 
     so one adjoint block exp([[A_k, lam_k^T], [0, A_k]]), whose top-right
     block is X_k = L(A_k, lam_k^T), gives both directions:
-    g[k] = sign * dt * Re sum(X_k^T o D) for D = Du and D = Dn.  A call makes
-    two batched exponentials: the M segment propagators (d^2 x d^2) and the
-    M adjoint blocks (2d^2 x 2d^2).
+    g[k] = sign * dt * sum(X_k^T o D) for D = Du and D = Dn.  ``trial``, the
+    :func:`forward_pass` of these same controls if the caller has it, saves
+    the M segment propagators (d^2 x d^2); the M adjoint blocks
+    (2d^2 x 2d^2) make the call's one stack exponential.
     """
-    m = controls.n_segments
-    offset, sign, pairing = problem.pairing
-    d2 = problem.system.dim**2
-    if m == 0:
-        return offset + sign * float(np.real(np.sum(pairing * np.eye(d2)))), np.zeros(0), np.zeros(0)
-
-    exponents = _segment_generators(problem, controls) * controls.dt
-    segs = expm(exponents)
-    forward = np.empty((m + 1, d2, d2), dtype=complex)  # forward[k] = F_k
+    _, sign, pairing = problem.pairing
+    if trial is None:
+        trial = forward_pass(controls, problem)
+    value, exponents, segments, forward = trial
+    m, d2 = controls.n_segments, pairing.shape[0]
     backward = np.empty_like(forward)  # backward[k] = G_{M-1} ... G_k
-    forward[0] = backward[m] = np.eye(d2)
-    for k in range(m):
-        forward[k + 1] = segs[k] @ forward[k]
-        backward[m - 1 - k] = backward[m - k] @ segs[m - 1 - k]
+    backward[m] = np.eye(d2)
+    for k in range(m - 1, -1, -1):
+        backward[k] = backward[k + 1] @ segments[k]
 
-    blocks = np.zeros((m, 2 * d2, 2 * d2), dtype=complex)
+    blocks = np.zeros((m, 2 * d2, 2 * d2))
     blocks[:, :d2, :d2] = blocks[:, d2:, d2:] = exponents
     blocks[:, :d2, d2:] = forward[:m] @ pairing.T @ backward[1:]  # lam_k^T
     adjoint = expm(blocks)[:, :d2, d2:]
     _, du, dn = problem.affine_generator
-    grad_u, grad_n = sign * controls.dt * np.real(
-        np.einsum("kji,dij->dk", adjoint, np.stack([du, dn]))
-    )
-    value = offset + sign * float(np.real(np.sum(pairing * forward[m])))
+    grad_u, grad_n = sign * controls.dt * np.einsum("kji,dij->dk", adjoint, np.stack([du, dn]))
     return value, grad_u, grad_n
 
 
@@ -281,8 +315,8 @@ def optimize_run(
         accepted = False
         while t >= 1e-16:
             cand = _clip(cur.u + t * pu, cur.n + t * pn, cur.dt, problem)
-            cand_value = objective_value(cand, problem)
-            if direction * (cand_value - value) >= ARMIJO_C * t * gnorm2:
+            trial = forward_pass(cand, problem)
+            if direction * (trial.value - value) >= ARMIJO_C * t * gnorm2:
                 accepted = True
                 break
             t *= BACKTRACK
@@ -294,7 +328,7 @@ def optimize_run(
             )
             break
         cur = cand
-        value, gu, gn = grape_gradient(cur, problem)
+        value, gu, gn = grape_gradient(cur, problem, trial)
         history.append(value)
         step = min(t / BACKTRACK, 1e4)
     return PulseRunResult(

@@ -27,11 +27,15 @@ SEARCH_TOL = 1e-9
 
 def _scalar(literal) -> tuple[Fraction, Fraction]:
     """(a, b) with literal = a + b sqrt(2), from an int, a Fraction, a "p/q"
-    string or a {"rational": "p/q", "sqrt2": "r/s"} object; never a boolean."""
+    string or a {"rational": "p/q", "sqrt2": "r/s"} object; never a boolean
+    or a float."""
     parts = literal if isinstance(literal, dict) else {"rational": literal}
     a, b = parts.get("rational", 0), parts.get("sqrt2", 0)
-    # JSON booleans are ints to Python, but no literal is one
-    if bool in (type(a), type(b)) or not isinstance(literal, (dict, int, str, Fraction)):
+    # JSON booleans are ints to Python, but no literal is one; a float would
+    # be read as its binary fraction, not as the decimal it was written as
+    if any(isinstance(x, (bool, float)) for x in (a, b)) or not isinstance(
+        literal, (dict, int, str, Fraction)
+    ):
         raise TypeError(f"cannot parse exact scalar from {literal!r}")
     return Fraction(a), Fraction(b)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oqctrl.cli import main as cli_main
-from oqctrl.core import random_density, random_hermitian
+from oqctrl.core import random_density
 from oqctrl.ingrape import GateProblem, optimize_pulse
 from oqctrl.kraussearch import (
     ChannelAlphabet,
@@ -40,6 +40,7 @@ from oqctrl.stiefel import (
 )
 
 from kraus_oracles import brute_force_min_length
+from random_matrices import random_hermitian
 from stiefel_oracles import hessian_curve
 
 

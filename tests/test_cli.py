@@ -560,6 +560,14 @@ CONFIG_FAULTS = {
     "reachable-u-max-infinity": (
         "reachable", set_field(qubit_reachable_config(), "u_max", float("inf")), "u_max",
     ),
+    # a JSON integer beyond the float range, where the field is real-valued
+    "reachable-u-max-huge-int": (
+        "reachable", set_field(qubit_reachable_config(), "u_max", 10**400), "u_max",
+    ),
+    "simulate-energy-huge-int": (
+        "simulate", set_field(qubit_simulate_config(), "system.energies[1]", -(10**400)),
+        "system.energies",
+    ),
     "ingrape-dt-nan": (
         "ingrape", set_field(qubit_gate_config(), "grid.dt", float("nan")), "grid.dt",
     ),

@@ -9,12 +9,21 @@ from oqctrl.core import (
     bloch_from_density,
     density_from_bloch,
     expectation,
+    hermitian_basis,
+    hermitian_coordinates,
     kraus_constraint_residual,
     random_density,
-    random_kraus,
-    random_unitary,
     validate_density,
+    vec,
 )
+from oqctrl.lindblad import (
+    DecoherenceModel,
+    SystemModel,
+    build_liouvillian,
+    hamiltonian_superoperator,
+)
+
+from random_matrices import random_hermitian, random_kraus, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 
@@ -181,3 +190,37 @@ class TestExpectation:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             expectation(I2 / 2, np.eye(3))
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_unitary_with_real_coordinates_for_hermitian_matrices(self, d):
+        t = hermitian_basis(d)
+        np.testing.assert_allclose(t @ t.conj().T, np.eye(d * d), rtol=0, atol=1e-15)
+        a = random_hermitian(d, np.random.default_rng(60 + d))
+        j, k = np.triu_indices(d, 1)
+        expected = np.concatenate(
+            [np.diagonal(a).real, np.sqrt(2) * a[j, k].real, np.sqrt(2) * a[k, j].imag]
+        )
+        # compared as complex numbers: the imaginary parts must vanish too
+        np.testing.assert_allclose(t @ vec(a), expected, rtol=0, atol=1e-14)
+
+    def test_qubit_coordinates_are_scaled_bloch_components(self):
+        r = np.array([0.3, -0.5, 0.6])
+        coords = hermitian_basis(2) @ vec(density_from_bloch(r))
+        expected = [(1 + r[2]) / 2, (1 - r[2]) / 2, r[0] / np.sqrt(2), r[1] / np.sqrt(2)]
+        np.testing.assert_allclose(coords, expected, rtol=0, atol=1e-15)
+
+    def test_gksl_generator_is_real_in_hermitian_coordinates(self):
+        dipole = np.array([[0, 1, 0], [1, 0, 1j], [0, -1j, 0]])
+        system = SystemModel(np.array([0.0, 1.0, 1.9]), dipole)
+        dec = DecoherenceModel(0.1 * (1.0 - np.eye(3)), epsilon=0.6)
+        gen = build_liouvillian(system, dec, 0.7, 0.3)
+        real = hermitian_coordinates(gen)
+        assert real.dtype == np.float64
+        t = hermitian_basis(3)
+        np.testing.assert_allclose(t.conj().T @ real @ t, gen, rtol=0, atol=1e-14)
+
+    def test_superoperator_that_breaks_hermiticity_rejected(self):
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            hermitian_coordinates(hamiltonian_superoperator(np.array([[0, 1], [0, 0]])))

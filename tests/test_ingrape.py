@@ -3,7 +3,16 @@ import pytest
 from scipy.linalg import expm, expm_frechet
 
 from oqctrl import ingrape
-from oqctrl.core import PAULI_X, PAULI_Y, PAULI_Z, expectation, random_density, unvec, vec
+from oqctrl.core import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    expectation,
+    hermitian_basis,
+    random_density,
+    unvec,
+    vec,
+)
 from oqctrl.ingrape import (
     ControlVector,
     GateProblem,
@@ -14,7 +23,6 @@ from oqctrl.ingrape import (
     objective_value,
     optimize_pulse,
     optimize_run,
-    total_superoperator,
 )
 from oqctrl.lindblad import (
     DecoherenceModel,
@@ -24,7 +32,13 @@ from oqctrl.lindblad import (
     qubit_system,
 )
 
-from pulse_oracles import choi_of_superoperator, final_state, superoperator_infidelity
+from pulse_oracles import (
+    choi_of_superoperator,
+    final_state,
+    superoperator_infidelity,
+    vec_grape_gradient,
+    vec_objective_value,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -330,7 +344,10 @@ class TestOptimization:
         # an objective that never satisfies Armijo forces the underflow
         problem = gate_problem(HADAMARD, m=3, dt=0.5, gamma=1e-3)
         start = ControlVector(np.array([0.3, -0.2, 0.1]), np.full(3, 0.5), 0.5)
-        monkeypatch.setattr(ingrape, "objective_value", lambda controls, problem: 2.0)
+        real = ingrape.forward_pass
+        monkeypatch.setattr(
+            ingrape, "forward_pass", lambda c, p: real(c, p)._replace(value=2.0)
+        )
         result = optimize_run(problem, start, max_iter=50)
         assert result.stalled and not result.converged
         assert result.iterations == 1
@@ -399,6 +416,7 @@ MODELS = {
     "qubit-uncoupled": (qubit_system(1.0, 0.7), qubit_decoherence(0.0)),
     "qutrit-eps": qutrit_ladder([[0, 0.05, 0.02], [0.05, 0, 0.08], [0.02, 0.08, 0]], 0.6),
     "qutrit-zero-pair": qutrit_ladder([[0, 0.05, 0.0], [0.05, 0, 0.08], [0.0, 0.08, 0]], 2.5),
+    "qutrit-strong": qutrit_ladder([[0, 0.05, 0.02], [0.05, 0, 0.08], [0.02, 0.08, 0]], 2.5),
 }
 
 
@@ -418,6 +436,10 @@ def _zero_controls(rng, m):
     return np.zeros(m), np.zeros(m)
 
 
+def _uniform_controls(rng, m):
+    return rng.uniform(-1, 1, m), rng.uniform(0, 1, m)
+
+
 # (models, M, dt, controls drawn from (rng, M)) where the adjoint block is
 # most likely to lose accuracy
 FRAGILE = {
@@ -435,9 +457,16 @@ FRAGILE = {
         ),
         5, 0.4, _zero_controls,
     ),
+    "near-degenerate-energies": (
+        (
+            SystemModel(np.array([0.0, 1.0, 1.0 + 1e-9]), MODELS["qutrit-eps"][0].dipole),
+            DecoherenceModel(0.05 * (1.0 - np.eye(3)), epsilon=0.0),
+        ),
+        5, 0.4, _zero_controls,
+    ),
     # the grid of the qutrit state-transfer benchmark workload
     "twenty-segments": (
-        MODELS["qutrit-eps"], 20, 0.5, lambda rng, m: (rng.uniform(-1, 1, m), rng.uniform(0, 1, m)),
+        MODELS["qutrit-eps"], 20, 0.5, _uniform_controls,
     ),
 }
 
@@ -497,12 +526,15 @@ class TestAffineFastPath:
         problem = GateProblem(system=system, decoherence=dec,
                               target=np.eye(system.dim, dtype=complex), n_segments=1, dt=0.1)
         l0, du, dn = problem.affine_generator
+        assert l0.dtype == du.dtype == dn.dtype == np.float64
+        t = hermitian_basis(system.dim)
         rng = np.random.default_rng(41)
         for u, n in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)] + [
             (rng.uniform(-3, 3), rng.uniform(0, 2)) for _ in range(5)
         ]:
             np.testing.assert_allclose(
-                l0 + u * du + n * dn, build_liouvillian(system, dec, u, n), rtol=0, atol=1e-13
+                t.conj().T @ (l0 + u * du + n * dn) @ t, build_liouvillian(system, dec, u, n),
+                rtol=0, atol=1e-13,
             )
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -547,6 +579,84 @@ class TestAffineFastPath:
         problem = random_problem("gate", system, dec, m, 0.4, np.random.default_rng(45))
         grape_gradient(ControlVector(np.full(m, 0.3), np.full(m, 0.2), 0.4), problem)
         assert shapes == [(m, 9, 9), (m, 18, 18)]
+
+    @pytest.mark.parametrize("case", sorted(MODELS) + sorted(FRAGILE))
+    @pytest.mark.parametrize("kind", ["gate", "state"])
+    def test_real_coordinates_match_the_complex_vec_path(self, case, kind):
+        if case in MODELS:
+            (system, dec), m, dt, draw = MODELS[case], 5, 0.4, _uniform_controls
+        else:
+            (system, dec), m, dt, draw = FRAGILE[case]
+        rng = np.random.default_rng(47)
+        problem = random_problem(kind, system, dec, m, dt, rng)
+        controls = ControlVector(*draw(rng, m), dt)
+        value, gu, gn = grape_gradient(controls, problem)
+        ref_value, ref_gu, ref_gn = vec_grape_gradient(controls, problem)
+        assert objective_value(controls, problem) == pytest.approx(
+            vec_objective_value(controls, problem), abs=1e-12
+        )
+        assert value == pytest.approx(ref_value, abs=1e-12)
+        np.testing.assert_allclose(gu, ref_gu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gn, ref_gn, rtol=0, atol=1e-12)
+
+    def test_generator_must_be_real_in_hermitian_coordinates(self):
+        # a dipole Hermitian to 1e-10 passes SystemModel's 1e-9 check, but its
+        # commutator has an imaginary part far above roundoff
+        dipole = PAULI_X + 1e-10j * np.diag([1.0, 0.0])
+        system = SystemModel(np.array([0.0, 1.0]), dipole)
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            GateProblem(system=system, decoherence=qubit_decoherence(0.1),
+                        target=HADAMARD, n_segments=2, dt=0.1)
+
+    def test_one_segment_stack_per_trial_and_one_adjoint_stack_per_iterate(self, monkeypatch):
+        shapes, trials, steps = [], [], []
+        real_expm, real_forward = ingrape.expm, ingrape.forward_pass
+        real_gradient = ingrape.grape_gradient
+
+        def gradient(controls, problem, trial=None):
+            first = len(shapes)
+            out = real_gradient(controls, problem, trial)
+            steps.append(shapes[first:])
+            return out
+
+        monkeypatch.setattr(ingrape, "expm", lambda a: shapes.append(a.shape) or real_expm(a))
+        monkeypatch.setattr(
+            ingrape, "forward_pass", lambda c, p: trials.append(c) or real_forward(c, p)
+        )
+        monkeypatch.setattr(ingrape, "grape_gradient", gradient)
+        m = 6
+        problem = gate_problem(T_GATE, m=m, dt=0.5, gamma=1e-3)
+        rng = np.random.default_rng(48)
+        start = ControlVector(rng.uniform(-5, 5, m), rng.uniform(0, 1, m), 0.5)
+        result = optimize_run(problem, start, max_iter=20)
+        accepted = result.objective_history.size - 1
+        segment, adjoint = (m, 4, 4), (m, 8, 8)
+        assert accepted >= 10 and len(trials) > accepted + 1
+        # every trial, the start's forward pass included, is one M-slice stack
+        assert shapes.count(segment) == len(trials)
+        assert shapes.count(adjoint) == len(steps) == accepted + 1
+        assert len(shapes) == len(trials) + accepted + 1
+        # only the start computes its own segments; each accepted iterate
+        # reuses its trial's
+        assert steps[0] == [segment, adjoint]
+        assert all(step == [adjoint] for step in steps[1:])
+
+    @pytest.mark.parametrize("kind", ["gate", "state"])
+    def test_reusing_the_trial_changes_no_bit(self, monkeypatch, kind):
+        system, dec = MODELS["qutrit-eps"]
+        rng = np.random.default_rng(49)
+        problem = random_problem(kind, system, dec, 5, 0.4, rng)
+        start = ControlVector(rng.uniform(-1, 1, 5), rng.uniform(0, 1, 5), 0.4)
+        reused = optimize_run(problem, start, max_iter=30)
+        real = ingrape.grape_gradient
+        monkeypatch.setattr(
+            ingrape, "grape_gradient", lambda controls, problem, trial=None: real(controls, problem)
+        )
+        recomputed = optimize_run(problem, start, max_iter=30)
+        assert reused.objective_history.size > 10
+        assert reused.objective_history.tobytes() == recomputed.objective_history.tobytes()
+        assert reused.controls.u.tobytes() == recomputed.controls.u.tobytes()
+        assert reused.controls.n.tobytes() == recomputed.controls.n.tobytes()
 
     def test_precompute_is_built_once_per_problem(self, monkeypatch):
         calls = []

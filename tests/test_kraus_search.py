@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 from oqctrl import kraussearch
+from oqctrl.core import hermitian_basis, vec
 from oqctrl.kraussearch import (
     ChannelAlphabet,
     RationalComplexMatrix,
@@ -140,8 +141,12 @@ class TestExactArithmetic:
         ([[[True, 0]]], TypeError, "from True"),
         ([[[1, {"sqrt2": False}]]], TypeError, "from {'sqrt2': False}"),
         ([[[{"rational": True, "sqrt2": 0}, 0]]], TypeError, "from {'rational': True"),
+        # a float inside an object is read no more than a bare one
+        ([[[{"rational": 0.1}, 0]]], TypeError, "from {'rational': 0.1}"),
+        ([[[1, {"rational": "1/2", "sqrt2": 0.5}]]], TypeError, "'sqrt2': 0.5}"),
     ], ids=["ragged", "non-square", "empty", "one-element-pair", "float-entry", "float-imag",
-            "bool-entry", "bool-sqrt2-part", "bool-rational-part"])
+            "bool-entry", "bool-sqrt2-part", "bool-rational-part", "float-rational-part",
+            "float-sqrt2-part"])
     def test_malformed_literals_name_the_problem(self, rows, error, message):
         with pytest.raises(error, match=message):
             RationalComplexMatrix.from_literals(rows)
@@ -552,3 +557,16 @@ class TestHermitianStates:
     def test_imaginary_diagonal_is_not_hermitian(self):
         with pytest.raises(ValueError, match="not exactly Hermitian"):
             canonical_state_key(exact([[[1, 1], [0, 0]], [[0, 0], [0, 0]]]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_lattice_coordinates_share_the_float_basis_layout(self, d):
+        # core.hermitian_basis orders its coordinates as _coordinates does:
+        # the diagonal, sqrt(2) Re of the upper triangle, then sqrt(2) Im of
+        # the lower triangle (minus that of the upper)
+        m = _random_hermitian(d, np.random.default_rng(70 + d))
+        (a, b) = kraussearch._coordinates(m)
+        exact_coords = np.array([float(x) + float(y) * kraussearch._SQRT2 for x, y in zip(a, b)])
+        scale = np.concatenate([np.ones(d), np.full(d * (d - 1) // 2, np.sqrt(2)),
+                                np.full(d * (d - 1) // 2, -np.sqrt(2))])
+        float_coords = hermitian_basis(d) @ vec(m.to_numpy())
+        np.testing.assert_allclose(float_coords, scale * exact_coords, rtol=0, atol=1e-13)

@@ -123,3 +123,19 @@ def test_exact_matrix_arithmetic_has_no_python_loop(method):
         if isinstance(node, (ast.For, ast.While, ast.comprehension))
     ]
     assert loops == []
+
+
+def test_no_scipy_optimize_import():
+    # scipy.optimize adds about 18 MB of resident memory and 238 modules to
+    # every CLI start; the optimizers here are the package's own
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {m}" for m in modules if m.startswith("scipy.optimize")]
+    assert found == []

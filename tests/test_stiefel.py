@@ -6,9 +6,6 @@ from oqctrl.core import (
     apply_kraus,
     expectation,
     random_density,
-    random_hermitian,
-    random_kraus,
-    random_unitary,
 )
 from oqctrl.stiefel import (
     classify_critical_point,
@@ -26,6 +23,7 @@ from oqctrl.stiefel import (
     tangency_residual,
 )
 
+from random_matrices import random_hermitian, random_kraus, random_unitary
 from stiefel_oracles import hessian_curve
 
 
