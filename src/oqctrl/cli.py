@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, ingrape, kraussearch, lindblad, reachable, stiefel
-from .core import STRUCTURAL_TOL, bloch_from_density, validate_density
+from .core import STRUCTURAL_TOL, bloch_from_density, hermitian_coordinates, validate_density
 from .serialization import matrix_to_lists, sha256_file, write_csv, write_json
 
 # stiefel-max objectives this close to the best count as tied with it
@@ -65,12 +65,16 @@ def _typed(node, kind, path: str, entry: str = ""):
     if isinstance(node, bool) or not isinstance(node, kind):
         names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{where} must be of type {names}")
-    # a real-valued field is read as a float, which a JSON integer can exceed
+    # a real-valued field is read as a float, which a JSON integer can exceed;
+    # any other integer but the seed (arbitrary-precision entropy) is a size
+    # or a count, which must fit a machine integer
     if isinstance(node, int) and float in (kind if isinstance(kind, tuple) else (kind,)):
         try:
             float(node)
         except OverflowError:
             raise ConfigError(f"{where} is outside the float range") from None
+    elif isinstance(node, int) and path != "seed" and abs(node) > sys.maxsize:
+        raise ConfigError(f"{where} is outside the machine-integer range")
     return node
 
 
@@ -284,6 +288,9 @@ def _pulse_problem(cfg: dict) -> ingrape.PulseProblem:
     if kind not in ("gate", "state"):
         raise ConfigError("field 'kind' must be 'gate' or 'state'")
     system, dec = _models(cfg)
+    # the problem works in Hermitian coordinates, which need the dipole
+    # Hermitian to roundoff, tighter than SystemModel's check
+    _field("system.dipole", hermitian_coordinates, lindblad.hamiltonian_superoperator(system.dipole))
     m = int(_read(cfg, "grid.segments", (int,)))
     dt = float(_read(cfg, "grid.dt", (int, float)))
     if m < 1 or dt <= 0:

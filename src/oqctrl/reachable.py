@@ -23,7 +23,6 @@ from scipy.linalg import expm
 from .core import bloch_from_density
 from .lindblad import qubit_bloch_generator, qubit_system
 
-_EXPM_CHUNK = 200_000
 # (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than
 # MIN_BIN_COUNT samples are left out of the gap estimate
 DIRECTION_BINS = (12, 24)
@@ -87,16 +86,12 @@ def _draw(cfg: SamplerConfig):
 
 
 def _segment_maps(cfg: SamplerConfig, u, n, dt) -> np.ndarray:
-    """exp([[A, b], [0, 0]] dt) per segment, batched and chunked."""
+    """exp([[A, b], [0, 0]] dt) per segment, in one batched call."""
     system = qubit_system(cfg.omega, cfg.mu)
-    total = u.size
-    out = np.empty((total, 4, 4))
-    for lo in range(0, total, _EXPM_CHUNK):
-        hi = min(lo + _EXPM_CHUNK, total)
-        g = np.zeros((hi - lo, 4, 4))
-        g[:, :3, :3], g[:, :3, 3] = qubit_bloch_generator(system, cfg.gamma, u[lo:hi], n[lo:hi])
-        out[lo:hi] = expm(g * dt[lo:hi, None, None])
-    return out
+    g = np.zeros((u.size, 4, 4))
+    g[:, :3, :3], g[:, :3, 3] = qubit_bloch_generator(system, cfg.gamma, u, n)
+    g *= dt[:, None, None]
+    return expm(g)
 
 
 def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
@@ -109,19 +104,20 @@ def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
     """
     r0 = bloch_from_density(rho0)
     nseg, u, n, dt = _draw(cfg)
-    maps = _segment_maps(cfg, u, n, dt)
     first_seg = np.cumsum(nseg) - nseg
     first_pt = first_seg + np.arange(cfg.n_samples)
     points = np.empty((int(nseg.sum()) + cfg.n_samples, 3))
     points[first_pt] = r0
     # lock-step over the segment index: at step j every sample with more
-    # than j segments applies its j-th map; the live set only shrinks
+    # than j segments applies its j-th map, exponentiated at that step, so
+    # at most n_samples maps exist at once; the live set only shrinks
     live = np.arange(cfg.n_samples)
     v = np.tile(np.append(r0, 1.0), (cfg.n_samples, 1))
     for j in range(int(nseg.max())):
         keep = nseg[live] > j
         live, v = live[keep], v[keep]
-        v = np.matmul(maps[first_seg[live] + j], v[:, :, None])[:, :, 0]
+        seg = first_seg[live] + j
+        v = np.matmul(_segment_maps(cfg, u[seg], n[seg], dt[seg]), v[:, :, None])[:, :, 0]
         points[first_pt[live] + j + 1] = v[:, :3]
     return points
 

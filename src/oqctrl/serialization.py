@@ -19,6 +19,7 @@ import numpy as np
 # the one float format of every emitted file: 17 significant digits
 # round-trip any float64 exactly
 FLOAT_FORMAT = "%.17g"
+CSV_BLOCK_ROWS = 4096  # rows of a float array formatted per file write
 
 
 def matrix_to_lists(m: np.ndarray) -> list:
@@ -40,17 +41,19 @@ def fmt(x) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Header line, then one line per row; a 2-D float array is formatted
-    as one block, with the same text as formatting it cell by cell."""
-    lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        if rows.shape[0]:
-            template = "\n".join([",".join([FLOAT_FORMAT] * rows.shape[1])] * rows.shape[0])
-            lines.append(template % tuple(rows.ravel().tolist()))
-    else:
-        for row in rows:
-            lines.append(",".join(fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Header line, then one line per row, each written as it is formatted;
+    a 2-D float array goes in blocks of ``CSV_BLOCK_ROWS`` rows, one template
+    each, with the same text as formatting it cell by cell."""
+    with Path(path).open("w") as f:
+        f.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+            line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
+            for lo in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+                block = rows[lo : lo + CSV_BLOCK_ROWS]
+                f.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
+                f.write(",".join(fmt(x) for x in row) + "\n")
 
 
 def _render_json(obj, indent: int) -> str:

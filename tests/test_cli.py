@@ -568,6 +568,22 @@ CONFIG_FAULTS = {
         "simulate", set_field(qubit_simulate_config(), "system.energies[1]", -(10**400)),
         "system.energies",
     ),
+    # a JSON integer beyond the machine-integer range, where the field is a count
+    "ingrape-starts-huge-int": (
+        "ingrape", set_field(qubit_state_transfer_config(), "starts", 10**400), "starts",
+    ),
+    "reachable-samples-huge-int": (
+        "reachable", set_field(qubit_reachable_config(), "samples", 10**400), "samples",
+    ),
+    "reachable-segments-huge-int": (
+        "reachable", set_field(qubit_reachable_config(), "segments", [1, 10**400]), "segments",
+    ),
+    # Hermitian to SystemModel's 1e-9, but not to the roundoff that the
+    # pulse problem's Hermitian coordinates need
+    "ingrape-dipole-hermitian-to-1e-10": (
+        "ingrape", set_field(qubit_state_transfer_config(), "system.dipole[0][0][1]", 1e-10),
+        "system.dipole",
+    ),
     "ingrape-dt-nan": (
         "ingrape", set_field(qubit_gate_config(), "grid.dt", float("nan")), "grid.dt",
     ),
@@ -701,6 +717,14 @@ def test_config_fault_found_before_anything_runs(tmp_path, capsys, case):
     assert f"'{field}'" in err
     assert not (out / "FAILED").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_seed_beyond_machine_integers_is_accepted(tmp_path):
+    # the seed is entropy for numpy's SeedSequence, which takes any integer >= 0
+    cfg = write_config(tmp_path / "cfg.json", set_field(qubit_stiefel_config(), "seed", 2**130))
+    out = tmp_path / "out"
+    assert main(["stiefel-max", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2**130
 
 
 def test_matrix_entries_parse_bit_exactly():

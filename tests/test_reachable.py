@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,19 @@ class TestSampler:
         for rho0 in (GROUND, density_from_bloch([0.3, -0.4, 0.5])):
             fast = sample_reachable(cfg, rho0)
             assert np.array_equal(fast, sample_reachable_per_point(cfg, rho0))
+
+    def test_memory_scales_with_samples_not_segments(self):
+        # the maps of one lock-step exist at a time: 1000 samples of 40
+        # segments hold 1000 4x4 maps (128 kB), not 40 000 (5 MB)
+        cfg = small_cfg(segment_range=(40, 40), n_samples=1000)
+        tracemalloc.start()
+        try:
+            points = sample_reachable(cfg, GROUND)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (41_000, 3)
+        assert peak < points.nbytes + 3_000_000
 
     def test_closed_system_limit_stays_on_sphere(self):
         # gamma -> 0 with coherent-only schedules preserves purity

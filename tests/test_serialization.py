@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oqctrl.serialization import fmt, write_csv, write_json
+from oqctrl.serialization import CSV_BLOCK_ROWS, fmt, write_csv, write_json
 
 
 @pytest.mark.parametrize(
@@ -49,14 +51,35 @@ SPECIAL_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e17, 0.1
         np.empty((0, 3)),
         np.arange(12, dtype=np.int64).reshape(4, 3) - 5,
         np.array([[True, False, True], [False, False, True]]),
+        # one block short, one whole block, one row into a second block
+        random_bit_patterns(5, (CSV_BLOCK_ROWS - 1, 3)),
+        random_bit_patterns(6, (CSV_BLOCK_ROWS, 3)),
+        random_bit_patterns(7, (CSV_BLOCK_ROWS + 1, 3)),
     ],
-    ids=["special", "bit-patterns", "normal", "float32", "one-column", "no-rows", "int", "bool"],
+    ids=[
+        "special", "bit-patterns", "normal", "float32", "one-column", "no-rows", "int", "bool",
+        "block-minus-one", "block", "block-plus-one",
+    ],
 )
 def test_csv_of_array_matches_per_cell_fmt(tmp_path, rows):
     header = [f"c{k}" for k in range(rows.shape[1])]
     write_csv(tmp_path / "block.csv", header, rows)
     write_csv_per_cell(tmp_path / "cells.csv", header, rows)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_csv_of_large_array_is_written_in_blocks(tmp_path):
+    # formatted at once, these 100 000 rows would hold their 5.5 MB of text
+    # and a 300 000-float cell tuple, about 20 MB in all
+    rows = np.random.default_rng(8).standard_normal((100_000, 3))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["x", "y", "z"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert (tmp_path / "big.csv").stat().st_size > 5_000_000
 
 
 def test_fmt_matches_the_17_digit_format_spec():
