@@ -28,6 +28,14 @@ ROUNDOFF_TOL = 1e-13
 # sufficient-change constant and step shrink factor.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+# Trial-step limits of the two line searches: the largest first trial, the
+# smallest spectral step (the pulse descent's is its underflow step) and the
+# step below which the search gives up (underflow).
+PULSE_STEP_CAP = 1e4
+PULSE_STEP_UNDERFLOW = 1e-16
+STIEFEL_STEP_CAP = 1e3
+STIEFEL_STEP_FLOOR = 1e-10
+STIEFEL_STEP_UNDERFLOW = 1e-14
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -221,6 +229,20 @@ def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = a @ a.conj().T
     return m / np.trace(m).real
+
+
+def spectral_step(dx: np.ndarray, dg: np.ndarray, step: float, floor: float, cap: float) -> float:
+    """Barzilai-Borwein step |<dx, dg>| / <dg, dg> for the last move dx and
+    the gradient change dg (real parts of the inner products), clamped to
+    [floor, cap]; ``step`` when <dg, dg> is 0 or the ratio is not finite
+    and positive."""
+    dx, dg = np.ravel(dx), np.ravel(dg)
+    denom = float(np.real(np.vdot(dg, dg)))
+    if denom > 0:
+        bb = abs(float(np.real(np.vdot(dx, dg)))) / denom
+        if np.isfinite(bb) and bb > 0:
+            return min(max(bb, floor), cap)
+    return step
 
 
 def run_multistart(task: Callable, starts: int, seed: int, workers: int = 1) -> list:

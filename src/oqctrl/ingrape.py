@@ -34,10 +34,13 @@ from scipy.linalg import expm
 from .core import (
     ARMIJO_C,
     BACKTRACK,
+    PULSE_STEP_CAP,
+    PULSE_STEP_UNDERFLOW,
     DimensionMismatchError,
     hermitian_basis,
     hermitian_coordinates,
     run_multistart,
+    spectral_step,
     vec,
 )
 from .lindblad import DecoherenceModel, SystemModel, build_liouvillian, hamiltonian_superoperator
@@ -285,7 +288,12 @@ def optimize_run(
     """Projected-gradient descent (ascent for state transfer) with Armijo
     backtracking and bound clipping; the objective history is monotone.
 
-    A line-search underflow (no step down to 1e-16 satisfies the Armijo
+    From the second iteration on, each line search starts at the spectral
+    (Barzilai-Borwein) step of the last accepted move in (u, n) and the
+    change in gradient (:func:`oqctrl.core.spectral_step`), which makes this
+    the spectral projected gradient method of Birgin, Martinez and Raydan
+    (2000); twice the last accepted step is the fallback.  A line-search
+    underflow (no step down to ``PULSE_STEP_UNDERFLOW`` satisfies the Armijo
     condition) ends the run with ``stalled=True`` and a diagnostic message.
     """
     if max_iter < 1:
@@ -299,7 +307,12 @@ def optimize_run(
     converged = False
     stalled = False
     stall_message = ""
+    prev = None
     for it in range(1, max_iter + 1):
+        if prev is not None:
+            dx = np.concatenate([cur.u - prev[0].u, cur.n - prev[0].n])
+            dg = np.concatenate([gu - prev[1], gn - prev[2]])
+            step = spectral_step(dx, dg, step, PULSE_STEP_UNDERFLOW, PULSE_STEP_CAP)
         pu = direction * gu
         pn = direction * gn
         # drop components that push against an active bound
@@ -313,7 +326,7 @@ def optimize_run(
             break
         t = step
         accepted = False
-        while t >= 1e-16:
+        while t >= PULSE_STEP_UNDERFLOW:
             cand = _clip(cur.u + t * pu, cur.n + t * pn, cur.dt, problem)
             trial = forward_pass(cand, problem)
             if direction * (trial.value - value) >= ARMIJO_C * t * gnorm2:
@@ -327,10 +340,11 @@ def optimize_run(
                 f"objective={value:.12g}, |grad|={np.sqrt(gnorm2):.3e}"
             )
             break
+        prev = cur, gu, gn
         cur = cand
         value, gu, gn = grape_gradient(cur, problem, trial)
         history.append(value)
-        step = min(t / BACKTRACK, 1e4)
+        step = min(t / BACKTRACK, PULSE_STEP_CAP)
     return PulseRunResult(
         controls=cur,
         objective_value=value,

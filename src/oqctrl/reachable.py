@@ -29,6 +29,8 @@ DIRECTION_BINS = (12, 24)
 MIN_BIN_COUNT = 5
 # default looseness of the gap bound: max radial gap <= SLACK * gamma/omega
 SLACK = 3.0
+# points binned at a time by coverage_map, which bounds its temporaries
+COVERAGE_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -159,30 +161,33 @@ class CoverageGrid:
 
 
 def coverage_map(points: np.ndarray, resolution: int) -> CoverageGrid:
-    """Deterministic binning of a Bloch point cloud."""
+    """Deterministic binning of a Bloch point cloud, ``COVERAGE_BLOCK_ROWS``
+    points at a time; counts and maxima do not depend on the blocking."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (k, 3) array")
     res = resolution
-    idx = np.clip(((pts + 1.0) * 0.5 * res).astype(int), 0, res - 1)
-    counts = np.zeros((res, res, res), dtype=np.int64)
-    np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1)
-
     n_theta, n_phi = DIRECTION_BINS
-    norms = np.linalg.norm(pts, axis=1)
-    nonzero = norms > 1e-12
-    p = pts[nonzero]
-    r = norms[nonzero]
-    cos_t = np.clip(p[:, 2] / r, -1.0, 1.0)
-    phi = np.arctan2(p[:, 1], p[:, 0])
-    it = np.clip(((cos_t + 1.0) * 0.5 * n_theta).astype(int), 0, n_theta - 1)
-    ip = np.clip(((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), 0, n_phi - 1)
+    counts = np.zeros((res, res, res), dtype=np.int64)
     radial_max = np.zeros((n_theta, n_phi))
     radial_counts = np.zeros((n_theta, n_phi), dtype=np.int64)
-    np.maximum.at(radial_max, (it, ip), r)
-    np.add.at(radial_counts, (it, ip), 1)
+    for first in range(0, pts.shape[0], COVERAGE_BLOCK_ROWS):
+        block = pts[first : first + COVERAGE_BLOCK_ROWS]
+        idx = np.clip(((block + 1.0) * 0.5 * res).astype(int), 0, res - 1)
+        np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1)
+
+        norms = np.linalg.norm(block, axis=1)
+        nonzero = norms > 1e-12
+        p = block[nonzero]
+        r = norms[nonzero]
+        cos_t = np.clip(p[:, 2] / r, -1.0, 1.0)
+        phi = np.arctan2(p[:, 1], p[:, 0])
+        it = np.clip(((cos_t + 1.0) * 0.5 * n_theta).astype(int), 0, n_theta - 1)
+        ip = np.clip(((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), 0, n_phi - 1)
+        np.maximum.at(radial_max, (it, ip), r)
+        np.add.at(radial_counts, (it, ip), 1)
     return CoverageGrid(res, counts, radial_max, radial_counts)
 
 

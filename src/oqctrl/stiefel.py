@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ARMIJO_C, BACKTRACK, DimensionMismatchError, herm,
-                   kraus_constraint_residual, run_multistart)
+from .core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
+                   STIEFEL_STEP_UNDERFLOW, DimensionMismatchError, herm,
+                   kraus_constraint_residual, run_multistart, spectral_step)
 
 STIEFEL_TOL = 1e-10
 INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
@@ -222,16 +223,10 @@ def maximize(
             converged = True
             break
         if g_prev is not None:
-            dx = (s - s_prev).ravel()
-            dg = (g - g_prev).ravel()
-            denom = float(np.real(np.vdot(dg, dg)))
-            if denom > 0:
-                bb = abs(float(np.real(np.vdot(dx, dg)))) / denom
-                if np.isfinite(bb) and bb > 0:
-                    step = min(max(bb, 1e-10), 1e3)
+            step = spectral_step(s - s_prev, g - g_prev, step, STIEFEL_STEP_FLOOR, STIEFEL_STEP_CAP)
         t = step
         accepted = False
-        while t >= 1e-14:
+        while t >= STIEFEL_STEP_UNDERFLOW:
             cand = retract(s, t * g)
             j_cand = objective(cand, r, observable)
             if j_cand >= j + ARMIJO_C * t * gnorm**2:
@@ -249,7 +244,7 @@ def maximize(
         s, j = cand, j_cand
         history.append(j)
         steps.append(t)
-        step = min(t / BACKTRACK, 1e3)
+        step = min(t / BACKTRACK, STIEFEL_STEP_CAP)
     return OptimizationReport(
         iterations=it,
         objective_value=j,

@@ -1,15 +1,17 @@
 """Test oracles for the pulse problems: the Choi matrix of a superoperator,
 the gate infidelity of an arbitrary superoperator, the final state through
-the density-matrix propagator instead of the superoperator pairing, and the
+the density-matrix propagator instead of the superoperator pairing, the
 complex objective and gradient path in column-stacked coordinates that the
-real Hermitian-coordinate path replaced."""
+real Hermitian-coordinate path replaced, and the descent whose line search
+starts from twice the last accepted step, which the spectral step replaced."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
 
-from oqctrl.core import DimensionMismatchError, unvec, vec
+from oqctrl import ingrape
+from oqctrl.core import ARMIJO_C, BACKTRACK, DimensionMismatchError, unvec, vec
 from oqctrl.ingrape import (
     ControlVector,
     GateProblem,
@@ -112,3 +114,39 @@ def vec_grape_gradient(
     )
     value = offset + sign * float(np.real(np.sum(pairing * forward[m])))
     return value, grad_u, grad_n
+
+
+def doubling_optimize_run(
+    problem: PulseProblem, initial: ControlVector, max_iter: int, grad_tol: float = 1e-7
+) -> np.ndarray:
+    """The objective history of ``ingrape.optimize_run`` with each line
+    search started from twice the last accepted step (capped at 1e4), not
+    from the spectral step; evaluations go through the module's
+    ``forward_pass`` and ``grape_gradient``, so a patch there sees them."""
+    direction = problem.pairing[1]
+    lo, hi = problem.u_bounds
+    cur = ingrape._clip(initial.u, initial.n, initial.dt, problem)
+    value, gu, gn = ingrape.grape_gradient(cur, problem)
+    history = [value]
+    step = 1.0
+    for _ in range(max_iter):
+        pu, pn = direction * gu, direction * gn
+        pu[((cur.u >= hi) & (pu > 0)) | ((cur.u <= lo) & (pu < 0))] = 0.0
+        pn[((cur.n >= problem.n_max) & (pn > 0)) | ((cur.n <= 0.0) & (pn < 0))] = 0.0
+        gnorm2 = float(np.sum(pu**2) + np.sum(pn**2))
+        if np.sqrt(gnorm2) < grad_tol:
+            break
+        t = step
+        while t >= 1e-16:
+            cand = ingrape._clip(cur.u + t * pu, cur.n + t * pn, cur.dt, problem)
+            trial = ingrape.forward_pass(cand, problem)
+            if direction * (trial.value - value) >= ARMIJO_C * t * gnorm2:
+                break
+            t *= BACKTRACK
+        else:
+            break
+        cur = cand
+        value, gu, gn = ingrape.grape_gradient(cur, problem, trial)
+        history.append(value)
+        step = min(t / BACKTRACK, 1e4)
+    return np.array(history)

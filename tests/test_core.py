@@ -13,6 +13,7 @@ from oqctrl.core import (
     hermitian_coordinates,
     kraus_constraint_residual,
     random_density,
+    spectral_step,
     validate_density,
     vec,
 )
@@ -224,3 +225,42 @@ class TestHermitianBasis:
     def test_superoperator_that_breaks_hermiticity_rejected(self):
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
             hermitian_coordinates(hamiltonian_superoperator(np.array([[0, 1], [0, 0]])))
+
+
+class TestSpectralStep:
+    def test_ratio_of_inner_products(self):
+        dx, dg = np.array([1.0, 2.0]), np.array([3.0, 1.0])
+        assert spectral_step(dx, dg, 7.0, 1e-10, 1e3) == 5.0 / 10.0
+
+    def test_negative_curvature_takes_the_absolute_value(self):
+        dx, dg = np.array([1.0, 2.0]), np.array([-3.0, -1.0])
+        assert spectral_step(dx, dg, 7.0, 1e-10, 1e3) == 0.5
+
+    def test_complex_inputs_use_the_real_inner_product(self):
+        # Re <dx, dg> = Re(conj(1j) * 2j) = 2, <dg, dg> = 4
+        dx, dg = np.array([[1j]]), np.array([[2j]])
+        assert spectral_step(dx, dg, 7.0, 1e-10, 1e3) == 0.5
+
+    def test_zero_gradient_change_keeps_the_step(self):
+        assert spectral_step(np.ones(3), np.zeros(3), 7.0, 1e-10, 1e3) == 7.0
+
+    def test_orthogonal_change_keeps_the_step(self):
+        # <dx, dg> = 0 gives a zero ratio, which is not a step
+        dx, dg = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert spectral_step(dx, dg, 7.0, 1e-10, 1e3) == 7.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_ratio_keeps_the_step(self, bad):
+        dx, dg = np.array([bad, 1.0]), np.array([1.0, 1.0])
+        assert spectral_step(dx, dg, 7.0, 1e-10, 1e3) == 7.0
+
+    def test_overflowing_ratio_keeps_the_step(self):
+        # a finite <dg, dg> so small that the ratio overflows to infinity
+        dx, dg = np.array([1e300]), np.array([1e-160])
+        assert spectral_step(dx, dg, 7.0, 1e-10, 1e3) == 7.0
+
+    def test_clamped_at_both_ends(self):
+        dx = np.array([1.0])
+        assert spectral_step(dx, np.array([1e-6]), 7.0, 1e-10, 1e3) == 1e3
+        assert spectral_step(dx, np.array([1e12]), 7.0, 1e-10, 1e3) == 1e-10
+        assert spectral_step(dx, np.array([1.0]), 7.0, 1e-10, 1e3) == 1.0

@@ -34,6 +34,7 @@ from oqctrl.lindblad import (
 
 from pulse_oracles import (
     choi_of_superoperator,
+    doubling_optimize_run,
     final_state,
     superoperator_infidelity,
     vec_grape_gradient,
@@ -667,6 +668,65 @@ class TestAffineFastPath:
         start = ControlVector(rng.uniform(-1, 1, 4), rng.uniform(0, 1, 4), 0.3)
         optimize_run(problem, start, max_iter=10)
         assert len(calls) == 2
+
+
+class TestSpectralStep:
+    """The line search starts at the spectral step, not at twice the last
+    accepted step; counted in forward passes, not timed."""
+
+    @staticmethod
+    def tgate_scan_starts():
+        # the benchmark's tgate-scan problem: T gate, M = 10, dt = 0.3,
+        # |u| <= 2, n <= 1, six random starts per seed
+        problem = gate_problem(T_GATE, m=10, dt=0.3, gamma=0.01, u_max=2.0, n_max=1.0)
+        seeds = [ss.generate_state(1)[0] for seed in (3, 4) for ss in
+                 np.random.SeedSequence(seed).spawn(6)]
+        return problem, [ingrape._random_controls(problem, np.random.default_rng(s))
+                         for s in seeds]
+
+    def forward_passes_per_iterate(self, monkeypatch, run) -> float:
+        calls = []
+        real = ingrape.forward_pass
+        monkeypatch.setattr(ingrape, "forward_pass", lambda c, p: calls.append(c) or real(c, p))
+        problem, starts = self.tgate_scan_starts()
+        accepted = sum(run(problem, start).size - 1 for start in starts)
+        return len(calls) / accepted
+
+    def test_about_one_forward_pass_per_accepted_iterate(self, monkeypatch):
+        ratio = self.forward_passes_per_iterate(
+            monkeypatch, lambda p, s: optimize_run(p, s, max_iter=40).objective_history
+        )
+        assert ratio <= 1.3
+
+    def test_doubling_reference_needs_about_two(self, monkeypatch):
+        ratio = self.forward_passes_per_iterate(
+            monkeypatch, lambda p, s: doubling_optimize_run(p, s, max_iter=40)
+        )
+        assert ratio >= 1.8
+
+    def test_first_iterate_matches_the_reference(self):
+        # both searches start at step 1 before there is a previous move
+        problem, starts = self.tgate_scan_starts()
+        for start in starts:
+            ours = optimize_run(problem, start, max_iter=1).objective_history
+            ref = doubling_optimize_run(problem, start, max_iter=1)
+            assert ours.tobytes() == ref.tobytes()
+
+    def test_step_comes_from_the_last_move_and_gradient_change(self, monkeypatch):
+        seen = []
+        real = ingrape.spectral_step
+        monkeypatch.setattr(ingrape, "spectral_step",
+                            lambda *a: seen.append(a) or real(*a))
+        problem, starts = self.tgate_scan_starts()
+        result = optimize_run(problem, starts[0], max_iter=5)
+        assert len(seen) == result.iterations - 1 == 4
+        x0 = ingrape._clip(starts[0].u, starts[0].n, starts[0].dt, problem)
+        x1 = optimize_run(problem, starts[0], max_iter=1).controls
+        (_, gu0, gn0), (_, gu1, gn1) = grape_gradient(x0, problem), grape_gradient(x1, problem)
+        dx, dg, _, floor, cap = seen[0]
+        assert dx.tobytes() == np.concatenate([x1.u - x0.u, x1.n - x0.n]).tobytes()
+        assert dg.tobytes() == np.concatenate([gu1 - gu0, gn1 - gn0]).tobytes()
+        assert (floor, cap) == (ingrape.PULSE_STEP_UNDERFLOW, ingrape.PULSE_STEP_CAP)
 
 
 class TestClusterReport:

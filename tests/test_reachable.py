@@ -175,6 +175,31 @@ class TestCoverageMap:
         grid = coverage_map(pts, resolution=20)
         assert grid.occupancy_fraction > 0.999
 
+    def test_memory_is_bounded_by_the_block_not_the_cloud(self):
+        # binning the whole cloud at once held ~100 MB of temporaries for these 24 MB
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(-0.5, 0.5, (1_000_000, 3))
+        tracemalloc.start()
+        try:
+            grid = coverage_map(pts, resolution=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.counts.sum() == grid.radial_counts.sum() == 1_000_000
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_blocking_changes_no_bit(self, monkeypatch, rows):
+        cfg = small_cfg(n_samples=500)
+        pts = sample_reachable(cfg, GROUND)
+        pts[::97] = 0.0  # zero points are binned but have no direction
+        whole = coverage_map(pts, resolution=10)
+        assert pts.shape[0] < reachable.COVERAGE_BLOCK_ROWS
+        monkeypatch.setattr(reachable, "COVERAGE_BLOCK_ROWS", rows)
+        blocked = coverage_map(pts, resolution=10)
+        for name in ("counts", "radial_max", "radial_counts"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
     def test_occupancy_monotone_in_points(self):
         cfg = small_cfg(n_samples=2000)
         pts = sample_reachable(cfg, GROUND)

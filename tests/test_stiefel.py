@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oqctrl import stiefel
 from oqctrl.core import (
     PAULI_Z,
     apply_kraus,
@@ -384,6 +385,21 @@ class TestMaximize:
         for ra, rb in zip(a, b):
             assert ra.objective_value == rb.objective_value
             assert ra.iterations == rb.iterations
+
+    def test_step_comes_from_the_last_move_and_gradient_change(self, monkeypatch):
+        seen = []
+        real = stiefel.spectral_step
+        monkeypatch.setattr(stiefel, "spectral_step", lambda *a: seen.append(a) or real(*a))
+        rng = np.random.default_rng(27)
+        rho, obs = random_density(3, rng), random_hermitian(3, rng)
+        report = maximize(rho, obs, seed=3, max_iter=3)
+        assert len(seen) == report.iterations - 1 == 2
+        s0 = random_stiefel(3, np.random.default_rng(3))
+        s1 = maximize(rho, obs, seed=3, max_iter=1).point
+        g0, g1 = (project_tangent(s, gradient(s, rho, obs)) for s in (s0, s1))
+        dx, dg, _, floor, cap = seen[0]
+        assert dx.tobytes() == (s1 - s0).tobytes() and dg.tobytes() == (g1 - g0).tobytes()
+        assert (floor, cap) == (stiefel.STIEFEL_STEP_FLOOR, stiefel.STIEFEL_STEP_CAP)
 
 
 class TestClassification:
