@@ -166,11 +166,13 @@ def _models(cfg: dict) -> tuple[lindblad.SystemModel, lindblad.DecoherenceModel]
 
 def _multistart(cfg: dict, **kinds) -> tuple[int, dict]:
     """The number of starts (default 1) and the optimizer options the config
-    sets: ``max_iter``, ``grad_tol`` and ``kinds``.  Counts must be >= 1."""
+    sets: ``max_iter``, ``grad_tol`` and ``kinds``.  Counts must be >= 1 and
+    tolerances >= 0."""
     options = _given(cfg, starts=int, max_iter=int, grad_tol=float, **kinds)
-    for count in ("starts", "max_iter"):
-        if options.get(count, 1) < 1:
-            raise ConfigError(f"field '{count}' must be >= 1")
+    for name, value in options.items():
+        least = 1 if name in ("starts", "max_iter") else 0
+        if value < least:
+            raise ConfigError(f"field '{name}' must be >= {least}")
     return options.pop("starts", 1), options
 
 
@@ -318,8 +320,6 @@ def _pulse_problem(cfg: dict) -> ingrape.PulseProblem:
 def _cmd_ingrape(cfg: dict, seed, workers):
     problem = _pulse_problem(cfg)
     starts, options = _multistart(cfg, gap_tol=float)
-    if options.get("gap_tol", 0.0) < 0:
-        raise ConfigError("field 'gap_tol' must be >= 0")
 
     def run(out: Path) -> list[str]:
         scan = ingrape.optimize_pulse(problem, starts=starts, seed=seed, workers=workers, **options)
@@ -427,6 +427,8 @@ def _cmd_reachable(cfg: dict, seed, workers):
             sampler = _field(key, dataclasses.replace, sampler, **{attr: read(key)})
     rho0 = _state_from(cfg, "initial_state", 2) if "initial_state" in cfg else np.diag([1.0, 0j])
     slack = float(_read(cfg, "slack", (int, float), reachable.SLACK))
+    if not slack > 0:
+        raise ConfigError("field 'slack' must be > 0")
 
     def run(out: Path) -> list[str]:
         study = reachable.run_reachability_study(sampler, rho0, slack=slack)

@@ -38,12 +38,12 @@ from .core import (
     PULSE_STEP_UNDERFLOW,
     DimensionMismatchError,
     hermitian_basis,
-    hermitian_coordinates,
     run_multistart,
     spectral_step,
     vec,
 )
-from .lindblad import DecoherenceModel, SystemModel, build_liouvillian, hamiltonian_superoperator
+# build_liouvillian: perfbench's test_tracer_rebinds_imported_names_and_restores_them calls it here
+from .lindblad import DecoherenceModel, SystemModel, affine_generator, build_liouvillian
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,8 @@ class PulseProblem:
 
     @cached_property
     def affine_generator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(L0, Du, Dn): the generator at u = n = 0 and its two directions,
-        each the real matrix T L T^dag in Hermitian coordinates."""
-        l0 = build_liouvillian(self.system, self.decoherence, 0.0, 0.0)
-        dn = build_liouvillian(self.system, self.decoherence, 0.0, 1.0) - l0
-        du = hamiltonian_superoperator(self.system.dipole)
-        return hermitian_coordinates(l0), hermitian_coordinates(du), hermitian_coordinates(dn)
+        """The (L0, Du, Dn) of :func:`lindblad.affine_generator`, once per problem."""
+        return affine_generator(self.system, self.decoherence)
 
     def _real_pairing(self, pairing: np.ndarray) -> np.ndarray:
         """Re(conj(T) P T^T): sum(P o G) for G in column-stacked coordinates

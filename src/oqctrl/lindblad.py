@@ -16,6 +16,8 @@ For the two-level system with ``A = gamma`` this reduces to the damped qubit
 with downward rate ``gamma (n + 1)`` and upward rate ``gamma n``.
 
 Superoperators act on column-stacked density matrices (``core.vec``).
+inGRAPE and the qubit reachable-set sampler propagate with the real triple
+(L0, Du, Dn) of L(u, n) = L0 + u Du + n Dn from :func:`affine_generator`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     DimensionMismatchError,
     ValidationReport,
     herm,
+    hermitian_coordinates,
     unvec,
     validate_density,
     vec,
@@ -89,10 +92,6 @@ class SystemModel:
 
     def hamiltonian(self, u: float) -> np.ndarray:
         return self.h0 + u * self.dipole
-
-    def transition_frequency(self, i: int, j: int) -> float:
-        """omega_ij = E_j - E_i (antisymmetric in i, j)."""
-        return float(self.energies[j] - self.energies[i])
 
 
 @dataclass(frozen=True)
@@ -233,6 +232,18 @@ def build_liouvillian(
     return gen
 
 
+def affine_generator(
+    system: SystemModel, decoherence: DecoherenceModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L0, Du, Dn): the generator at u = n = 0 and its two directions for an
+    occupation n shared by every transition, each the real matrix T L T^dag
+    in Hermitian coordinates (T from ``core.hermitian_basis``)."""
+    l0 = build_liouvillian(system, decoherence, 0.0, 0.0)
+    dn = build_liouvillian(system, decoherence, 0.0, 1.0) - l0
+    du = hamiltonian_superoperator(system.dipole)
+    return hermitian_coordinates(l0), hermitian_coordinates(du), hermitian_coordinates(dn)
+
+
 def propagate_segment(liouvillian: np.ndarray, rho, dt: float) -> np.ndarray:
     """Evolve rho for time dt under a constant generator, exp(L dt) vec(rho).
 
@@ -289,44 +300,6 @@ def qubit_decoherence(gamma: float) -> DecoherenceModel:
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     return DecoherenceModel(couplings=np.array([[0.0, gamma], [gamma, 0.0]]), epsilon=1.0)
-
-
-def qubit_bloch_generator(system: SystemModel, gamma: float, u, n) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch-picture generator dr/dt = A r + b of the damped qubit.
-
-    Expects the two-level model of :func:`qubit_system` (energies (0, omega),
-    dipole mu sigma_x) with transition coupling ``gamma`` and downward /
-    upward rates ``gamma (n + 1)`` / ``gamma n``.  Equivalent to converting
-    :func:`build_liouvillian` to Bloch coordinates; the closed form is
-
-        A = [[-G/2,   w,      0   ],          b = (0, 0, gamma)
-             [ -w,   -G/2,  -2 mu u],
-             [  0,   2 mu u,  -G  ]],   G = gamma (2 n + 1).
-
-    ``u`` and ``n`` broadcast against each other; for arrays of shape S the
-    results stack to shapes S + (3, 3) and S + (3,).
-    """
-    if system.dim != 2:
-        raise DimensionMismatchError("Bloch generator requires a two-level system")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    u, n = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(n, dtype=float))
-    if np.any(n < 0):
-        raise ValueError("occupation n must be nonnegative")
-    v = system.dipole
-    if abs(v[0, 0]) > STRUCTURAL_TOL or abs(v[1, 1]) > STRUCTURAL_TOL or abs(v[0, 1].imag) > STRUCTURAL_TOL:
-        raise ValueError("dipole operator must be mu * sigma_x")
-    mu = float(v[0, 1].real)
-    omega = system.transition_frequency(0, 1)
-    big_g = gamma * (2.0 * n + 1.0)
-    a = np.zeros(u.shape + (3, 3))
-    a[..., 0, 0] = a[..., 1, 1] = -0.5 * big_g
-    a[..., 0, 1], a[..., 1, 0] = omega, -omega
-    a[..., 1, 2], a[..., 2, 1] = -2.0 * mu * u, 2.0 * mu * u
-    a[..., 2, 2] = -big_g
-    b = np.zeros(u.shape + (3,))
-    b[..., 2] = gamma
-    return a, b
 
 
 def cardano_eigenvalues(matrix) -> np.ndarray:

@@ -8,9 +8,10 @@ unreachable region is an over-approximation and all pass/fail thresholds
 carry a declared slack constant.
 
 The propagation runs in Bloch coordinates, dr/dt = A r + b, through batched
-exponentials of the augmented 4x4 generator [[A, b], [0, 0]]; this is
-algebraically the same flow as the density-matrix propagator (see the
-equivalence test in the suite).
+exponentials of the augmented 4x4 generator [[A, b], [0, 0]]: lindblad's
+affine triple (L0, Du, Dn) carried to the Bloch coordinates by one fixed
+change of basis, so the sampler and the density-matrix propagator share one
+GKSL generator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import bloch_from_density
-from .lindblad import qubit_bloch_generator, qubit_system
+from .lindblad import affine_generator, qubit_decoherence, qubit_system
 
 # (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than
 # MIN_BIN_COUNT samples are left out of the gap estimate
@@ -31,6 +32,9 @@ MIN_BIN_COUNT = 5
 SLACK = 3.0
 # points binned at a time by coverage_map, which bounds its temporaries
 COVERAGE_BLOCK_ROWS = 16384
+# S with (x, y, z, Tr rho) = S c for the coordinates c = (rho00, rho11,
+# sqrt2 Re rho01, sqrt2 Im rho10) of core.hermitian_basis(2)
+BLOCH_FROM_HERMITIAN = np.array([[0, 0, 2**0.5, 0], [0, 0, 0, 2**0.5], [1, -1, 0, 0], [1, 1, 0, 0]])
 
 
 @dataclass(frozen=True)
@@ -87,13 +91,17 @@ def _draw(cfg: SamplerConfig):
     return nseg, u, n, dt
 
 
-def _segment_maps(cfg: SamplerConfig, u, n, dt) -> np.ndarray:
-    """exp([[A, b], [0, 0]] dt) per segment, in one batched call."""
-    system = qubit_system(cfg.omega, cfg.mu)
-    g = np.zeros((u.size, 4, 4))
-    g[:, :3, :3], g[:, :3, 3] = qubit_bloch_generator(system, cfg.gamma, u, n)
-    g *= dt[:, None, None]
-    return expm(g)
+def bloch_generator(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G0, Gu, Gn) with [[A, b], [0, 0]] = G0 + u Gu + n Gn: lindblad's
+    affine triple of the damped qubit, conjugated by ``BLOCH_FROM_HERMITIAN``."""
+    triple = affine_generator(qubit_system(cfg.omega, cfg.mu), qubit_decoherence(cfg.gamma))
+    return tuple(BLOCH_FROM_HERMITIAN @ g @ np.linalg.inv(BLOCH_FROM_HERMITIAN) for g in triple)
+
+
+def _segment_maps(generator, u, n, dt) -> np.ndarray:
+    """exp((G0 + u Gu + n Gn) dt) per segment, in one batched call."""
+    g0, gu, gn = generator
+    return expm((u[:, None, None] * gu + n[:, None, None] * gn + g0) * dt[:, None, None])
 
 
 def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
@@ -105,6 +113,7 @@ def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
     (up to roundoff).
     """
     r0 = bloch_from_density(rho0)
+    generator = bloch_generator(cfg)
     nseg, u, n, dt = _draw(cfg)
     first_seg = np.cumsum(nseg) - nseg
     first_pt = first_seg + np.arange(cfg.n_samples)
@@ -119,7 +128,7 @@ def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
         keep = nseg[live] > j
         live, v = live[keep], v[keep]
         seg = first_seg[live] + j
-        v = np.matmul(_segment_maps(cfg, u[seg], n[seg], dt[seg]), v[:, :, None])[:, :, 0]
+        v = np.matmul(_segment_maps(generator, u[seg], n[seg], dt[seg]), v[:, :, None])[:, :, 0]
         points[first_pt[live] + j + 1] = v[:, :3]
     return points
 
@@ -191,6 +200,26 @@ def coverage_map(points: np.ndarray, resolution: int) -> CoverageGrid:
     return CoverageGrid(res, counts, radial_max, radial_counts)
 
 
+def _prefix_and_whole(
+    points: np.ndarray, split: int, resolution: int
+) -> tuple[CoverageGrid | None, CoverageGrid]:
+    """Grids of ``points[:split]`` (None when empty) and of all the points,
+    binning each point once: the prefix and rest grids merge (counts add,
+    radial maxima take the larger) into one ``coverage_map``'s grid, bit for bit."""
+    if split == 0:
+        return None, coverage_map(points, resolution)
+    prefix = coverage_map(points[:split], resolution)
+    if split == points.shape[0]:
+        return prefix, prefix
+    rest = coverage_map(points[split:], resolution)
+    return prefix, CoverageGrid(
+        resolution,
+        prefix.counts + rest.counts,
+        np.maximum(prefix.radial_max, rest.radial_max),
+        prefix.radial_counts + rest.radial_counts,
+    )
+
+
 @dataclass(frozen=True)
 class UnreachableReport:
     """Empirical unreachable-region measures against the delta*gamma/omega
@@ -229,6 +258,8 @@ def unreachable_report(
     """
     if gamma < 0 or omega <= 0:
         raise ValueError("need gamma >= 0 and omega > 0")
+    if not slack > 0:
+        raise ValueError("slack must be positive")
     if occupancy_change is not None and occupancy_change > 0.005:
         raise ValueError(
             f"grid not converged: occupancy changed by {occupancy_change:.3%} on doubling"
@@ -274,15 +305,11 @@ def run_reachability_study(cfg: SamplerConfig, rho0, slack: float = SLACK) -> St
     count must change the occupancy fraction by less than 0.5%.
     """
     points = sample_reachable(cfg, rho0)
-    grid = coverage_map(points, cfg.resolution)
     nseg = _segment_counts(cfg, np.random.default_rng(cfg.seed))
     half_samples = cfg.n_samples // 2
     prefix_points = int(nseg[:half_samples].sum()) + half_samples
-    if half_samples >= 1:
-        half_grid = coverage_map(points[:prefix_points], cfg.resolution)
-        change = abs(grid.occupancy_fraction - half_grid.occupancy_fraction)
-    else:
-        change = 0.0
+    half_grid, grid = _prefix_and_whole(points, prefix_points, cfg.resolution)
+    change = 0.0 if half_grid is None else abs(grid.occupancy_fraction - half_grid.occupancy_fraction)
     report = unreachable_report(
         grid, cfg.gamma, cfg.omega, slack=slack, occupancy_change=change
     )

@@ -623,6 +623,18 @@ CONFIG_FAULTS = {
     "ingrape-gap-tol-negative": (
         "ingrape", set_field(qubit_state_transfer_config(), "gap_tol", -1), "gap_tol",
     ),
+    # a negative tolerance can never be met, so every start would run to max_iter
+    "stiefel-grad-tol-negative": (
+        "stiefel-max", set_field(qubit_stiefel_config(), "grad_tol", -1.0), "grad_tol",
+    ),
+    "ingrape-grad-tol-negative": (
+        "ingrape", set_field(qubit_gate_config(), "grad_tol", -1.0), "grad_tol",
+    ),
+    # a slack of zero or below fails every report whatever the sampled cloud
+    "reachable-slack-negative": (
+        "reachable", set_field(qubit_reachable_config(), "slack", -1.0), "slack",
+    ),
+    "reachable-slack-0": ("reachable", set_field(qubit_reachable_config(), "slack", 0), "slack"),
     # JSON booleans are Python ints, but no field takes one as a number
     "ingrape-max-iter-true": ("ingrape", set_field(qubit_gate_config(), "max_iter", True), "max_iter"),
     "ingrape-starts-true": ("ingrape", set_field(qubit_gate_config(), "starts", True), "starts"),

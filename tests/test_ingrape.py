@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
-from oqctrl import ingrape
+from oqctrl import ingrape, lindblad
 from oqctrl.core import (
     PAULI_X,
     PAULI_Y,
@@ -27,6 +27,7 @@ from oqctrl.ingrape import (
 from oqctrl.lindblad import (
     DecoherenceModel,
     SystemModel,
+    affine_generator,
     build_liouvillian,
     qubit_decoherence,
     qubit_system,
@@ -524,9 +525,7 @@ class TestAffineFastPath:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_affine_generator_matches_build_liouvillian(self, name):
         system, dec = MODELS[name]
-        problem = GateProblem(system=system, decoherence=dec,
-                              target=np.eye(system.dim, dtype=complex), n_segments=1, dt=0.1)
-        l0, du, dn = problem.affine_generator
+        l0, du, dn = affine_generator(system, dec)
         assert l0.dtype == du.dtype == dn.dtype == np.float64
         t = hermitian_basis(system.dim)
         rng = np.random.default_rng(41)
@@ -537,6 +536,14 @@ class TestAffineFastPath:
                 t.conj().T @ (l0 + u * du + n * dn) @ t, build_liouvillian(system, dec, u, n),
                 rtol=0, atol=1e-13,
             )
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_problem_uses_lindblads_affine_generator(self, name):
+        system, dec = MODELS[name]
+        problem = GateProblem(system=system, decoherence=dec,
+                              target=np.eye(system.dim, dtype=complex), n_segments=1, dt=0.1)
+        for got, want in zip(problem.affine_generator, affine_generator(system, dec), strict=True):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("kind", ["gate", "state"])
@@ -660,9 +667,11 @@ class TestAffineFastPath:
         assert reused.controls.n.tobytes() == recomputed.controls.n.tobytes()
 
     def test_precompute_is_built_once_per_problem(self, monkeypatch):
+        # the triple is built by lindblad.affine_generator, which looks the
+        # builder up in lindblad's namespace
         calls = []
-        real = ingrape.build_liouvillian
-        monkeypatch.setattr(ingrape, "build_liouvillian", lambda *a: calls.append(a) or real(*a))
+        real = lindblad.build_liouvillian
+        monkeypatch.setattr(lindblad, "build_liouvillian", lambda *a: calls.append(a) or real(*a))
         problem = gate_problem(T_GATE, m=4, dt=0.3, gamma=0.01)
         rng = np.random.default_rng(43)
         start = ControlVector(rng.uniform(-1, 1, 4), rng.uniform(0, 1, 4), 0.3)

@@ -20,7 +20,6 @@ from oqctrl.lindblad import (
     decoherence_rate,
     propagate_schedule,
     propagate_segment,
-    qubit_bloch_generator,
     qubit_decoherence,
     qubit_system,
     stationary_state,
@@ -224,88 +223,6 @@ class TestPropagation:
         schedule = ControlSchedule(np.array([1.0]), np.array([0.0]), np.array([0.0]))
         with pytest.raises(PropagationFailure):
             propagate_schedule(qubit_system(1.0, 1.0), qubit_decoherence(0.1), schedule, bad)
-
-
-class TestQubitBlochGenerator:
-    def test_matches_liouvillian_derivative(self):
-        # defining identity: d bloch / dt from the Bloch form equals the
-        # Bloch image of the density-matrix derivative
-        rng = np.random.default_rng(13)
-        system = qubit_system(1.7, 0.8)
-        gamma = 0.33
-        dec = qubit_decoherence(gamma)
-        for _ in range(20):
-            u = rng.uniform(-2, 2)
-            n = rng.uniform(0, 3)
-            a, b = qubit_bloch_generator(system, gamma, u, n)
-            gen = build_liouvillian(system, dec, u, n)
-            rho = random_density(2, rng)
-            r = bloch_from_density(rho)
-            drho = (gen @ vec(rho)).reshape(2, 2, order="F")
-            lhs = a @ r + b
-            rhs = bloch_from_density(drho)  # Tr(drho sigma_a), drho Hermitian
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_structure_at_zero_drive(self):
-        system = qubit_system(2.0, 1.0)
-        gamma, n = 0.5, 0.7
-        a, b = qubit_bloch_generator(system, gamma, 0.0, n)
-        big_g = gamma * (2 * n + 1)
-        np.testing.assert_allclose(np.diag(a), [-big_g / 2, -big_g / 2, -big_g])
-        assert a[0, 1] == pytest.approx(2.0) and a[1, 0] == pytest.approx(-2.0)
-        assert a[2, 0] == a[0, 2] == 0.0
-        np.testing.assert_allclose(b, [0.0, 0.0, gamma])
-
-    def test_fixed_point_tends_to_center_for_large_n(self):
-        system = qubit_system(1.0, 1.0)
-        a, b = qubit_bloch_generator(system, 0.4, 0.0, 1e6)
-        fixed = np.linalg.solve(a, -b)
-        assert np.linalg.norm(fixed) < 1e-6
-
-    def test_trajectory_consistency_long_run(self):
-        # Bloch flow and density flow agree over 10 time units
-        system = qubit_system(1.0, 1.0)
-        gamma = 0.25
-        dec = qubit_decoherence(gamma)
-        u, n = 0.6, 0.8
-        a, b = qubit_bloch_generator(system, gamma, u, n)
-        gen = build_liouvillian(system, dec, u, n)
-        rho = density_from_bloch([0.3, -0.2, 0.4])
-        aug = np.zeros((4, 4))
-        aug[:3, :3] = a
-        aug[:3, 3] = b
-        r_aug = np.array([0.3, -0.2, 0.4, 1.0])
-        for t in np.linspace(0.5, 10.0, 20):
-            r_bloch = (expm(aug * t) @ r_aug)[:3]
-            r_dens = bloch_from_density(propagate_segment(gen, rho, t))
-            assert np.max(np.abs(r_bloch - r_dens)) < 1e-9
-
-    def test_arrays_stack_the_scalar_results(self):
-        rng = np.random.default_rng(14)
-        system = qubit_system(1.3, 0.7)
-        u = rng.uniform(-3, 3, (4, 5))
-        n = rng.uniform(0, 2, (4, 5))
-        a, b = qubit_bloch_generator(system, 0.2, u, n)
-        assert a.shape == (4, 5, 3, 3) and b.shape == (4, 5, 3)
-        for idx in np.ndindex(u.shape):
-            a1, b1 = qubit_bloch_generator(system, 0.2, u[idx], n[idx])
-            assert np.array_equal(a[idx], a1) and np.array_equal(b[idx], b1)
-        # a scalar u broadcasts against an array n
-        a_b, _ = qubit_bloch_generator(system, 0.2, 0.5, n[0])
-        assert np.array_equal(a_b, qubit_bloch_generator(system, 0.2, np.full(5, 0.5), n[0])[0])
-
-    @pytest.mark.parametrize("where", [0, 3, -1])
-    def test_negative_occupation_anywhere_rejected(self, where):
-        n = np.full(6, 0.5)
-        n[where] = -1e-12
-        with pytest.raises(ValueError, match="nonnegative"):
-            qubit_bloch_generator(qubit_system(1.0, 1.0), 0.1, np.zeros(6), n)
-
-    def test_requires_qubit(self):
-        rng = np.random.default_rng(1)
-        system, _ = random_model(3, rng)
-        with pytest.raises(DimensionMismatchError):
-            qubit_bloch_generator(system, 0.1, 0.0, 0.0)
 
 
 class TestCardano:

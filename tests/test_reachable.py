@@ -2,25 +2,33 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oqctrl import reachable
-from oqctrl.core import bloch_from_density, density_from_bloch
+from oqctrl.core import bloch_from_density, density_from_bloch, hermitian_basis, random_density, vec
 from oqctrl.lindblad import (
     ControlSchedule,
+    build_liouvillian,
     propagate_schedule,
+    propagate_segment,
     qubit_decoherence,
     qubit_system,
 )
 from oqctrl.reachable import (
+    BLOCH_FROM_HERMITIAN,
     CoverageGrid,
     SamplerConfig,
     _draw,
+    _prefix_and_whole,
     _segment_maps,
+    bloch_generator,
     coverage_map,
     run_reachability_study,
     sample_reachable,
     unreachable_report,
 )
+
+from bloch_oracles import qubit_bloch_generator
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -50,7 +58,7 @@ def sample_reachable_per_point(cfg, rho0):
     """Reference sampler: each sample's segment maps applied one at a time."""
     r0 = bloch_from_density(rho0)
     nseg, u, n, dt = _draw(cfg)
-    maps = _segment_maps(cfg, u, n, dt)
+    maps = _segment_maps(bloch_generator(cfg), u, n, dt)
     points = np.empty((int(nseg.sum()) + cfg.n_samples, 3))
     offset = 0
     k = 0
@@ -65,6 +73,92 @@ def sample_reachable_per_point(cfg, rho0):
             k += 1
             offset += 1
     return points[:k]
+
+
+def bloch_flow(cfg, u, n):
+    """A, b and the last row of the sampler's augmented generator at (u, n)."""
+    g0, gu, gn = bloch_generator(cfg)
+    g = g0 + u * gu + n * gn
+    return g[:3, :3], g[:3, 3], g[3]
+
+
+class TestBlochGenerator:
+    def test_matches_liouvillian_derivative(self):
+        # defining identity: d bloch / dt from the Bloch form equals the
+        # Bloch image of the density-matrix derivative
+        rng = np.random.default_rng(13)
+        cfg = SamplerConfig(omega=1.7, mu=0.8, gamma=0.33)
+        system, dec = qubit_system(cfg.omega, cfg.mu), qubit_decoherence(cfg.gamma)
+        for _ in range(20):
+            u = rng.uniform(-2, 2)
+            n = rng.uniform(0, 3)
+            a, b, _ = bloch_flow(cfg, u, n)
+            gen = build_liouvillian(system, dec, u, n)
+            rho = random_density(2, rng)
+            r = bloch_from_density(rho)
+            drho = (gen @ vec(rho)).reshape(2, 2, order="F")
+            lhs = a @ r + b
+            rhs = bloch_from_density(drho)  # Tr(drho sigma_a), drho Hermitian
+            assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_structure_at_zero_drive(self):
+        gamma, n = 0.5, 0.7
+        a, b, last = bloch_flow(SamplerConfig(omega=2.0, mu=1.0, gamma=gamma), 0.0, n)
+        big_g = gamma * (2 * n + 1)
+        np.testing.assert_allclose(np.diag(a), [-big_g / 2, -big_g / 2, -big_g])
+        assert a[0, 1] == pytest.approx(2.0) and a[1, 0] == pytest.approx(-2.0)
+        assert a[2, 0] == a[0, 2] == 0.0
+        np.testing.assert_allclose(b, [0.0, 0.0, gamma])
+        # the trace is conserved exactly, not up to roundoff
+        assert np.array_equal(last, np.zeros(4))
+
+    def test_fixed_point_tends_to_center_for_large_n(self):
+        a, b, _ = bloch_flow(SamplerConfig(omega=1.0, mu=1.0, gamma=0.4), 0.0, 1e6)
+        fixed = np.linalg.solve(a, -b)
+        assert np.linalg.norm(fixed) < 1e-6
+
+    def test_trajectory_consistency_long_run(self):
+        # Bloch flow and density flow agree over 10 time units
+        cfg = SamplerConfig(omega=1.0, mu=1.0, gamma=0.25)
+        u, n = 0.6, 0.8
+        a, b, _ = bloch_flow(cfg, u, n)
+        gen = build_liouvillian(qubit_system(cfg.omega, cfg.mu), qubit_decoherence(cfg.gamma), u, n)
+        rho = density_from_bloch([0.3, -0.2, 0.4])
+        aug = np.zeros((4, 4))
+        aug[:3, :3] = a
+        aug[:3, 3] = b
+        r_aug = np.array([0.3, -0.2, 0.4, 1.0])
+        for t in np.linspace(0.5, 10.0, 20):
+            r_bloch = (expm(aug * t) @ r_aug)[:3]
+            r_dens = bloch_from_density(propagate_segment(gen, rho, t))
+            assert np.max(np.abs(r_bloch - r_dens)) < 1e-9
+
+    @pytest.mark.parametrize("u", [-10.0, 0.0, 3.7, 10.0])
+    @pytest.mark.parametrize("n", [0.0, 0.4, 1.0, 1e3, 1e6])
+    def test_matches_closed_form_oracle(self, u, n):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            cfg = SamplerConfig(
+                omega=rng.uniform(0.1, 5.0), mu=rng.uniform(0.1, 3.0), gamma=rng.uniform(1e-3, 1.0)
+            )
+            a, b, last = bloch_flow(cfg, u, n)
+            a_ref, b_ref = qubit_bloch_generator(qubit_system(cfg.omega, cfg.mu), cfg.gamma, u, n)
+            tol = 1e-15 * max(1.0, float(np.abs(a_ref).max()))
+            assert np.abs(a - a_ref).max() <= tol
+            assert np.abs(b - b_ref).max() <= tol
+            assert np.array_equal(last, np.zeros(4))
+
+    def test_bloch_from_hermitian_maps_coordinates_to_bloch_and_trace(self):
+        # S c = (x, y, z, Tr rho) for the Hermitian coordinates c = T vec(rho),
+        # also for a matrix of trace other than 1
+        rng = np.random.default_rng(18)
+        t = hermitian_basis(2)
+        for scale in (1.0, 1.0, 1.0, 2.5):
+            rho = scale * random_density(2, rng)
+            c = t @ vec(rho)
+            assert np.max(np.abs(c.imag)) < 1e-15
+            want = np.append(bloch_from_density(rho), np.trace(rho).real)
+            np.testing.assert_allclose(BLOCH_FROM_HERMITIAN @ c.real, want, rtol=0, atol=1e-15)
 
 
 class TestSampler:
@@ -222,6 +316,12 @@ class TestUnreachableReport:
         assert report.bound_gamma_over_omega == pytest.approx(0.01)
         assert report.slack == 3.0
 
+    @pytest.mark.parametrize("slack", [-1.0, 0.0, float("nan")])
+    def test_slack_must_be_positive(self, slack):
+        grid = coverage_map(np.array([[0.1, 0.2, -0.3]]), 10)
+        with pytest.raises(ValueError, match="slack"):
+            unreachable_report(grid, 0.01, 1.0, slack=slack)
+
     def test_non_converged_grid_rejected(self):
         cfg = small_cfg(n_samples=500)
         grid = coverage_map(sample_reachable(cfg, GROUND), 10)
@@ -259,3 +359,35 @@ class TestUnreachableReport:
             gaps[gamma] = unreachable_report(grid, gamma, cfg.omega).max_radial_gap
         ratio = gaps[0.1] / gaps[0.01]
         assert 2.5 <= ratio <= 40.0
+
+
+class TestStudyBinning:
+    @pytest.mark.parametrize("where", ["zero", "one", "block", "block+1", "end"])
+    def test_merged_grid_is_one_coverage_map(self, monkeypatch, where):
+        monkeypatch.setattr(reachable, "COVERAGE_BLOCK_ROWS", 64)
+        pts = sample_reachable(small_cfg(n_samples=100), GROUND)
+        pts[::13] = 0.0  # zero points are binned but have no direction
+        split = {"zero": 0, "one": 1, "block": 128, "block+1": 129, "end": len(pts)}[where]
+        prefix, whole = _prefix_and_whole(pts, split, 10)
+        assert (prefix is None) == (split == 0)
+        pairs = [(whole, coverage_map(pts, 10))]
+        if split:
+            pairs.append((prefix, coverage_map(pts[:split], 10)))
+        for got, want in pairs:
+            for name in ("counts", "radial_max", "radial_counts"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 301])
+    def test_study_bins_each_point_once(self, monkeypatch, n_samples):
+        binned = []
+        real = reachable.coverage_map
+        monkeypatch.setattr(
+            reachable, "coverage_map", lambda pts, res: binned.append(len(pts)) or real(pts, res)
+        )
+        cfg = small_cfg(n_samples=n_samples, resolution=2)
+        study = run_reachability_study(cfg, GROUND)
+        assert sum(binned) == len(study.points)
+        assert len(binned) == (1 if n_samples == 1 else 2)
+        whole = real(study.points, cfg.resolution)
+        assert study.grid.counts.tobytes() == whole.counts.tobytes()
+        assert study.grid.radial_max.tobytes() == whole.radial_max.tobytes()
