@@ -246,15 +246,21 @@ def spectral_step(dx: np.ndarray, dg: np.ndarray, step: float, floor: float, cap
 
 
 def run_multistart(task: Callable, starts: int, seed: int, workers: int = 1) -> list:
-    """``task(seed=s)`` for the ``starts`` child seeds that
-    ``SeedSequence(seed).spawn`` gives, in start order, serially or in a
-    pool of ``workers`` processes (``task`` must then pickle); the results do
-    not depend on ``workers``."""
+    """The results of ``task(seeds)``, one per seed, for the ``starts`` child
+    seeds that ``SeedSequence(seed).spawn`` gives, in start order.  The
+    seeds go out in contiguous blocks: all in one block when ``workers`` is
+    1, else one block per process of a pool of ``workers`` (``task`` must
+    then pickle).  The results do not depend on ``workers`` as long as
+    ``task``'s result for a seed does not depend on the rest of its block."""
     if starts < 1:
         raise ValueError("starts must be >= 1")
     seeds = [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(seed).spawn(starts)]
     if workers <= 1:
-        return [task(seed=s) for s in seeds]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, seed=s) for s in seeds]
-        return [f.result() for f in futures]
+        return list(task(seeds))
+    blocks = min(workers, starts)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=blocks) as pool:
+        futures = [
+            pool.submit(task, seeds[b * starts // blocks:(b + 1) * starts // blocks])
+            for b in range(blocks)
+        ]
+        return [r for f in futures for r in f.result()]

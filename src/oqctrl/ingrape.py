@@ -19,7 +19,10 @@ Superoperators here act on the real coordinates of Hermitian matrices in the
 orthonormal basis of :func:`core.hermitian_basis`, where a GKSL generator is
 a real matrix, so every stack exponential is real.  The descent keeps the
 forward pass of the line-search trial it accepts, and the gradient at the
-new iterate reuses its segment propagators.
+new iterate reuses its segment propagators.  A multistart scan runs its
+starts in lock-step: each line-search round exponentiates the segments of
+every start still searching in one stack, and each round of accepted
+iterates makes one adjoint stack for all of them.
 """
 
 from __future__ import annotations
@@ -176,84 +179,102 @@ def _gate_pairing(target: np.ndarray) -> np.ndarray:
     return np.kron(target, target.conj()) / n**2
 
 
-def _segment_generators(problem: PulseProblem, controls: ControlVector) -> np.ndarray:
-    """All M segment generators L0 + u_m Du + n_m Dn in one broadcast."""
-    l0, du, dn = problem.affine_generator
-    return l0 + controls.u[:, None, None] * du + controls.n[:, None, None] * dn
-
-
 class ForwardPass(NamedTuple):
-    """One pulse's forward pass: the segment exponents A_k = dt L_k, their
-    propagators G_k = exp(A_k), the forward products forward[k] =
-    G_{k-1} ... G_0 (k = 0..M, so forward[M] is the end-to-end
-    superoperator) and the objective value there."""
+    """The forward passes of k pulses, each field with a leading start axis:
+    the values, the segment exponents A_j = dt L_j, their propagators
+    G_j = exp(A_j) and the forward products forward[:, j] = G_{j-1} ... G_0
+    (j = 0..M, so forward[:, M] is the end-to-end superoperator)."""
 
-    value: float
+    value: np.ndarray
     exponents: np.ndarray
     segments: np.ndarray
     forward: np.ndarray
 
 
-def forward_pass(controls: ControlVector, problem: PulseProblem) -> ForwardPass:
-    """The forward pass of ``controls``: one stack exponential of the M
-    segment generators and the M forward products."""
+def forward_stack(problem: PulseProblem, u: np.ndarray, n: np.ndarray, dt: np.ndarray) -> ForwardPass:
+    """The forward passes of the k pulses with controls ``u``, ``n`` (k x M)
+    and segment durations ``dt`` (k,): every segment generator
+    L0 + u Du + n Dn in one broadcast, one stack exponential of the k M
+    exponents and the M forward products of all k pulses.  Each pulse's
+    result is bit for bit the same whatever else is in the stack."""
     offset, sign, pairing = problem.pairing
-    exponents = _segment_generators(problem, controls) * controls.dt
-    segments = expm(exponents)
-    forward = np.empty((controls.n_segments + 1,) + pairing.shape)
-    forward[0] = np.eye(pairing.shape[0])
-    for k, g in enumerate(segments):
-        forward[k + 1] = g @ forward[k]
-    value = offset + sign * float(np.sum(pairing * forward[-1]))
+    l0, du, dn = problem.affine_generator
+    (k, m), d2 = u.shape, pairing.shape[0]
+    exponents = (l0 + u[..., None, None] * du + n[..., None, None] * dn) * dt[:, None, None, None]
+    segments = expm(exponents.reshape(k * m, d2, d2)).reshape(exponents.shape)
+    forward = np.empty((k, m + 1, d2, d2))
+    forward[:, 0] = np.eye(d2)
+    for j in range(m):
+        forward[:, j + 1] = segments[:, j] @ forward[:, j]
+    value = offset + sign * np.sum((pairing * forward[:, m]).reshape(k, -1), axis=1)
     return ForwardPass(value, exponents, segments, forward)
+
+
+def gradient_stack(
+    problem: PulseProblem, u: np.ndarray, n: np.ndarray, dt: np.ndarray,
+    trial: ForwardPass | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective values and exact gradients wrt (u_j, n_j) of the k pulses
+    of :func:`forward_stack`, as arrays (k,), (k, M) and (k, M).
+
+    With segment j's exponent A_j = dt L_j, the forward products
+    F_j = G_{j-1} ... G_0 and the backward products B_{j+1} = G_{M-1} ...
+    G_{j+1}, a segment parameter with generator direction D moves the
+    objective by sign * sum(lam_j o L(A_j, dt D)), where
+    lam_j = B_{j+1}^T P F_j^T and L(A, E) is the Frechet derivative of the
+    exponential.  Since L(A, E) = int_0^1 e^{sA} E e^{(1-s)A} ds and the
+    trace is cyclic,
+
+        sum(lam o L(A, E)) = sum(L(A, lam^T)^T o E),
+
+    so one adjoint block exp([[A_j, lam_j^T], [0, A_j]]), whose top-right
+    block is X_j = L(A_j, lam_j^T), gives both directions:
+    g[j] = sign * dt * sum(X_j^T o D) for D = Du and D = Dn.  ``trial``, the
+    :func:`forward_stack` of these same controls if the caller has it, saves
+    the k M segment propagators (d^2 x d^2); the k M adjoint blocks
+    (2d^2 x 2d^2) make the call's one stack exponential.
+    """
+    _, sign, pairing = problem.pairing
+    if trial is None:
+        trial = forward_stack(problem, u, n, dt)
+    value, exponents, segments, forward = trial
+    (k, m), d2 = u.shape, pairing.shape[0]
+    backward = np.empty_like(forward)  # backward[:, j] = G_{M-1} ... G_j
+    backward[:, m] = np.eye(d2)
+    for j in range(m - 1, -1, -1):
+        backward[:, j] = backward[:, j + 1] @ segments[:, j]
+
+    blocks = np.zeros((k, m, 2 * d2, 2 * d2))
+    blocks[..., :d2, :d2] = blocks[..., d2:, d2:] = exponents
+    blocks[..., :d2, d2:] = forward[:, :m] @ pairing.T @ backward[:, 1:]  # lam_j^T
+    adjoint = expm(blocks.reshape(k * m, 2 * d2, 2 * d2)).reshape(blocks.shape)[..., :d2, d2:]
+    _, du, dn = problem.affine_generator
+    directions = np.stack([du, dn])
+    # one contraction per pulse: a batched einsum may sum in another order
+    # (it does for M = 1), which would tie a pulse's bits to its stack
+    grad = np.stack([sign * h * np.einsum("kji,dij->dk", x, directions) for h, x in zip(dt, adjoint)])
+    return value, grad[:, 0], grad[:, 1]
+
+
+def _one(controls: ControlVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``controls`` as a stack of one pulse."""
+    return controls.u[None], controls.n[None], np.array([controls.dt])
 
 
 def objective_value(controls: ControlVector, problem: PulseProblem) -> float:
     """Tr[rho(T) O] for state transfer; 1 - Tr[Choi(Phi) Choi(U)]/N^2, in
     [0, 1] and 0 iff the pulse implements the target up to global phase, for
     a gate."""
-    return forward_pass(controls, problem).value
+    return float(forward_stack(problem, *_one(controls)).value[0])
 
 
 def grape_gradient(
-    controls: ControlVector, problem: PulseProblem, trial: ForwardPass | None = None
+    controls: ControlVector, problem: PulseProblem
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective value and its exact gradient wrt (u_m, n_m).
-
-    With segment k's exponent A_k = dt L_k, the forward products
-    F_k = G_{k-1} ... G_0 and the backward products B_{k+1} = G_{M-1} ...
-    G_{k+1}, a segment parameter with generator direction D moves the
-    objective by sign * sum(lam_k o L(A_k, dt D)), where
-    lam_k = B_{k+1}^T P F_k^T and L(A, E) is the Frechet derivative of the
-    exponential.  Since L(A, E) = int_0^1 e^{sA} E e^{(1-s)A} ds and the
-    trace is cyclic,
-
-        sum(lam o L(A, E)) = sum(L(A, lam^T)^T o E),
-
-    so one adjoint block exp([[A_k, lam_k^T], [0, A_k]]), whose top-right
-    block is X_k = L(A_k, lam_k^T), gives both directions:
-    g[k] = sign * dt * sum(X_k^T o D) for D = Du and D = Dn.  ``trial``, the
-    :func:`forward_pass` of these same controls if the caller has it, saves
-    the M segment propagators (d^2 x d^2); the M adjoint blocks
-    (2d^2 x 2d^2) make the call's one stack exponential.
-    """
-    _, sign, pairing = problem.pairing
-    if trial is None:
-        trial = forward_pass(controls, problem)
-    value, exponents, segments, forward = trial
-    m, d2 = controls.n_segments, pairing.shape[0]
-    backward = np.empty_like(forward)  # backward[k] = G_{M-1} ... G_k
-    backward[m] = np.eye(d2)
-    for k in range(m - 1, -1, -1):
-        backward[k] = backward[k + 1] @ segments[k]
-
-    blocks = np.zeros((m, 2 * d2, 2 * d2))
-    blocks[:, :d2, :d2] = blocks[:, d2:, d2:] = exponents
-    blocks[:, :d2, d2:] = forward[:m] @ pairing.T @ backward[1:]  # lam_k^T
-    adjoint = expm(blocks)[:, :d2, d2:]
-    _, du, dn = problem.affine_generator
-    grad_u, grad_n = sign * controls.dt * np.einsum("kji,dij->dk", adjoint, np.stack([du, dn]))
-    return value, grad_u, grad_n
+    """Objective value and its exact gradient wrt (u_m, n_m) of one pulse
+    (see :func:`gradient_stack`)."""
+    value, grad_u, grad_n = gradient_stack(problem, *_one(controls))
+    return float(value[0]), grad_u[0], grad_n[0]
 
 
 @dataclass
@@ -269,12 +290,6 @@ class PulseRunResult:
     stall_message: str = ""
 
 
-def _clip(u: np.ndarray, n: np.ndarray, dt: float, problem: PulseProblem) -> ControlVector:
-    """The controls (u, n, dt) clipped into the problem's bounds."""
-    lo, hi = problem.u_bounds
-    return ControlVector(u=np.clip(u, lo, hi), n=np.clip(n, 0.0, problem.n_max), dt=dt)
-
-
 def optimize_run(
     problem: PulseProblem,
     initial: ControlVector,
@@ -282,74 +297,121 @@ def optimize_run(
     grad_tol: float = 1e-7,
 ) -> PulseRunResult:
     """Projected-gradient descent (ascent for state transfer) with Armijo
-    backtracking and bound clipping; the objective history is monotone.
+    backtracking and bound clipping from one start; the objective history
+    is monotone.  The one-start case of :func:`optimize_starts`."""
+    return optimize_starts(problem, [initial], max_iter, grad_tol)[0]
 
-    From the second iteration on, each line search starts at the spectral
-    (Barzilai-Borwein) step of the last accepted move in (u, n) and the
-    change in gradient (:func:`oqctrl.core.spectral_step`), which makes this
-    the spectral projected gradient method of Birgin, Martinez and Raydan
-    (2000); twice the last accepted step is the fallback.  A line-search
-    underflow (no step down to ``PULSE_STEP_UNDERFLOW`` satisfies the Armijo
-    condition) ends the run with ``stalled=True`` and a diagnostic message.
+
+def optimize_starts(
+    problem: PulseProblem,
+    initials: Sequence[ControlVector],
+    max_iter: int = 1000,
+    grad_tol: float = 1e-7,
+) -> list[PulseRunResult]:
+    """Projected-gradient descent from each of ``initials`` (same M), all
+    starts in lock-step: every line-search round evaluates the trials of
+    all starts still searching with one :func:`forward_stack`, and every
+    round of accepted iterates takes one :func:`gradient_stack`.
+
+    Everything else is per start, so a start's result is bit for bit the
+    same whichever starts share its stacks.  From the second iteration on,
+    each line search starts at the spectral (Barzilai-Borwein) step of the
+    last accepted move in (u, n) and the change in gradient
+    (:func:`oqctrl.core.spectral_step`), which makes this the spectral
+    projected gradient method of Birgin, Martinez and Raydan (2000); twice
+    the last accepted step is the fallback.  Components that push against an
+    active bound are dropped, a start whose projected gradient norm is below
+    ``grad_tol`` has converged, and a line-search underflow (no step down to
+    ``PULSE_STEP_UNDERFLOW`` satisfies the Armijo condition) ends a start
+    with ``stalled=True`` and a diagnostic message; either way the start
+    leaves the stacks and the others go on.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     direction = problem.pairing[1]
     lo, hi = problem.u_bounds
-    cur = _clip(initial.u, initial.n, initial.dt, problem)
-    value, gu, gn = grape_gradient(cur, problem)
-    history = [value]
-    step = 1.0
-    converged = False
-    stalled = False
-    stall_message = ""
-    prev = None
+    n_max = problem.n_max
+    k = len(initials)
+    u = np.clip(np.stack([c.u for c in initials]), lo, hi)
+    n = np.clip(np.stack([c.n for c in initials]), 0.0, n_max)
+    dt = np.array([c.dt for c in initials])
+    value, gu, gn = gradient_stack(problem, u, n, dt)
+    history = [[v] for v in value]
+    step = np.ones(k)
+    prev = None  # (u, n, gu, gn) before the last accepted move
+    iterations = [max_iter] * k
+    converged = [False] * k
+    stall_messages = [""] * k
+    live = np.arange(k)
     for it in range(1, max_iter + 1):
         if prev is not None:
-            dx = np.concatenate([cur.u - prev[0].u, cur.n - prev[0].n])
-            dg = np.concatenate([gu - prev[1], gn - prev[2]])
-            step = spectral_step(dx, dg, step, PULSE_STEP_UNDERFLOW, PULSE_STEP_CAP)
-        pu = direction * gu
-        pn = direction * gn
+            dx = np.concatenate([u[live] - prev[0][live], n[live] - prev[1][live]], axis=1)
+            dg = np.concatenate([gu[live] - prev[2][live], gn[live] - prev[3][live]], axis=1)
+            for row, s in enumerate(live):
+                step[s] = spectral_step(dx[row], dg[row], step[s], PULSE_STEP_UNDERFLOW, PULSE_STEP_CAP)
+        pu, pn = direction * gu[live], direction * gn[live]
         # drop components that push against an active bound
-        pu[(cur.u >= hi) & (pu > 0)] = 0.0
-        pu[(cur.u <= lo) & (pu < 0)] = 0.0
-        pn[(cur.n >= problem.n_max) & (pn > 0)] = 0.0
-        pn[(cur.n <= 0.0) & (pn < 0)] = 0.0
-        gnorm2 = float(np.sum(pu**2) + np.sum(pn**2))
-        if np.sqrt(gnorm2) < grad_tol:
-            converged = True
+        cu, cn = u[live], n[live]
+        pu[((cu >= hi) & (pu > 0)) | ((cu <= lo) & (pu < 0))] = 0.0
+        pn[((cn >= n_max) & (pn > 0)) | ((cn <= 0.0) & (pn < 0))] = 0.0
+        gnorm2 = np.sum(pu**2, axis=1) + np.sum(pn**2, axis=1)
+        done = np.sqrt(gnorm2) < grad_tol
+        for s in live[done]:
+            iterations[s], converged[s] = it, True
+        searching = ~done
+        live, pu, pn, gnorm2 = live[searching], pu[searching], pn[searching], gnorm2[searching]
+        if live.size == 0:
             break
-        t = step
-        accepted = False
-        while t >= PULSE_STEP_UNDERFLOW:
-            cand = _clip(cur.u + t * pu, cur.n + t * pn, cur.dt, problem)
-            trial = forward_pass(cand, problem)
-            if direction * (trial.value - value) >= ARMIJO_C * t * gnorm2:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
-            stalled = True
-            stall_message = (
+        # line-search rounds over the rows of ``live``; ``kept`` collects
+        # each start's accepted trial
+        t = step[live].copy()
+        pending = np.flatnonzero(t >= PULSE_STEP_UNDERFLOW)
+        accepted = np.zeros(live.size, dtype=bool)
+        cand_u, cand_n, kept = np.empty_like(pu), np.empty_like(pn), None
+        while pending.size:
+            s = live[pending]
+            tp = t[pending, None]
+            ru = np.clip(u[s] + tp * pu[pending], lo, hi)
+            rn = np.clip(n[s] + tp * pn[pending], 0.0, n_max)
+            trial = forward_stack(problem, ru, rn, dt[s])
+            ok = direction * (trial.value - value[s]) >= ARMIJO_C * t[pending] * gnorm2[pending]
+            if kept is None:
+                kept = ForwardPass(*(np.empty((live.size,) + f.shape[1:]) for f in trial))
+            for dst, f in zip((cand_u, cand_n) + kept, (ru, rn) + trial):
+                dst[pending[ok]] = f[ok]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            t[pending] *= BACKTRACK
+            pending = pending[t[pending] >= PULSE_STEP_UNDERFLOW]
+        for row in np.flatnonzero(~accepted):
+            s = live[row]
+            iterations[s] = it
+            stall_messages[s] = (
                 f"line search underflow at iteration {it}: "
-                f"objective={value:.12g}, |grad|={np.sqrt(gnorm2):.3e}"
+                f"objective={float(value[s]):.12g}, |grad|={float(np.sqrt(gnorm2[row])):.3e}"
             )
+        live, t = live[accepted], t[accepted]
+        if live.size == 0:
             break
-        prev = cur, gu, gn
-        cur = cand
-        value, gu, gn = grape_gradient(cur, problem, trial)
-        history.append(value)
-        step = min(t / BACKTRACK, PULSE_STEP_CAP)
-    return PulseRunResult(
-        controls=cur,
-        objective_value=value,
-        objective_history=np.array(history),
-        iterations=it,
-        converged=converged,
-        stalled=stalled,
-        stall_message=stall_message,
-    )
+        prev = u.copy(), n.copy(), gu.copy(), gn.copy()
+        u[live], n[live] = cand_u[accepted], cand_n[accepted]
+        trial = ForwardPass(*(f[accepted] for f in kept))
+        value[live], gu[live], gn[live] = gradient_stack(problem, u[live], n[live], dt[live], trial)
+        for s in live:
+            history[s].append(value[s])
+        step[live] = np.minimum(t / BACKTRACK, PULSE_STEP_CAP)
+    return [
+        PulseRunResult(
+            controls=ControlVector(u=u[s], n=n[s], dt=initials[s].dt),
+            objective_value=float(value[s]),
+            objective_history=np.array(history[s]),
+            iterations=iterations[s],
+            converged=converged[s],
+            stalled=bool(stall_messages[s]),
+            stall_message=stall_messages[s],
+        )
+        for s in range(k)
+    ]
 
 
 @dataclass(frozen=True)
@@ -404,9 +466,11 @@ def _random_controls(problem: PulseProblem, rng: np.random.Generator) -> Control
     )
 
 
-def _scan_start(problem: PulseProblem, max_iter: int, grad_tol: float, seed: int):
-    start = _random_controls(problem, np.random.default_rng(seed))
-    return start, optimize_run(problem, start, max_iter=max_iter, grad_tol=grad_tol)
+def _scan_block(problem: PulseProblem, max_iter: int, grad_tol: float, seeds: Sequence[int]):
+    """(start, result) per seed: the random starts of ``seeds`` run in
+    lock-step by :func:`optimize_starts`."""
+    starts = [_random_controls(problem, np.random.default_rng(s)) for s in seeds]
+    return list(zip(starts, optimize_starts(problem, starts, max_iter, grad_tol)))
 
 
 def optimize_pulse(
@@ -420,11 +484,13 @@ def optimize_pulse(
 ) -> LandscapeScan:
     """Multistart pulse optimization with deterministic per-start seeds.
 
-    Results are aggregated in start order and clustered on the sorted final
-    values, so the scan is independent of worker scheduling.
+    Each worker runs its contiguous block of starts in lock-step (all of
+    them serially).  A start's result does not depend on the other starts
+    of its block, and results are aggregated in start order and clustered
+    on the sorted final values, so the scan is independent of ``workers``.
     """
     outcomes = run_multistart(
-        partial(_scan_start, problem, max_iter, grad_tol), starts, seed, workers
+        partial(_scan_block, problem, max_iter, grad_tol), starts, seed, workers
     )
     initials, results = map(list, zip(*outcomes))
     finals = np.array([r.objective_value for r in results])

@@ -254,7 +254,8 @@ def unreachable_report(
 
     ``occupancy_change``, when given, is the relative occupancy difference
     between the half-sample and full-sample grids; more than 0.5% means the
-    sampling has not converged and the report is refused.
+    sampling has not converged and the report is refused.  A report with no
+    direction bin of at least ``MIN_BIN_COUNT`` samples does not pass.
     """
     if gamma < 0 or omega <= 0:
         raise ValueError("need gamma >= 0 and omega > 0")
@@ -285,7 +286,8 @@ def unreachable_report(
         low_coverage_bins=low_coverage,
         bound_gamma_over_omega=bound,
         slack=slack,
-        passed=max_gap <= slack * bound,
+        # a gap taken over no usable bin is no evidence for the bound
+        passed=bool(usable.any()) and max_gap <= slack * bound,
     )
 
 

@@ -258,12 +258,19 @@ def maximize(
     )
 
 
+def _maximize_block(rho, observable, kwargs: dict, seeds) -> list[OptimizationReport]:
+    return [maximize(rho, observable, seed=s, **kwargs) for s in seeds]
+
+
 def multistart_maximize(
     rho, observable, starts: int, seed: int = 0, workers: int = 1, **kwargs
 ) -> list[OptimizationReport]:
     """Independent :func:`maximize` runs, one per child seed of ``seed``
-    (see :func:`oqctrl.core.run_multistart`); independent of ``workers``."""
-    return run_multistart(partial(maximize, rho, observable, **kwargs), starts, seed, workers)
+    (see :func:`oqctrl.core.run_multistart`); independent of ``workers``.
+    The runs stay one at a time: the ascent's kernels work on dense
+    N^3 x N points, so call overhead is a small share of a run and
+    stacking the runs does not pay."""
+    return run_multistart(partial(_maximize_block, rho, observable, kwargs), starts, seed, workers)
 
 
 def classify_critical_point(s: np.ndarray, rho, observable) -> str:

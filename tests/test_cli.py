@@ -331,6 +331,18 @@ class TestReachable:
         grid = json.loads((out / "grid.json").read_text())
         assert grid["occupied_in_ball_cells"] <= grid["total_in_ball_cells"]
 
+    def test_a_report_on_no_usable_bin_does_not_pass(self, tmp_path):
+        config = write_config(
+            tmp_path / "cfg.json",
+            {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": 1, "segments": [1, 2],
+             "resolution": 2, "seed": 3},
+        )
+        out = tmp_path / "out"
+        assert main(["reachable", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["low_coverage_bins"] == 288 and report["max_radial_gap"] == 0
+        assert report["PASS"] is False
+
     def test_byte_identical_reruns(self, tmp_path, config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["reachable", str(config), "--out", str(out1)]) == 0

@@ -13,6 +13,7 @@ from oqctrl.core import (
     hermitian_coordinates,
     kraus_constraint_residual,
     random_density,
+    run_multistart,
     spectral_step,
     validate_density,
     vec,
@@ -264,3 +265,29 @@ class TestSpectralStep:
         assert spectral_step(dx, np.array([1e-6]), 7.0, 1e-10, 1e3) == 1e3
         assert spectral_step(dx, np.array([1e12]), 7.0, 1e-10, 1e3) == 1e-10
         assert spectral_step(dx, np.array([1.0]), 7.0, 1e-10, 1e3) == 1.0
+
+
+def _tag_block(seeds):
+    """Each seed with the block it came in, so a test can see the blocks."""
+    return [(seed, tuple(seeds)) for seed in seeds]
+
+
+class TestRunMultistart:
+    def test_one_block_when_serial(self):
+        out = run_multistart(_tag_block, starts=5, seed=3)
+        seeds = [seed for seed, _ in out]
+        assert len(set(seeds)) == 5
+        assert all(block == tuple(seeds) for _, block in out)
+
+    @pytest.mark.parametrize("workers, sizes", [(2, [2, 3]), (3, [1, 2, 2]), (8, [1] * 5)])
+    def test_contiguous_blocks_per_worker_in_start_order(self, workers, sizes):
+        serial = [seed for seed, _ in run_multistart(_tag_block, starts=5, seed=3)]
+        out = run_multistart(_tag_block, starts=5, seed=3, workers=workers)
+        assert [seed for seed, _ in out] == serial
+        blocks = list(dict.fromkeys(block for _, block in out))
+        assert [len(b) for b in blocks] == sizes
+        assert [seed for b in blocks for seed in b] == serial
+
+    def test_needs_a_start(self):
+        with pytest.raises(ValueError, match="starts must be >= 1"):
+            run_multistart(_tag_block, starts=0, seed=3)

@@ -33,8 +33,10 @@ from oqctrl.lindblad import (
     qubit_system,
 )
 
+import pulse_oracles
 from pulse_oracles import (
     choi_of_superoperator,
+    clip_controls,
     doubling_optimize_run,
     final_state,
     superoperator_infidelity,
@@ -346,9 +348,10 @@ class TestOptimization:
         # an objective that never satisfies Armijo forces the underflow
         problem = gate_problem(HADAMARD, m=3, dt=0.5, gamma=1e-3)
         start = ControlVector(np.array([0.3, -0.2, 0.1]), np.full(3, 0.5), 0.5)
-        real = ingrape.forward_pass
+        real = ingrape.forward_stack
         monkeypatch.setattr(
-            ingrape, "forward_pass", lambda c, p: real(c, p)._replace(value=2.0)
+            ingrape, "forward_stack",
+            lambda p, u, n, dt: real(p, u, n, dt)._replace(value=np.full(len(u), 2.0)),
         )
         result = optimize_run(problem, start, max_iter=50)
         assert result.stalled and not result.converged
@@ -618,20 +621,20 @@ class TestAffineFastPath:
 
     def test_one_segment_stack_per_trial_and_one_adjoint_stack_per_iterate(self, monkeypatch):
         shapes, trials, steps = [], [], []
-        real_expm, real_forward = ingrape.expm, ingrape.forward_pass
-        real_gradient = ingrape.grape_gradient
+        real_expm, real_forward = ingrape.expm, ingrape.forward_stack
+        real_gradient = ingrape.gradient_stack
 
-        def gradient(controls, problem, trial=None):
+        def gradient(problem, u, n, dt, trial=None):
             first = len(shapes)
-            out = real_gradient(controls, problem, trial)
-            steps.append(shapes[first:])
+            out = real_gradient(problem, u, n, dt, trial)
+            steps.append((trial is not None, shapes[first:]))
             return out
 
         monkeypatch.setattr(ingrape, "expm", lambda a: shapes.append(a.shape) or real_expm(a))
         monkeypatch.setattr(
-            ingrape, "forward_pass", lambda c, p: trials.append(c) or real_forward(c, p)
+            ingrape, "forward_stack", lambda p, u, n, dt: trials.append(u) or real_forward(p, u, n, dt)
         )
-        monkeypatch.setattr(ingrape, "grape_gradient", gradient)
+        monkeypatch.setattr(ingrape, "gradient_stack", gradient)
         m = 6
         problem = gate_problem(T_GATE, m=m, dt=0.5, gamma=1e-3)
         rng = np.random.default_rng(48)
@@ -641,13 +644,15 @@ class TestAffineFastPath:
         segment, adjoint = (m, 4, 4), (m, 8, 8)
         assert accepted >= 10 and len(trials) > accepted + 1
         # every trial, the start's forward pass included, is one M-slice stack
+        # of one start
+        assert all(u.shape == (1, m) for u in trials)
         assert shapes.count(segment) == len(trials)
         assert shapes.count(adjoint) == len(steps) == accepted + 1
         assert len(shapes) == len(trials) + accepted + 1
         # only the start computes its own segments; each accepted iterate
         # reuses its trial's
-        assert steps[0] == [segment, adjoint]
-        assert all(step == [adjoint] for step in steps[1:])
+        assert steps[0] == (False, [segment, adjoint])
+        assert all(step == (True, [adjoint]) for step in steps[1:])
 
     @pytest.mark.parametrize("kind", ["gate", "state"])
     def test_reusing_the_trial_changes_no_bit(self, monkeypatch, kind):
@@ -656,9 +661,9 @@ class TestAffineFastPath:
         problem = random_problem(kind, system, dec, 5, 0.4, rng)
         start = ControlVector(rng.uniform(-1, 1, 5), rng.uniform(0, 1, 5), 0.4)
         reused = optimize_run(problem, start, max_iter=30)
-        real = ingrape.grape_gradient
+        real = ingrape.gradient_stack
         monkeypatch.setattr(
-            ingrape, "grape_gradient", lambda controls, problem, trial=None: real(controls, problem)
+            ingrape, "gradient_stack", lambda problem, u, n, dt, trial=None: real(problem, u, n, dt)
         )
         recomputed = optimize_run(problem, start, max_iter=30)
         assert reused.objective_history.size > 10
@@ -693,23 +698,29 @@ class TestSpectralStep:
         return problem, [ingrape._random_controls(problem, np.random.default_rng(s))
                          for s in seeds]
 
-    def forward_passes_per_iterate(self, monkeypatch, run) -> float:
-        calls = []
-        real = ingrape.forward_pass
-        monkeypatch.setattr(ingrape, "forward_pass", lambda c, p: calls.append(c) or real(c, p))
+    def forward_passes_per_iterate(self, run) -> float:
         problem, starts = self.tgate_scan_starts()
         accepted = sum(run(problem, start).size - 1 for start in starts)
-        return len(calls) / accepted
+        return len(self.passes) / accepted
 
     def test_about_one_forward_pass_per_accepted_iterate(self, monkeypatch):
+        # one forward pass per start in each forward stack
+        self.passes = []
+        real = ingrape.forward_stack
+        monkeypatch.setattr(ingrape, "forward_stack",
+                            lambda p, u, n, dt: self.passes.extend(u) or real(p, u, n, dt))
         ratio = self.forward_passes_per_iterate(
-            monkeypatch, lambda p, s: optimize_run(p, s, max_iter=40).objective_history
+            lambda p, s: optimize_run(p, s, max_iter=40).objective_history
         )
         assert ratio <= 1.3
 
     def test_doubling_reference_needs_about_two(self, monkeypatch):
+        self.passes = []
+        real = pulse_oracles.forward_pass
+        monkeypatch.setattr(pulse_oracles, "forward_pass",
+                            lambda c, p: self.passes.append(c) or real(c, p))
         ratio = self.forward_passes_per_iterate(
-            monkeypatch, lambda p, s: doubling_optimize_run(p, s, max_iter=40)
+            lambda p, s: doubling_optimize_run(p, s, max_iter=40)
         )
         assert ratio >= 1.8
 
@@ -729,13 +740,160 @@ class TestSpectralStep:
         problem, starts = self.tgate_scan_starts()
         result = optimize_run(problem, starts[0], max_iter=5)
         assert len(seen) == result.iterations - 1 == 4
-        x0 = ingrape._clip(starts[0].u, starts[0].n, starts[0].dt, problem)
+        x0 = clip_controls(starts[0].u, starts[0].n, starts[0].dt, problem)
         x1 = optimize_run(problem, starts[0], max_iter=1).controls
         (_, gu0, gn0), (_, gu1, gn1) = grape_gradient(x0, problem), grape_gradient(x1, problem)
         dx, dg, _, floor, cap = seen[0]
         assert dx.tobytes() == np.concatenate([x1.u - x0.u, x1.n - x0.n]).tobytes()
         assert dg.tobytes() == np.concatenate([gu1 - gu0, gn1 - gn0]).tobytes()
         assert (floor, cap) == (ingrape.PULSE_STEP_UNDERFLOW, ingrape.PULSE_STEP_CAP)
+
+
+def assert_same_run(a, b):
+    """Two PulseRunResults agree bit for bit."""
+    assert a.controls.u.tobytes() == b.controls.u.tobytes()
+    assert a.controls.n.tobytes() == b.controls.n.tobytes()
+    assert a.controls.dt == b.controls.dt
+    assert np.float64(a.objective_value).tobytes() == np.float64(b.objective_value).tobytes()
+    assert a.objective_history.tobytes() == b.objective_history.tobytes()
+    assert (a.iterations, a.converged, a.stalled, a.stall_message) == (
+        b.iterations, b.converged, b.stalled, b.stall_message
+    )
+
+
+def lockstep_case(case, kind):
+    """The case's problem and six starts: the case's own draw, then five
+    uniform draws."""
+    if case in MODELS:
+        (system, dec), m, dt, draw = MODELS[case], 5, 0.4, _uniform_controls
+    else:
+        (system, dec), m, dt, draw = FRAGILE[case]
+    rng = np.random.default_rng(53)
+    problem = random_problem(kind, system, dec, m, dt, rng)
+    starts = [ControlVector(*draw(rng, m), dt)]
+    starts += [ControlVector(*_uniform_controls(rng, m), dt) for _ in range(5)]
+    return problem, starts
+
+
+def mixed_endings():
+    """A closed qubit steered to the identity with grad_tol 1e-12 and
+    max_iter 4: start 0 converges at iteration 1, start 1 stalls at
+    iteration 3 and start 3 at iteration 4, while starts 2 and 4 run on to
+    the cap."""
+    system, dec = closed_qubit()
+    problem = GateProblem(system=system, decoherence=dec, target=np.eye(2, dtype=complex),
+                          n_segments=3, dt=0.2)
+    rng = np.random.default_rng(1)
+    starts = [ControlVector(np.zeros(3), np.zeros(3), 0.2)] + [
+        ControlVector(rng.uniform(-1, 1, 3) * scale, rng.uniform(0, 1, 3), 0.2)
+        for scale in (0.05, 0.3, 1.0, 1.0)
+    ]
+    return problem, starts, dict(max_iter=4, grad_tol=1e-12)
+
+
+class TestLockStep:
+    """A scan's starts run in lock-step, one stack per line-search round,
+    and each start's result is the one it gets alone."""
+
+    MAX_ITER = 12
+
+    @pytest.mark.parametrize("case", sorted(MODELS) + sorted(FRAGILE))
+    @pytest.mark.parametrize("kind", ["gate", "state"])
+    def test_a_start_does_not_depend_on_its_batch(self, case, kind):
+        problem, starts = lockstep_case(case, kind)
+        batch = ingrape.optimize_starts(problem, starts, self.MAX_ITER)
+        for start, run in zip(starts, batch):
+            assert_same_run(run, optimize_run(problem, start, self.MAX_ITER))
+            assert_same_run(run, pulse_oracles.per_start_optimize_run(problem, start, self.MAX_ITER))
+
+    @pytest.mark.parametrize("case", sorted(MODELS) + sorted(FRAGILE))
+    @pytest.mark.parametrize("kind", ["gate", "state"])
+    def test_a_scan_does_not_depend_on_workers(self, case, kind):
+        problem, _ = lockstep_case(case, kind)
+        serial = optimize_pulse(problem, starts=6, max_iter=self.MAX_ITER, seed=54, workers=1)
+        pooled = optimize_pulse(problem, starts=6, max_iter=self.MAX_ITER, seed=54, workers=2)
+        assert serial.final_values.tobytes() == pooled.final_values.tobytes()
+        assert serial.iterations.tobytes() == pooled.iterations.tobytes()
+        assert serial.converged.tobytes() == pooled.converged.tobytes()
+        for k, start in enumerate(serial.initial_controls):
+            alone = optimize_run(problem, start, self.MAX_ITER)
+            for scan in (serial, pooled):
+                assert scan.initial_controls[k].u.tobytes() == start.u.tobytes()
+                assert scan.final_controls[k].u.tobytes() == alone.controls.u.tobytes()
+                assert scan.final_controls[k].n.tobytes() == alone.controls.n.tobytes()
+                assert scan.final_values[k] == alone.objective_value
+                assert scan.iterations[k] == alone.iterations
+
+    def test_starts_that_converge_or_stall_leave_and_the_others_go_on(self):
+        problem, starts, options = mixed_endings()
+        batch = ingrape.optimize_starts(problem, starts, **options)
+        endings = [(r.iterations, r.converged, r.stalled) for r in batch]
+        assert endings == [(1, True, False), (3, False, True), (4, False, False),
+                           (4, False, True), (4, False, False)]
+        for start, run in zip(starts, batch):
+            assert_same_run(run, optimize_run(problem, start, **options))
+            assert_same_run(run, pulse_oracles.per_start_optimize_run(problem, start, **options))
+
+    @staticmethod
+    def oracle_rounds(monkeypatch, problem, starts, options):
+        """Per start, the segment stacks (trials) before each of its adjoint
+        stacks and after the last one, from the per-start oracle; and its
+        total segment and adjoint slices."""
+        d2 = problem.pairing[2].shape[0]
+        groups, slices = [], [0, 0]
+        real = pulse_oracles.expm
+
+        def counted(a):
+            adjoint = a.shape[-1] == 2 * d2
+            slices[adjoint] += a.shape[0]
+            if adjoint:
+                groups[-1].append(0)
+            else:
+                groups[-1][-1] += 1
+            return real(a)
+
+        monkeypatch.setattr(pulse_oracles, "expm", counted)
+        for start in starts:
+            groups.append([0])
+            pulse_oracles.per_start_optimize_run(problem, start, **options)
+        monkeypatch.undo()
+        return groups, slices
+
+    @pytest.mark.parametrize("setting", ["tgate-scan", "mixed-endings"])
+    def test_one_forward_stack_per_round_and_one_adjoint_stack_per_round_of_iterates(
+        self, monkeypatch, setting
+    ):
+        if setting == "tgate-scan":
+            problem, starts = TestSpectralStep.tgate_scan_starts()
+            starts, options = starts[:6], dict(max_iter=40)
+        else:
+            problem, starts, options = mixed_endings()
+        groups, oracle_slices = self.oracle_rounds(monkeypatch, problem, starts, options)
+        # lock-step round j of iteration i runs every start that makes a j-th
+        # trial in iteration i; iteration i's adjoint stack holds every start
+        # that accepts in it
+        width = max(len(g) for g in groups)
+        rounds = sum(max(g[i] if i < len(g) else 0 for g in groups) for i in range(width))
+        iterates = max(len(g) for g in groups) - 1
+
+        d2 = problem.pairing[2].shape[0]
+        calls, slices = [], [0, 0]
+        real = ingrape.expm
+
+        def counted(a):
+            adjoint = a.shape[-1] == 2 * d2
+            calls.append(adjoint)
+            slices[adjoint] += a.shape[0]
+            return real(a)
+
+        monkeypatch.setattr(ingrape, "expm", counted)
+        ingrape.optimize_starts(problem, starts, **options)
+        assert calls.count(False) == rounds
+        assert calls.count(True) == iterates
+        assert slices == oracle_slices
+        if setting == "tgate-scan":
+            # lock-step cuts the calls at least fivefold
+            assert len(calls) * 5 <= sum(sum(g) + len(g) - 1 for g in groups)
 
 
 class TestClusterReport:

@@ -322,6 +322,15 @@ class TestUnreachableReport:
         with pytest.raises(ValueError, match="slack"):
             unreachable_report(grid, 0.01, 1.0, slack=slack)
 
+    def test_no_usable_bin_does_not_pass(self):
+        # one point leaves every direction bin below MIN_BIN_COUNT, so the
+        # gap over the usable bins is 0 and rests on nothing
+        grid = coverage_map(np.array([[0.1, 0.2, -0.3]]), 2)
+        report = unreachable_report(grid, 0.1, 1.0)
+        assert report.low_coverage_bins == grid.radial_counts.size
+        assert report.max_radial_gap == 0.0
+        assert not report.passed
+
     def test_non_converged_grid_rejected(self):
         cfg = small_cfg(n_samples=500)
         grid = coverage_map(sample_reachable(cfg, GROUND), 10)
