@@ -379,6 +379,8 @@ def _cmd_kraus_search(cfg: dict, seed, workers):
     options = _given(cfg, tol=float, max_states=int)
     if not options.get("tol", kraussearch.SEARCH_TOL) > 0:
         raise ConfigError("field 'tol' must be > 0")
+    if options.get("max_states", 1) < 1:
+        raise ConfigError("field 'max_states' must be >= 1")
 
     def run(out: Path) -> list[str]:
         outcome = kraussearch.bounded_reachability(

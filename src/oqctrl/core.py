@@ -72,25 +72,30 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(n, n, order="F")
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """Coordinate map T of the orthonormal Hermitian basis of d x d matrices.
-
-    The basis holds the diagonal units E_kk, then (E_jk + E_kj)/sqrt(2), then
-    i(E_kj - E_jk)/sqrt(2), over the pairs j < k in ``np.triu_indices``
-    order (the index order of ``kraussearch._coordinates``).  Row a of T is
-    vec(B_a)^dag, so T vec(A) are the coordinates Tr(B_a A) -- A_kk, then
-    sqrt(2) Re A_jk, then sqrt(2) Im A_kj, real for a Hermitian A -- and T is
-    unitary.  For a qubit the off-diagonal coordinates are x/sqrt(2) and
-    y/sqrt(2) of the Bloch vector.
-    """
+def hermitian_units(d: int) -> np.ndarray:
+    """The d^2 units U_a (entries 0, +-1, +-i) on which d x d Hermitian
+    matrices have real coordinates, the one place this layout is spelled:
+    E_kk, then E_jk + E_kj, then i(E_kj - E_jk), over the pairs j < k in
+    ``np.triu_indices`` order.  A Hermitian A has the coordinates
+    Re Tr(U_a^dag A) / Tr(U_a^dag U_a): A_kk, then Re A_jk, then Im A_kj."""
     j, k = np.triu_indices(d, 1)
     diag, re = np.arange(d), d + np.arange(j.size)
     im = re + j.size
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[diag, diag, diag] = 1.0
-    basis[re, j, k] = basis[re, k, j] = np.sqrt(0.5)
-    basis[im, k, j] = 1j * np.sqrt(0.5)
-    basis[im, j, k] = -1j * np.sqrt(0.5)
+    units = np.zeros((d * d, d, d), dtype=complex)
+    units[diag, diag, diag] = 1.0
+    units[re, j, k] = units[re, k, j] = 1.0
+    units[im, k, j], units[im, j, k] = 1j, -1j
+    return units
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Coordinate map T of the orthonormal basis B_a of the
+    :func:`hermitian_units`, the off-diagonal ones scaled by 1/sqrt(2).  Row a
+    of T is vec(B_a)^dag, so T vec(A) are the coordinates Tr(B_a A) -- A_kk,
+    sqrt(2) Re A_jk, sqrt(2) Im A_kj -- and T is unitary.  For a qubit the
+    off-diagonal coordinates are x/sqrt(2) and y/sqrt(2) of the Bloch vector."""
+    basis = hermitian_units(d)
+    basis[d:] *= np.sqrt(0.5)
     return basis.transpose(0, 2, 1).reshape(d * d, d * d).conj()
 
 

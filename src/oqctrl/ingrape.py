@@ -39,14 +39,16 @@ from .core import (
     BACKTRACK,
     PULSE_STEP_CAP,
     PULSE_STEP_UNDERFLOW,
+    STRUCTURAL_TOL,
     DimensionMismatchError,
-    hermitian_basis,
+    hermitian_coordinates,
     run_multistart,
     spectral_step,
+    validate_density,
     vec,
 )
 # build_liouvillian: perfbench's test_tracer_rebinds_imported_names_and_restores_them calls it here
-from .lindblad import DecoherenceModel, SystemModel, affine_generator, build_liouvillian
+from .lindblad import VALIDATION_TOL, DecoherenceModel, SystemModel, affine_generator, build_liouvillian
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,11 @@ class PulseProblem:
     so the triple is built once per problem (at construction) and every segment
     generator is one broadcast away.  The cache lives in the instance
     ``__dict__`` and travels with the problem when it is pickled.  Each kind
-    defines ``pairing`` = (offset, sign, P) with objective
-    = offset + sign * sum(P * G) on the end-to-end superoperator G, both
-    real in Hermitian coordinates; the sign, exactly +1 or -1, is also the
-    direction of improvement.
+    defines ``pairing`` = (offset, sign, P), also built at construction, with
+    objective = offset + sign * sum(P * G) on the end-to-end superoperator G,
+    both real in Hermitian coordinates (P = T conj(P_c) T^dag for the
+    column-stacked P_c); the sign, exactly +1 or -1, is also the direction
+    of improvement.
     """
 
     system: SystemModel
@@ -101,25 +104,34 @@ class PulseProblem:
     n_max: float = 1.0
 
     def __post_init__(self):
+        # zero segments is the zero horizon, whose objective is defined, but
+        # there is nothing to optimize (optimize_starts rejects it)
+        if self.n_segments < 0:
+            raise ValueError(f"n_segments must be >= 0, got {self.n_segments!r}")
+        # a NaN fails the chained comparison too
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.u_bounds[0] >= self.u_bounds[1]:
             raise ValueError("u bounds must satisfy u_min < u_max")
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        # built now, so a dipole that is Hermitian only to a tolerance above
-        # roundoff fails at construction, not in the first evaluation
+        # built now, after the checks above, so that Hermiticity only to a
+        # tolerance above roundoff fails at construction, not in an evaluation
         self.affine_generator
+        self.pairing
 
     @cached_property
     def affine_generator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (L0, Du, Dn) of :func:`lindblad.affine_generator`, once per problem."""
         return affine_generator(self.system, self.decoherence)
 
-    def _real_pairing(self, pairing: np.ndarray) -> np.ndarray:
-        """Re(conj(T) P T^T): sum(P o G) for G in column-stacked coordinates
-        equals sum(conj(T) P T^T o T G T^dag), and the propagator T G T^dag
-        is real."""
-        t = hermitian_basis(self.system.dim)
-        return np.ascontiguousarray(np.real(t.conj() @ pairing @ t.T))
+    def _square(self, name: str) -> np.ndarray:
+        """Field ``name`` as a complex matrix of the system's dimension."""
+        m, d = np.asarray(getattr(self, name), dtype=complex), self.system.dim
+        if m.shape != (d, d):
+            raise DimensionMismatchError(f"{name} must be {d} x {d}, got shape {m.shape}")
+        object.__setattr__(self, name, m)
+        return m
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -130,13 +142,18 @@ class StateTransferProblem(PulseProblem):
     observable: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=complex))
-        object.__setattr__(self, "observable", np.asarray(self.observable, dtype=complex))
+        report = validate_density(self._square("rho0"), VALIDATION_TOL)
+        if not report.ok:
+            raise ValueError(f"rho0 is not a density matrix ({report.worst})")
+        o = self._square("observable")
+        if np.max(np.abs(o - o.conj().T)) > STRUCTURAL_TOL:
+            raise ValueError("observable must be Hermitian")
         super().__post_init__()
 
     @cached_property
     def pairing(self) -> tuple[float, float, np.ndarray]:
-        return 0.0, 1.0, self._real_pairing(np.outer(vec(self.observable).conj(), vec(self.rho0)))
+        pairing = np.outer(vec(self.observable).conj(), vec(self.rho0))
+        return 0.0, 1.0, hermitian_coordinates(pairing.conj())
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -146,16 +163,14 @@ class GateProblem(PulseProblem):
     target: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.target, dtype=complex)
-        n = u.shape[0]
-        if u.shape != (n, n) or np.linalg.norm(u.conj().T @ u - np.eye(n)) > 1e-12:
+        u = self._square("target")
+        if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > 1e-12:
             raise ValueError("target must be unitary to 1e-12")
-        object.__setattr__(self, "target", u)
         super().__post_init__()
 
     @cached_property
     def pairing(self) -> tuple[float, float, np.ndarray]:
-        return 1.0, -1.0, self._real_pairing(_gate_pairing(self.target))
+        return 1.0, -1.0, hermitian_coordinates(_gate_pairing(self.target).conj())
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -328,6 +343,8 @@ def optimize_starts(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if any(c.n_segments < 1 for c in initials):
+        raise ValueError("n_segments must be >= 1 to optimize a pulse")
     direction = problem.pairing[1]
     lo, hi = problem.u_bounds
     n_max = problem.n_max

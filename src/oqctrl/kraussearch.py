@@ -20,6 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import hermitian_units
+
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
 _SQRT2 = 1.4142135623730951
 # default float-mode hit tolerance (max-abs); visited states key on a tol/10 grid
 SEARCH_TOL = 1e-9
@@ -168,35 +171,22 @@ def require_hermitian(rho: RationalComplexMatrix, name: str = "state") -> Ration
     return rho
 
 
+def _over_one_denominator(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python integers AB, shaped like the rationals ``values``, and den > 0
+    with values = AB / den."""
+    den = math.lcm(*(f.denominator for f in values.flat))
+    ints = [f.numerator * (den // f.denominator) for f in values.flat]
+    return np.array(ints, dtype=object).reshape(values.shape), den
+
+
 def _coordinates(m: RationalComplexMatrix) -> np.ndarray:
-    """The d^2 real coordinates of a Hermitian matrix -- its diagonal, then the
-    real and the imaginary parts of its upper triangle -- as a (2, d^2) array
-    of their rational and sqrt(2) parts."""
-    i, j = np.triu_indices(m.dim, 1)
-    parts = m.parts
-    return np.concatenate(
-        [np.diagonal(parts[:2], axis1=1, axis2=2), parts[:2, i, j], parts[2:, i, j]], axis=1
-    )
-
-
-def _hermitian_basis(d: int) -> list[RationalComplexMatrix]:
-    """The Hermitian matrices whose coordinates are the unit vectors."""
-    i, j = np.triu_indices(d, 1)
-    k, u = np.arange(d), np.arange(len(i))
-    re, im = d + u, d + len(i) + u
-    parts = np.full((d * d, 4, d, d), Fraction(0), dtype=object)
-    parts[k, 0, k, k] = Fraction(1)
-    parts[re, 0, i, j] = parts[re, 0, j, i] = parts[im, 2, i, j] = Fraction(1)
-    parts[im, 2, j, i] = Fraction(-1)
-    return [RationalComplexMatrix(p) for p in parts]
-
-
-def _over_one_denominator(coords: np.ndarray) -> tuple[np.ndarray, int]:
-    """Python integers AB, shaped like ``coords``, and den > 0 with
-    coords = AB / den."""
-    den = math.lcm(*(f.denominator for f in coords.flat))
-    ints = [f.numerator * (den // f.denominator) for f in coords.flat]
-    return np.array(ints, dtype=object).reshape(coords.shape), den
+    """The d^2 real coordinates Re Tr(U_a^dag m) / Tr(U_a^dag U_a) of a
+    Hermitian matrix on the units U_a of :func:`core.hermitian_units`, as a
+    (2, d^2) array of their rational and sqrt(2) parts."""
+    units = hermitian_units(m.dim).reshape(m.dim**2, -1)
+    re, im = (part.astype(int).astype(object) for part in (units.real, units.imag))
+    parts, den = _over_one_denominator(m.parts.reshape(4, -1))
+    return _FRACTION(parts[:2] @ re.T + parts[2:] @ im.T, den * np.sum(re * re + im * im, axis=1))
 
 
 def _lowest_terms(rows: np.ndarray) -> np.ndarray:
@@ -216,7 +206,10 @@ class _ExactLattice:
 
     def __init__(self, alphabet: ChannelAlphabet, rho_initial, rho_target, tol: float):
         self.channels, self.rho_initial, self.rho_target = alphabet.channels, rho_initial, rho_target
-        basis = _hermitian_basis(alphabet.dim)
+        # core's Hermitian units as exact matrices: their coordinates are the unit vectors
+        units = hermitian_units(alphabet.dim)
+        literals = np.stack([units.real, units.imag], axis=-1).astype(int).tolist()
+        basis = [RationalComplexMatrix.from_literals(rows) for rows in literals]
         products, dens = [], []
         for kraus in alphabet.channels:
             # column c holds the coordinates of the image of basis matrix c
@@ -379,6 +372,8 @@ def bounded_reachability(
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states!r}")
     kernel_class = _kernel(mode, tol)
     require_hermitian(rho_initial, "initial state")
     require_hermitian(rho_target, "target state")

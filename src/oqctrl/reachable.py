@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import bloch_from_density
+from .core import PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, hermitian_basis, vec
 from .lindblad import affine_generator, qubit_decoherence, qubit_system
 
 # (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than
@@ -32,9 +32,10 @@ MIN_BIN_COUNT = 5
 SLACK = 3.0
 # points binned at a time by coverage_map, which bounds its temporaries
 COVERAGE_BLOCK_ROWS = 16384
-# S with (x, y, z, Tr rho) = S c for the coordinates c = (rho00, rho11,
-# sqrt2 Re rho01, sqrt2 Im rho10) of core.hermitian_basis(2)
-BLOCH_FROM_HERMITIAN = np.array([[0, 0, 2**0.5, 0], [0, 0, 0, 2**0.5], [1, -1, 0, 0], [1, 1, 0, 0]])
+# S with (x, y, z, Tr rho) = S T vec(rho) for T = core.hermitian_basis(2)
+BLOCH_FROM_HERMITIAN = np.array(
+    [(vec(p.T) @ hermitian_basis(2).conj().T).real for p in (PAULI_X, PAULI_Y, PAULI_Z, np.eye(2))]
+)
 
 
 @dataclass(frozen=True)

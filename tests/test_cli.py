@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -624,6 +628,13 @@ CONFIG_FAULTS = {
     "kraus-search-max-states-string": (
         "kraus-search", set_field(qubit_search_config(), "max_states", "100"), "max_states",
     ),
+    # no search fits a budget below one state; the target here is hit at depth 1
+    "kraus-search-max-states-0": (
+        "kraus-search", set_field(qubit_search_config(), "max_states", 0), "max_states",
+    ),
+    "kraus-search-max-states-negative": (
+        "kraus-search", set_field(qubit_search_config(), "max_states", -3), "max_states",
+    ),
     "stiefel-max-iter-0": (
         "stiefel-max", set_field(qubit_stiefel_config(), "max_iter", 0), "max_iter",
     ),
@@ -864,6 +875,38 @@ class TestReproducibility:
         assert main(["stiefel-max", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
         for name in ("iterations.csv", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count when numpy loads, so each count runs
+        # the five subcommands in a fresh process; every --out file, the
+        # manifest included, must come out byte for byte the same
+        configs = {
+            "simulate": qubit_simulate_config(),
+            "stiefel-max": qubit_stiefel_config(),
+            "ingrape": qubit_gate_config(),
+            "kraus-search": qubit_search_config(),
+            "reachable": {**qubit_reachable_config(), "samples": 2000, "resolution": 4, "seed": 14},
+        }
+        paths = {sub: write_config(tmp_path / f"{sub}.json", payload) for sub, payload in configs.items()}
+        driver = (
+            "import json, sys\n"
+            "from oqctrl.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            calls = [[sub, str(path), "--out", str(tmp_path / threads / sub)] for sub, path in paths.items()]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=pythonpath)
+            subprocess.run([sys.executable, "-c", driver, json.dumps(calls)], env=env, check=True,
+                           timeout=120)
+        for sub in configs:
+            one, two = tmp_path / "1" / sub, tmp_path / "2" / sub
+            names = sorted(p.name for p in one.iterdir())
+            assert "manifest.json" in names and names == sorted(p.name for p in two.iterdir())
+            for name in names:
+                assert (one / name).read_bytes() == (two / name).read_bytes(), f"{sub}/{name}"
 
     def test_failure_leaves_marker(self, tmp_path, monkeypatch):
         # force a runtime failure inside the pipeline

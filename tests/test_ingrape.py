@@ -7,6 +7,7 @@ from oqctrl.core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    DimensionMismatchError,
     expectation,
     hermitian_basis,
     random_density,
@@ -210,6 +211,59 @@ class TestProblemBounds:
                 GateProblem(target=HADAMARD, **common)
             else:
                 StateTransferProblem(rho0=np.eye(2) / 2, observable=PAULI_Z, **common)
+
+
+class TestProblemInputs:
+    # every argument is checked when the problem is built, before the pairing
+    # that reads it, and the message names the argument
+    @pytest.mark.parametrize("kind", ["state", "gate"])
+    @pytest.mark.parametrize(
+        "grid, words",
+        [({"n_segments": -1}, "n_segments"), ({"dt": 0.0}, "dt"), ({"dt": -1.0}, "dt"),
+         ({"dt": np.nan}, "dt"), ({"dt": np.inf}, "dt")],
+    )
+    def test_bad_grid_rejected(self, kind, grid, words):
+        system, dec = closed_qubit()
+        common = dict(system=system, decoherence=dec, **{"n_segments": 2, "dt": 0.5, **grid})
+        with pytest.raises(ValueError, match=words):
+            if kind == "gate":
+                GateProblem(target=HADAMARD, **common)
+            else:
+                StateTransferProblem(rho0=np.eye(2) / 2, observable=PAULI_Z, **common)
+
+    def test_zero_segments_are_not_optimized(self):
+        # a zero-segment problem is the zero horizon (test_zero_horizon), but
+        # a scan of it has nothing to move and would report converged starts
+        with pytest.raises(ValueError, match="n_segments must be >= 1"):
+            optimize_pulse(gate_problem(T_GATE, m=0), starts=2, max_iter=5)
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [("rho0", np.eye(3) / 3, "rho0 must be 2 x 2"),
+         ("rho0", np.eye(2), r"rho0 is not a density matrix \(trace\)"),
+         ("rho0", np.diag([1.5, -0.5]), r"rho0 is not a density matrix \(positivity\)"),
+         ("observable", np.diag([1.0, 0.0, -1.0]), "observable must be 2 x 2"),
+         ("observable", np.array([[0, 1], [0, 0]]), "observable must be Hermitian")],
+    )
+    def test_bad_state_transfer_argument_rejected(self, field, value, words):
+        system, dec = closed_qubit()
+        states = {"rho0": np.eye(2) / 2, "observable": PAULI_Z, field: value}
+        with pytest.raises(ValueError, match=words):
+            StateTransferProblem(system=system, decoherence=dec, n_segments=2, dt=0.5, **states)
+
+    def test_target_of_another_dimension_rejected(self):
+        system, dec = closed_qubit()
+        with pytest.raises(DimensionMismatchError, match="target must be 2 x 2"):
+            GateProblem(system=system, decoherence=dec, target=np.eye(3), n_segments=2, dt=0.5)
+
+    def test_observable_hermitian_only_above_roundoff_fails_when_built(self):
+        # Hermitian to STRUCTURAL_TOL, so the argument check passes, but the
+        # pairing is real in Hermitian coordinates only to roundoff
+        system, dec = closed_qubit()
+        observable = PAULI_Z + np.array([[0, 1e-11], [0, 0]])
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            StateTransferProblem(system=system, decoherence=dec, rho0=np.eye(2) / 2,
+                                 observable=observable, n_segments=2, dt=0.5)
 
 
 class TestGradient:

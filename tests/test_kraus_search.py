@@ -355,6 +355,13 @@ class TestBoundedReachability:
         with pytest.raises(ValueError):
             bounded_reachability(alphabet, GROUND, EXCITED, max_depth=-1)
 
+    @pytest.mark.parametrize("max_states", [0, -3])
+    def test_state_budget_below_one_rejected(self, max_states):
+        # rejected before the search starts, though X hits the target at depth 1
+        alphabet = ChannelAlphabet.from_kraus_lists([[PAULI_X_EXACT]])
+        with pytest.raises(ValueError, match="max_states must be >= 1"):
+            bounded_reachability(alphabet, GROUND, EXCITED, max_depth=2, max_states=max_states)
+
 
 S_EXACT = exact([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
 T_EXACT = exact([[[1, 0], [0, 0]], [[0, 0], [{"sqrt2": "1/2"}, {"sqrt2": "1/2"}]]])
@@ -411,8 +418,8 @@ def _random_hermitian(d, rng):
 
 def _decode(row, d):
     """The Hermitian matrix of a lattice row (A, B, den): coordinates
-    (A + B sqrt2)/den, ordered as the diagonal, then the real and the
-    imaginary parts of the upper triangle."""
+    (A + B sqrt2)/den, ordered as the diagonal, then the real parts of the
+    upper triangle, then the imaginary parts of the lower triangle."""
     n = d * d
     *ab, den = row
     coords = [(Fraction(ab[c], den), Fraction(ab[n + c], den)) for c in range(n)]
@@ -422,7 +429,7 @@ def _decode(row, d):
         parts[:2, k, k] = coords[k]
     for m, (i, j) in enumerate(upper):
         (x, y), (z, w) = coords[d + m], coords[d + len(upper) + m]
-        parts[:, i, j], parts[:, j, i] = (x, y, z, w), (x, y, -z, -w)
+        parts[:, i, j], parts[:, j, i] = (x, y, -z, -w), (x, y, z, w)
     return RationalComplexMatrix(parts)
 
 
@@ -562,11 +569,11 @@ class TestHermitianStates:
     def test_lattice_coordinates_share_the_float_basis_layout(self, d):
         # core.hermitian_basis orders its coordinates as _coordinates does:
         # the diagonal, sqrt(2) Re of the upper triangle, then sqrt(2) Im of
-        # the lower triangle (minus that of the upper)
+        # the lower triangle
         m = _random_hermitian(d, np.random.default_rng(70 + d))
         (a, b) = kraussearch._coordinates(m)
         exact_coords = np.array([float(x) + float(y) * kraussearch._SQRT2 for x, y in zip(a, b)])
         scale = np.concatenate([np.ones(d), np.full(d * (d - 1) // 2, np.sqrt(2)),
-                                np.full(d * (d - 1) // 2, -np.sqrt(2))])
+                                np.full(d * (d - 1) // 2, np.sqrt(2))])
         float_coords = hermitian_basis(d) @ vec(m.to_numpy())
         np.testing.assert_allclose(float_coords, scale * exact_coords, rtol=0, atol=1e-13)
