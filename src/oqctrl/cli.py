@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, ingrape, kraussearch, lindblad, reachable, stiefel
-from .core import STRUCTURAL_TOL, bloch_from_density, hermitian_coordinates, validate_density
+from .core import STRUCTURAL_TOL, bloch_from_density, hermitian_coordinates, validate_density, vec
 from .serialization import matrix_to_lists, sha256_file, write_csv, write_json
 
 # stiefel-max objectives this close to the best count as tied with it
@@ -310,11 +310,14 @@ def _pulse_problem(cfg: dict) -> ingrape.PulseProblem:
     if kind == "gate":
         # the problem's one remaining check, unitarity, names 'target' itself
         return ingrape.GateProblem(target=_matrix(cfg, "target", system.dim), **common)
-    return ingrape.StateTransferProblem(
-        rho0=_state_from(cfg, "initial_state", system.dim),
-        observable=_matrix(cfg, "observable", system.dim, hermitian=True),
-        **common,
-    )
+    rho0 = _state_from(cfg, "initial_state", system.dim)
+    observable = _matrix(cfg, "observable", system.dim, hermitian=True)
+    # the problem pairs the two in Hermitian coordinates too; X -> Tr(X) A
+    # keeps Hermiticity exactly when A is Hermitian
+    trace = vec(np.eye(system.dim))
+    for path, a in (("initial_state", rho0), ("observable", observable)):
+        _field(path, hermitian_coordinates, np.outer(vec(a), trace))
+    return ingrape.StateTransferProblem(rho0=rho0, observable=observable, **common)
 
 
 def _cmd_ingrape(cfg: dict, seed, workers):

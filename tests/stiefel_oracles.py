@@ -1,9 +1,26 @@
-"""Test oracle for the closed-form Stiefel Hessian: a manifold curve whose
-second-order Taylor term ``stiefel.hessian_apply`` must reproduce."""
+"""Test oracles for the Stiefel ascent: the objective and gradient written
+product by product, as they were before ``stiefel`` grouped them on one
+kernel, and a manifold curve whose second-order Taylor term
+``stiefel.hessian_apply`` must reproduce."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from oqctrl.stiefel import _lifted as lifted
+
+
+def objective(s: np.ndarray, rho: np.ndarray, observable: np.ndarray) -> float:
+    r"""J(S) = Re Tr[S^dag (I \otimes O) S rho]."""
+    return float(np.trace(s.conj().T @ lifted(observable, s) @ rho).real)
+
+
+def gradient(s: np.ndarray, rho: np.ndarray, observable: np.ndarray) -> np.ndarray:
+    r"""(2I - S S^dag)(I \otimes O) S rho - S rho S^dag (I \otimes O) S, with its
+    six products of N^3 rows."""
+    os_ = lifted(observable, s)
+    osr = os_ @ rho
+    return 2.0 * osr - s @ (s.conj().T @ osr) - s @ rho @ (s.conj().T @ os_)
 
 
 def _polar(x: np.ndarray) -> np.ndarray:

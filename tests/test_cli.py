@@ -600,6 +600,19 @@ CONFIG_FAULTS = {
         "ingrape", set_field(qubit_state_transfer_config(), "system.dipole[0][0][1]", 1e-10),
         "system.dipole",
     ),
+    # Hermitian to 1e-9, but not to the roundoff of the pairing's coordinates
+    "ingrape-observable-hermitian-to-1e-11": (
+        "ingrape", set_field(qubit_state_transfer_config(), "observable[0][1]", [1e-11, 0]),
+        "observable",
+    ),
+    "ingrape-initial-state-hermitian-to-1e-8": (
+        "ingrape",
+        set_field(
+            set_field(qubit_state_transfer_config(), "initial_state[0][1]", [0.25, 1e-8]),
+            "initial_state[1][0]", [0.25, 0],
+        ),
+        "initial_state",
+    ),
     "ingrape-dt-nan": (
         "ingrape", set_field(qubit_gate_config(), "grid.dt", float("nan")), "grid.dt",
     ),

@@ -25,6 +25,7 @@ from oqctrl.stiefel import (
 )
 
 from random_matrices import random_hermitian, random_kraus, random_unitary
+import stiefel_oracles
 from stiefel_oracles import hessian_curve
 
 
@@ -288,6 +289,74 @@ class TestDenseLiftOracle:
             gradient(s, random_density(2, rng), random_hermitian(4, rng))
 
 
+def random_ambient(n, rng):
+    """A Gaussian N^3 x N matrix, off the manifold."""
+    return rng.standard_normal((n**3, n)) + 1j * rng.standard_normal((n**3, n))
+
+
+class TestFusedKernel:
+    """The objective and gradient share one product kernel, and the ascent
+    evaluates it once per trial point with no projection."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("on_manifold", [True, False])
+    def test_matches_the_product_by_product_oracle(self, n, on_manifold):
+        # the grouped gradient is an identity for any S, not only on the manifold
+        rng = np.random.default_rng(300 + n)
+        for _ in range(5):
+            s = random_stiefel(n, rng) if on_manifold else random_ambient(n, rng)
+            rho, obs = random_density(n, rng), random_hermitian(n, rng)
+            scale = max(1.0, np.linalg.norm(s, 2)) ** 3 * np.linalg.norm(obs, 2)
+            j = stiefel_oracles.objective(s, rho, obs)
+            g = stiefel_oracles.gradient(s, rho, obs)
+            assert abs(objective(s, rho, obs) - j) <= 1e-12 * scale
+            assert np.max(np.abs(gradient(s, rho, obs) - g)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_every_iterate_is_on_the_manifold_with_a_tangent_gradient(self, monkeypatch, n):
+        seen = []
+        real = stiefel._gradient
+
+        def recorded(s, *args):
+            seen.append((s, real(s, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(stiefel, "_gradient", recorded)
+        rng = np.random.default_rng(310 + n)
+        report = maximize(random_density(n, rng), random_hermitian(n, rng), seed=n, max_iter=60)
+        assert len(seen) == report.iterations
+        for s, g in seen:
+            assert tangency_residual(s, g) <= 1e-12
+            assert stiefel_residual(s) < 1e-10
+
+    def test_one_kernel_and_one_retraction_per_trial(self, monkeypatch):
+        calls = {"lifted": 0, "retract": 0, "qr": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        def forbidden(*args):
+            raise AssertionError("the ascent loop calls a public kernel")
+
+        monkeypatch.setattr(stiefel, "_lifted", counted("lifted", stiefel._lifted))
+        monkeypatch.setattr(stiefel, "retract", counted("retract", stiefel.retract))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        for name in ("objective", "gradient", "project_tangent"):
+            monkeypatch.setattr(stiefel, name, forbidden)
+        rng = np.random.default_rng(321)
+        report = maximize(random_density(3, rng), random_hermitian(3, rng), seed=4)
+        assert report.converged
+        trials = calls["retract"]
+        # every accepted step took at least one trial, and some took more
+        assert trials > report.steps.size == report.iterations - 1
+        assert calls["lifted"] == 1 + trials
+        # one QR per trial, and one for the random start
+        assert calls["qr"] == trials + 1
+
+
 class TestProjectionRetraction:
     def test_projecting_the_point_gives_zero(self):
         rng = np.random.default_rng(17)
@@ -396,7 +465,7 @@ class TestMaximize:
         assert len(seen) == report.iterations - 1 == 2
         s0 = random_stiefel(3, np.random.default_rng(3))
         s1 = maximize(rho, obs, seed=3, max_iter=1).point
-        g0, g1 = (project_tangent(s, gradient(s, rho, obs)) for s in (s0, s1))
+        g0, g1 = (gradient(s, rho, obs) for s in (s0, s1))
         dx, dg, _, floor, cap = seen[0]
         assert dx.tobytes() == (s1 - s0).tobytes() and dg.tobytes() == (g1 - g0).tobytes()
         assert (floor, cap) == (stiefel.STIEFEL_STEP_FLOOR, stiefel.STIEFEL_STEP_CAP)
