@@ -43,12 +43,26 @@ def _scalar(literal) -> tuple[Fraction, Fraction]:
     return Fraction(a), Fraction(b)
 
 
+def _over_one_denominator(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python integers AB, shaped like the rationals ``values``, and den > 0
+    with values = AB / den."""
+    den = math.lcm(*(f.denominator for f in values.flat))
+    ints = [f.numerator * (den // f.denominator) for f in values.flat]
+    return np.array(ints, dtype=object).reshape(values.shape), den
+
+
 class RationalComplexMatrix:
     """Immutable square matrix over Q(sqrt(2)) + i Q(sqrt(2)): a (4, d, d)
     object array ``parts`` of Fractions, entry (j, k) being
-    x + y sqrt(2) + i (z + w sqrt(2)) with (x, y, z, w) = parts[:, j, k]."""
+    x + y sqrt(2) + i (z + w sqrt(2)) with (x, y, z, w) = parts[:, j, k].
+
+    A product puts each operand's parts over one integer denominator, runs
+    its 16 part products on the Python-int numerators and divides once at
+    the end, so every entry comes out an exact Fraction in lowest terms."""
 
     __slots__ = ("parts",)
+    # numpy operators defer to this class, so ``m @ array`` raises TypeError
+    __array_ufunc__ = None
 
     def __init__(self, parts: np.ndarray):
         parts.flags.writeable = False
@@ -79,18 +93,22 @@ class RationalComplexMatrix:
         return cls(parts)
 
     def __matmul__(self, other: "RationalComplexMatrix") -> "RationalComplexMatrix":
+        if not isinstance(other, RationalComplexMatrix):
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        x, y, z, w = self.parts
-        p, q, r, s = other.parts
-        return RationalComplexMatrix(np.stack([
+        (x, y, z, w), den_a = _over_one_denominator(self.parts)
+        (p, q, r, s), den_b = _over_one_denominator(other.parts)
+        return RationalComplexMatrix(_FRACTION(np.stack([
             x @ p + 2 * (y @ q) - z @ r - 2 * (w @ s),
             x @ q + y @ p - z @ s - w @ r,
             x @ r + 2 * (y @ s) + z @ p + 2 * (w @ q),
             x @ s + y @ r + z @ q + w @ p,
-        ]))
+        ]), den_a * den_b))
 
     def __add__(self, other: "RationalComplexMatrix") -> "RationalComplexMatrix":
+        if not isinstance(other, RationalComplexMatrix):
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return RationalComplexMatrix(self.parts + other.parts)
@@ -169,14 +187,6 @@ def require_hermitian(rho: RationalComplexMatrix, name: str = "state") -> Ration
     if rho != rho.dagger():
         raise ValueError(f"{name} is not exactly Hermitian")
     return rho
-
-
-def _over_one_denominator(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Python integers AB, shaped like the rationals ``values``, and den > 0
-    with values = AB / den."""
-    den = math.lcm(*(f.denominator for f in values.flat))
-    ints = [f.numerator * (den // f.denominator) for f in values.flat]
-    return np.array(ints, dtype=object).reshape(values.shape), den
 
 
 def _coordinates(m: RationalComplexMatrix) -> np.ndarray:

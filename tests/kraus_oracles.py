@@ -6,6 +6,10 @@ Both apply a channel per state -- ``apply_channel_exact`` on exact matrices,
 or ``sum_k K rho K^dag`` on one numpy matrix -- and so share no kernel with
 ``kraussearch.bounded_reachability``, which steps whole levels on an integer
 lattice or on a numpy stack.
+
+``fraction_product`` is the exact matrix product on ``Fraction`` objects,
+part by part, as ``RationalComplexMatrix.__matmul__`` computed it before it
+moved to integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -25,6 +29,18 @@ from oqctrl.kraussearch import (
 def exact_key(m: RationalComplexMatrix) -> tuple:
     """Canonical hashable form of an exact matrix (Fractions are auto-reduced)."""
     return tuple(m.parts.flat)
+
+
+def fraction_product(a: RationalComplexMatrix, b: RationalComplexMatrix) -> RationalComplexMatrix:
+    """a @ b with every part product and sum taken on Fraction objects."""
+    x, y, z, w = a.parts
+    p, q, r, s = b.parts
+    return RationalComplexMatrix(np.stack([
+        x @ p + 2 * (y @ q) - z @ r - 2 * (w @ s),
+        x @ q + y @ p - z @ s - w @ r,
+        x @ r + 2 * (y @ s) + z @ p + 2 * (w @ q),
+        x @ s + y @ r + z @ q + w @ p,
+    ]))
 
 
 def _grid_key(arr, tol: float) -> tuple:

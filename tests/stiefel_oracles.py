@@ -1,7 +1,8 @@
 """Test oracles for the Stiefel ascent: the objective and gradient written
 product by product, as they were before ``stiefel`` grouped them on one
-kernel, and a manifold curve whose second-order Taylor term
-``stiefel.hessian_apply`` must reproduce."""
+kernel, the QR retraction through numpy's ``qr``, as it was before
+``stiefel.retract`` called LAPACK itself, and a manifold curve whose
+second-order Taylor term ``stiefel.hessian_apply`` must reproduce."""
 
 from __future__ import annotations
 
@@ -21,6 +22,15 @@ def gradient(s: np.ndarray, rho: np.ndarray, observable: np.ndarray) -> np.ndarr
     os_ = lifted(observable, s)
     osr = os_ @ rho
     return 2.0 * osr - s @ (s.conj().T @ osr) - s @ rho @ (s.conj().T @ os_)
+
+
+def retract(s: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Thin QR of S + step by ``numpy.linalg.qr``, with R's diagonal made positive."""
+    q, r = np.linalg.qr(s + step)
+    d = np.diagonal(r)
+    if np.any(np.abs(d) < 1e-14):
+        raise ValueError("S + step is rank deficient; retraction undefined")
+    return q * (d / np.abs(d))
 
 
 def _polar(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -14,6 +16,7 @@ from oqctrl.kraussearch import (
     canonical_state_key,
 )
 from kraus_oracles import bounded_reachability_fifo, brute_force_min_length, exact_key
+from kraus_oracles import fraction_product
 from kraus_oracles import brute_force_min_length as brute_force
 
 
@@ -129,6 +132,38 @@ class TestExactArithmetic:
             ])
             assert m.to_numpy().dtype == np.complex128
             assert m.to_numpy().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_product_equals_the_fraction_oracle(self, d):
+        rng = np.random.default_rng(30 + d)
+        beyond_int64 = 2**64 + 13
+
+        def draw():
+            num = [int(v) for v in rng.integers(-10**6, 10**6, size=4 * d * d)]
+            den = [int(v) for v in rng.integers(1, 10**6 + 1, size=4 * d * d)]
+            parts = np.array([Fraction(n, m) for n, m in zip(num, den)], dtype=object)
+            parts = parts.reshape(4, d, d)
+            parts[rng.random((4, d, d)) < 0.25] = Fraction(0)
+            parts[int(rng.integers(4)), 0, d - 1] = Fraction(-beyond_int64, 7)
+            parts[int(rng.integers(4)), d - 1, 0] = Fraction(3, beyond_int64)
+            return RationalComplexMatrix(parts)
+
+        for _ in range(5):
+            a, b = draw(), draw()
+            product = a @ b
+            assert np.array_equal(product.parts, fraction_product(a, b).parts)
+            for entry in product.parts.flat:
+                assert type(entry) is Fraction
+                assert entry.denominator > 0
+                assert math.gcd(entry.numerator, entry.denominator) == 1
+
+    @pytest.mark.parametrize("operand", [3, Fraction(1, 2), 2.5, None, np.eye(2)])
+    def test_a_non_matrix_operand_raises_type_error(self, operand):
+        m = RationalComplexMatrix.identity(2)
+        for operation in (lambda: m @ operand, lambda: operand @ m,
+                          lambda: m + operand, lambda: operand + m):
+            with pytest.raises(TypeError):
+                operation()
 
     @pytest.mark.parametrize("rows, error, message", [
         ([[[1, 0], [0, 0]], [[0, 0]]], ValueError, "square"),

@@ -330,12 +330,12 @@ class TestFusedKernel:
             assert stiefel_residual(s) < 1e-10
 
     def test_one_kernel_and_one_retraction_per_trial(self, monkeypatch):
-        calls = {"lifted": 0, "retract": 0, "qr": 0}
+        calls = {"lifted": 0, "retract": 0, "qr": 0, "geqrf": 0, "ungqr": 0}
 
         def counted(name, real):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return real(*args)
+                return real(*args, **kwargs)
             return wrapper
 
         def forbidden(*args):
@@ -344,6 +344,8 @@ class TestFusedKernel:
         monkeypatch.setattr(stiefel, "_lifted", counted("lifted", stiefel._lifted))
         monkeypatch.setattr(stiefel, "retract", counted("retract", stiefel.retract))
         monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(stiefel.lapack, "zgeqrf", counted("geqrf", stiefel.lapack.zgeqrf))
+        monkeypatch.setattr(stiefel.lapack, "zungqr", counted("ungqr", stiefel.lapack.zungqr))
         for name in ("objective", "gradient", "project_tangent"):
             monkeypatch.setattr(stiefel, name, forbidden)
         rng = np.random.default_rng(321)
@@ -353,8 +355,9 @@ class TestFusedKernel:
         # every accepted step took at least one trial, and some took more
         assert trials > report.steps.size == report.iterations - 1
         assert calls["lifted"] == 1 + trials
-        # one QR per trial, and one for the random start
-        assert calls["qr"] == trials + 1
+        # one LAPACK QR per trial; numpy's QR only for the random start
+        assert calls["geqrf"] == calls["ungqr"] == trials
+        assert calls["qr"] == 1
 
 
 class TestProjectionRetraction:
@@ -392,6 +395,39 @@ class TestProjectionRetraction:
             z = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
             z /= max(1.0, np.linalg.norm(z))
             assert stiefel_residual(retract(s, z)) < 1e-12
+
+
+class TestRetractionOracle:
+    """``retract`` against the numpy-``qr`` retraction of ``stiefel_oracles``."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_numpy_qr(self, n, order):
+        rng = np.random.default_rng(30 + n)
+        for real_step in (False, True):
+            s = np.asarray(random_stiefel(n, rng), order=order)
+            z = rng.standard_normal(s.shape)
+            if not real_step:
+                z = z + 1j * rng.standard_normal(s.shape)
+            step = np.asarray(0.5 * z / np.linalg.norm(z), order=order)
+            q = retract(s, step)
+            assert np.max(np.abs(q - stiefel_oracles.retract(s, step))) <= 1e-14
+            assert stiefel_residual(q) < 1e-13
+            # S + step = Q R with R upper triangular and a positive real diagonal
+            r = q.conj().T @ (s + step)
+            assert np.max(np.abs(np.tril(r, -1))) < 1e-13
+            assert np.all(r.diagonal().real > 0)
+            assert np.max(np.abs(r.diagonal().imag)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rank_deficient_sum_rejected_like_the_oracle(self, n):
+        s = random_stiefel(n, np.random.default_rng(40 + n))
+        deficient = s.copy()
+        deficient[:, -1] = deficient[:, 0] if n > 1 else 0.0
+        for step in (-s, deficient - s):
+            for retraction in (retract, stiefel_oracles.retract):
+                with pytest.raises(ValueError, match="rank deficient"):
+                    retraction(s, step)
 
 
 class TestMaximize:
