@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, hermitian_basis, vec
-from .lindblad import affine_generator, qubit_decoherence, qubit_system
+from .core import PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, hermitian_basis, validate_density, vec
+from .lindblad import VALIDATION_TOL, affine_generator, qubit_decoherence, qubit_system
 
 # (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than
 # MIN_BIN_COUNT samples are left out of the gap estimate
@@ -32,6 +32,9 @@ MIN_BIN_COUNT = 5
 SLACK = 3.0
 # points binned at a time by coverage_map, which bounds its temporaries
 COVERAGE_BLOCK_ROWS = 16384
+# live samples whose maps sample_reachable builds and applies at a time,
+# which bounds the temporaries of one lock-step
+SAMPLER_BLOCK_ROWS = 4096
 # S with (x, y, z, Tr rho) = S T vec(rho) for T = core.hermitian_basis(2)
 BLOCH_FROM_HERMITIAN = np.array(
     [(vec(p.T) @ hermitian_basis(2).conj().T).real for p in (PAULI_X, PAULI_Y, PAULI_Z, np.eye(2))]
@@ -100,7 +103,9 @@ def bloch_generator(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _segment_maps(generator, u, n, dt) -> np.ndarray:
-    """exp((G0 + u Gu + n Gn) dt) per segment, in one batched call."""
+    """exp((G0 + u Gu + n Gn) dt) per segment, as one (k, 4, 4) stack; scipy's
+    ``expm`` takes the slices one at a time, so a map does not depend on
+    which other segments share the call."""
     g0, gu, gn = generator
     return expm((u[:, None, None] * gu + n[:, None, None] * gn + g0) * dt[:, None, None])
 
@@ -110,9 +115,18 @@ def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
 
     Each sample contributes its initial point and one point per segment, so
     short prefixes of long schedules are represented too; a sample's points
-    are contiguous and in segment order.  Every point satisfies ||r|| <= 1
-    (up to roundoff).
+    are contiguous and in segment order.  ``rho0`` must be a qubit density
+    matrix within ``lindblad.VALIDATION_TOL`` (``ValueError`` otherwise), so
+    every point satisfies ||r|| <= 1 (up to roundoff).
+
+    Beyond the drawn schedules and the points, memory is bounded by one
+    block: the maps of a lock-step are built, exponentiated and applied
+    ``SAMPLER_BLOCK_ROWS`` live samples at a time, and no point depends on
+    the blocking.
     """
+    report = validate_density(rho0, VALIDATION_TOL)
+    if not report.ok:
+        raise ValueError(f"rho0 is not a density matrix ({report.worst})")
     r0 = bloch_from_density(rho0)
     generator = bloch_generator(cfg)
     nseg, u, n, dt = _draw(cfg)
@@ -121,15 +135,19 @@ def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
     points = np.empty((int(nseg.sum()) + cfg.n_samples, 3))
     points[first_pt] = r0
     # lock-step over the segment index: at step j every sample with more
-    # than j segments applies its j-th map, exponentiated at that step, so
-    # at most n_samples maps exist at once; the live set only shrinks
+    # than j segments applies its j-th map, exponentiated at that step a
+    # block of live samples at a time; the live set only shrinks
     live = np.arange(cfg.n_samples)
     v = np.tile(np.append(r0, 1.0), (cfg.n_samples, 1))
     for j in range(int(nseg.max())):
         keep = nseg[live] > j
         live, v = live[keep], v[keep]
         seg = first_seg[live] + j
-        v = np.matmul(_segment_maps(generator, u[seg], n[seg], dt[seg]), v[:, :, None])[:, :, 0]
+        for first in range(0, live.size, SAMPLER_BLOCK_ROWS):
+            rows = slice(first, first + SAMPLER_BLOCK_ROWS)
+            s = seg[rows]
+            maps = _segment_maps(generator, u[s], n[s], dt[s])
+            v[rows] = np.matmul(maps, v[rows, :, None])[:, :, 0]
         points[first_pt[live] + j + 1] = v[:, :3]
     return points
 

@@ -209,6 +209,58 @@ class TestSampler:
         assert points.shape == (41_000, 3)
         assert peak < points.nbytes + 3_000_000
 
+    @pytest.mark.parametrize("rows", [1, 3, "default", "above"])
+    def test_blocking_changes_no_bit(self, monkeypatch, rows):
+        # the default block covers n_samples in two blocks; samples drop out
+        # of the live set at every step, partway through the blocks
+        cfg = small_cfg(n_samples=reachable.SAMPLER_BLOCK_ROWS + 1000, segment_range=(1, 4), seed=19)
+        nseg = reachable._segment_counts(cfg, np.random.default_rng(cfg.seed))
+        assert len(np.unique(nseg)) == 4
+        rows = {"default": reachable.SAMPLER_BLOCK_ROWS, "above": cfg.n_samples + 1}.get(rows, rows)
+        monkeypatch.setattr(reachable, "SAMPLER_BLOCK_ROWS", rows)
+        stacks = []
+        segment_maps = reachable._segment_maps
+
+        def spy(generator, u, n, dt):
+            stacks.append(len(dt))
+            return segment_maps(generator, u, n, dt)
+
+        monkeypatch.setattr(reachable, "_segment_maps", spy)
+        rho0 = density_from_bloch([0.3, -0.4, 0.5])
+        blocked = sample_reachable(cfg, rho0)
+        monkeypatch.undo()
+        assert max(stacks) == min(rows, cfg.n_samples) and sum(stacks) == nseg.sum()
+        assert np.array_equal(blocked, sample_reachable_per_point(cfg, rho0))
+
+    def test_step_memory_is_bounded_by_the_block(self):
+        # beyond the points and the drawn schedules, a step holds one block's
+        # maps (a few arrays of block x 4 x 4 floats) and a few vectors over
+        # the live samples (state, index and mask: under 100 bytes a sample);
+        # a whole step in one stack holds about 385 bytes a sample and fails it
+        block_bytes = reachable.SAMPLER_BLOCK_ROWS * 4 * 4 * 8
+        cfg = small_cfg(n_samples=5 * reachable.SAMPLER_BLOCK_ROWS, segment_range=(1, 2))
+        schedule_bytes = sum(a.nbytes for a in _draw(cfg))
+        tracemalloc.start()
+        try:
+            points = sample_reachable(cfg, GROUND)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - points.nbytes - schedule_bytes < 4 * block_bytes + 100 * cfg.n_samples
+
+    @pytest.mark.parametrize(
+        "rho0, worst",
+        [
+            (np.diag([2.0, 0j]), "trace"),
+            (np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex), "hermiticity"),
+            (np.diag([1.5, -0.5]).astype(complex), "positivity"),
+        ],
+    )
+    def test_non_state_rejected(self, rho0, worst):
+        # each would give points outside the unit ball (norms 2.0, 1.414, 2.0)
+        with pytest.raises(ValueError, match=f"not a density matrix \\({worst}\\)"):
+            sample_reachable(small_cfg(n_samples=5), rho0)
+
     def test_closed_system_limit_stays_on_sphere(self):
         # gamma -> 0 with coherent-only schedules preserves purity
         cfg = small_cfg(gamma=1e-12, n_max=0.0, n_samples=500)
