@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__, ingrape, kraussearch, lindblad, reachable, stiefel
 from .core import STRUCTURAL_TOL, bloch_from_density, hermitian_coordinates, validate_density, vec
-from .serialization import matrix_to_lists, sha256_file, write_csv, write_json
+from .serialization import csv_row_blocks, matrix_to_lists, sha256_file, write_csv, write_json
 
 # stiefel-max objectives this close to the best count as tied with it
 BEST_TIE = 1e-12
@@ -436,8 +436,10 @@ def _cmd_reachable(cfg: dict, seed, workers):
         raise ConfigError("field 'slack' must be > 0")
 
     def run(out: Path) -> list[str]:
-        study = reachable.run_reachability_study(sampler, rho0, slack=slack)
-        write_csv(out / "points.csv", ["x", "y", "z"], study.points)
+        # the study hands its points over block by block; a study that
+        # raises (such as one the doubling check refuses) leaves no points.csv
+        with csv_row_blocks(out / "points.csv", ["x", "y", "z"]) as write_points:
+            study = reachable.run_reachability_study(sampler, rho0, slack=slack, sink=write_points)
         write_json(
             out / "grid.json",
             {

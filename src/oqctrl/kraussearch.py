@@ -400,9 +400,11 @@ def bounded_reachability(
     if kernel.first_hit(kernel.start, [start_key]) is not None:
         return certify(())
 
-    level, sequences = kernel.start, [()]
+    # kept_levels[d] holds the child indices (parent * width + channel)
+    # that form level d + 1; a certificate walks them back from a hit
+    level, kept_levels = kernel.start, []
     for depth in range(1, max_depth + 1):
-        if not sequences:
+        if not len(level):
             break
         children = kernel.children(level)
         keys = kernel.keys(children, tol)
@@ -415,7 +417,7 @@ def bounded_reachability(
             if len(visited) > max_states:
                 # a FIFO frontier: the level's parents after this one, and
                 # the children queued so far
-                frontier = len(sequences) - c // width - 1 + len(kept)
+                frontier = len(level) - c // width - 1 + len(kept)
                 raise SearchMemoryError(
                     f"state budget {max_states} exceeded at depth {depth} (frontier {frontier})",
                     states_explored=len(visited),
@@ -424,7 +426,10 @@ def bounded_reachability(
                 )
             kept.append(c)
         if hit is not None:
-            return certify(sequences[hit // width] + (hit % width,))
+            sequence = [hit]
+            for parents in reversed(kept_levels):
+                sequence.append(parents[sequence[-1] // width])
+            return certify(tuple(c % width for c in reversed(sequence)))
         level = children[kept]
-        sequences = [sequences[c // width] + (c % width,) for c in kept]
+        kept_levels.append(kept)
     return SearchOutcome(False, None, max_depth, len(visited))

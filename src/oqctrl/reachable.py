@@ -17,6 +17,7 @@ GKSL generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,7 +34,8 @@ SLACK = 3.0
 # points binned at a time by coverage_map, which bounds its temporaries
 COVERAGE_BLOCK_ROWS = 16384
 # live samples whose maps sample_reachable builds and applies at a time,
-# which bounds the temporaries of one lock-step
+# which bounds the temporaries of one lock-step; also the samples of one
+# block of a study's stream
 SAMPLER_BLOCK_ROWS = 4096
 # S with (x, y, z, Tr rho) = S T vec(rho) for T = core.hermitian_basis(2)
 BLOCH_FROM_HERMITIAN = np.array(
@@ -82,17 +84,24 @@ def _segment_counts(cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(cfg.segment_range[0], cfg.segment_range[1] + 1, size=cfg.n_samples)
 
 
-def _draw(cfg: SamplerConfig):
-    """All random segment data for a run, reproducible from cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
-    nseg = _segment_counts(cfg, rng)
-    total = int(nseg.sum())
-    u = rng.uniform(-cfg.u_max, cfg.u_max, size=total)
-    n = rng.uniform(0.0, cfg.n_max, size=total)
+def _segment_draws(cfg: SamplerConfig, state: dict, total: int, first: int, count: int):
+    """u, n and dt of segments [first, first + count) of the stream's ``total``.
+
+    The stream draws u, n and log dt as three arrays of ``total`` values each,
+    in that order, from the PCG64 ``state`` left by the count draw.  Each
+    double takes one PCG64 step, so a copy of that state advanced past the
+    values before a slice draws the slice bit for bit without the rest.
+    """
+
+    def uniform(k: int, lo: float, hi: float) -> np.ndarray:
+        bits = np.random.PCG64()
+        bits.state = state
+        bits.advance(k * total + first)
+        return np.random.Generator(bits).uniform(lo, hi, size=count)
+
     lo = np.log(cfg.duration_range[0] / cfg.omega)
     hi = np.log(cfg.duration_range[1] / cfg.omega)
-    dt = np.exp(rng.uniform(lo, hi, size=total))
-    return nseg, u, n, dt
+    return uniform(0, -cfg.u_max, cfg.u_max), uniform(1, 0.0, cfg.n_max), np.exp(uniform(2, lo, hi))
 
 
 def bloch_generator(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,35 +119,47 @@ def _segment_maps(generator, u, n, dt) -> np.ndarray:
     return expm((u[:, None, None] * gu + n[:, None, None] * gn + g0) * dt[:, None, None])
 
 
-def sample_reachable(cfg: SamplerConfig, rho0) -> np.ndarray:
-    """Bloch points of all boundary states of the random schedules.
+def sample_reachable(cfg: SamplerConfig, rho0, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Bloch points of all boundary states of the random schedules of
+    samples [start, stop) (all of them by default).
 
     Each sample contributes its initial point and one point per segment, so
     short prefixes of long schedules are represented too; a sample's points
-    are contiguous and in segment order.  ``rho0`` must be a qubit density
+    are contiguous and in segment order, and the points of a range are the
+    matching rows of the whole run's.  ``rho0`` must be a qubit density
     matrix within ``lindblad.VALIDATION_TOL`` (``ValueError`` otherwise), so
     every point satisfies ||r|| <= 1 (up to roundoff).
 
-    Beyond the drawn schedules and the points, memory is bounded by one
-    block: the maps of a lock-step are built, exponentiated and applied
+    Beyond the range's schedules and points and the stream's segment counts
+    (redrawn per call, 8 bytes a sample), memory is bounded by one block: the
+    maps of a lock-step are built, exponentiated and applied
     ``SAMPLER_BLOCK_ROWS`` live samples at a time, and no point depends on
     the blocking.
     """
+    stop = cfg.n_samples if stop is None else stop
+    if not 0 <= start < stop <= cfg.n_samples:
+        raise ValueError(f"sample range [{start}, {stop}) is empty or not in [0, {cfg.n_samples})")
     report = validate_density(rho0, VALIDATION_TOL)
     if not report.ok:
         raise ValueError(f"rho0 is not a density matrix ({report.worst})")
     r0 = bloch_from_density(rho0)
     generator = bloch_generator(cfg)
-    nseg, u, n, dt = _draw(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    counts = _segment_counts(cfg, rng)
+    nseg = counts[start:stop].copy()
+    u, n, dt = _segment_draws(
+        cfg, rng.bit_generator.state, int(counts.sum()), int(counts[:start].sum()), int(nseg.sum())
+    )
+    del counts  # the lock-step needs only the range's counts
     first_seg = np.cumsum(nseg) - nseg
-    first_pt = first_seg + np.arange(cfg.n_samples)
-    points = np.empty((int(nseg.sum()) + cfg.n_samples, 3))
+    first_pt = first_seg + np.arange(nseg.size)
+    points = np.empty((u.size + nseg.size, 3))
     points[first_pt] = r0
     # lock-step over the segment index: at step j every sample with more
     # than j segments applies its j-th map, exponentiated at that step a
     # block of live samples at a time; the live set only shrinks
-    live = np.arange(cfg.n_samples)
-    v = np.tile(np.append(r0, 1.0), (cfg.n_samples, 1))
+    live = np.arange(nseg.size)
+    v = np.tile(np.append(r0, 1.0), (nseg.size, 1))
     for j in range(int(nseg.max())):
         keep = nseg[live] > j
         live, v = live[keep], v[keep]
@@ -219,23 +240,17 @@ def coverage_map(points: np.ndarray, resolution: int) -> CoverageGrid:
     return CoverageGrid(res, counts, radial_max, radial_counts)
 
 
-def _prefix_and_whole(
-    points: np.ndarray, split: int, resolution: int
-) -> tuple[CoverageGrid | None, CoverageGrid]:
-    """Grids of ``points[:split]`` (None when empty) and of all the points,
-    binning each point once: the prefix and rest grids merge (counts add,
-    radial maxima take the larger) into one ``coverage_map``'s grid, bit for bit."""
-    if split == 0:
-        return None, coverage_map(points, resolution)
-    prefix = coverage_map(points[:split], resolution)
-    if split == points.shape[0]:
-        return prefix, prefix
-    rest = coverage_map(points[split:], resolution)
-    return prefix, CoverageGrid(
-        resolution,
-        prefix.counts + rest.counts,
-        np.maximum(prefix.radial_max, rest.radial_max),
-        prefix.radial_counts + rest.radial_counts,
+def _merged(a: CoverageGrid | None, b: CoverageGrid) -> CoverageGrid:
+    """The grid of two point sets binned apart (``a`` may be None): counts
+    add and radial maxima take the larger, which gives one ``coverage_map``
+    of both sets bit for bit."""
+    if a is None:
+        return b
+    return CoverageGrid(
+        b.resolution,
+        a.counts + b.counts,
+        np.maximum(a.radial_max, b.radial_max),
+        a.radial_counts + b.radial_counts,
     )
 
 
@@ -312,26 +327,47 @@ def unreachable_report(
 
 @dataclass
 class StudyResult:
-    points: np.ndarray
     grid: CoverageGrid
     report: UnreachableReport
     occupancy_change: float
 
 
-def run_reachability_study(cfg: SamplerConfig, rho0, slack: float = SLACK) -> StudyResult:
+def _sample_blocks(n_samples: int) -> list[tuple[int, int]]:
+    """The study's (start, stop) sample blocks: each half of the samples in
+    blocks of ``SAMPLER_BLOCK_ROWS``, so n_samples // 2 is a block edge."""
+    half = n_samples // 2
+    edges = [*range(0, half, SAMPLER_BLOCK_ROWS), *range(half, n_samples, SAMPLER_BLOCK_ROWS)]
+    edges.append(n_samples)
+    return list(zip(edges, edges[1:]))
+
+
+def run_reachability_study(
+    cfg: SamplerConfig, rho0, slack: float = SLACK, sink: Callable[[np.ndarray], None] | None = None
+) -> StudyResult:
     """Sample, check occupancy convergence under sample doubling, report.
 
     Convergence compares the grid built from the first half of the samples
     (a prefix of the same stream) against the full grid: doubling the sample
     count must change the occupancy fraction by less than 0.5%.
+
+    The samples stream through in blocks (``_sample_blocks``): each block is
+    sampled (one ``sample_reachable`` call), handed to ``sink`` when one is
+    given (the blocks in order are the whole run's points), binned, merged
+    into the running grid and dropped.  So beyond one block, memory holds the
+    grids and the sampler's per-sample segment counts, however many samples
+    a run has, and every result is the one the whole cloud gives.
     """
-    points = sample_reachable(cfg, rho0)
-    nseg = _segment_counts(cfg, np.random.default_rng(cfg.seed))
-    half_samples = cfg.n_samples // 2
-    prefix_points = int(nseg[:half_samples].sum()) + half_samples
-    half_grid, grid = _prefix_and_whole(points, prefix_points, cfg.resolution)
+    half = cfg.n_samples // 2
+    half_grid = grid = None
+    for start, stop in _sample_blocks(cfg.n_samples):
+        points = sample_reachable(cfg, rho0, start, stop)
+        if sink is not None:
+            sink(points)
+        grid = _merged(grid, coverage_map(points, cfg.resolution))
+        if stop == half:
+            half_grid = grid
     change = 0.0 if half_grid is None else abs(grid.occupancy_fraction - half_grid.occupancy_fraction)
     report = unreachable_report(
         grid, cfg.gamma, cfg.omega, slack=slack, occupancy_change=change
     )
-    return StudyResult(points=points, grid=grid, report=report, occupancy_change=change)
+    return StudyResult(grid=grid, report=report, occupancy_change=change)

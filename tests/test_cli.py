@@ -368,9 +368,9 @@ class TestReachable:
         seen = []
         study = reachable.run_reachability_study
 
-        def spy(sampler, rho0, slack):
+        def spy(sampler, rho0, slack, **kwargs):
             seen.append(sampler.resolution)
-            return study(sampler, rho0, slack=slack)
+            return study(sampler, rho0, slack=slack, **kwargs)
 
         monkeypatch.setattr(reachable, "run_reachability_study", spy)
         cfg = write_config(
@@ -381,6 +381,28 @@ class TestReachable:
         assert main(["reachable", str(cfg), "--out", str(out)]) == 2
         assert seen == [reachable.SamplerConfig().resolution]
         assert "not converged" in (out / "FAILED").read_text()
+        assert sorted(p.name for p in out.iterdir()) == ["FAILED"]
+
+    @pytest.mark.parametrize("resolution", [None, 2])
+    def test_a_valid_config_reaches_the_patched_sampler(self, tmp_path, monkeypatch, resolution):
+        # the positive control of the tests below that patch the sampler with
+        # one that raises: the payloads they start from do reach it
+        blocks = []
+        sample = reachable.sample_reachable
+
+        def spy(cfg, rho0, start, stop):
+            blocks.append((start, stop))
+            return sample(cfg, rho0, start, stop)
+
+        monkeypatch.setattr(reachable, "sample_reachable", spy)
+        payload = {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": 100}
+        if resolution is not None:
+            payload["resolution"] = resolution
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out"
+        # resolution 10 (the default) is too fine for 100 samples: refused
+        assert main(["reachable", str(cfg), "--out", str(out)]) == (2 if resolution is None else 0)
+        assert blocks == [(0, 50), (50, 100)]
 
     @pytest.mark.parametrize("resolution", [1, 0])
     def test_resolution_below_two_is_validation_error(

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from oqctrl import reachable
+from oqctrl.cli import main
 from oqctrl.core import bloch_from_density, density_from_bloch, hermitian_basis, random_density, vec
 from oqctrl.lindblad import (
     ControlSchedule,
@@ -18,8 +20,9 @@ from oqctrl.reachable import (
     BLOCH_FROM_HERMITIAN,
     CoverageGrid,
     SamplerConfig,
-    _draw,
-    _prefix_and_whole,
+    _merged,
+    _segment_counts,
+    _segment_draws,
     _segment_maps,
     bloch_generator,
     coverage_map,
@@ -27,6 +30,7 @@ from oqctrl.reachable import (
     sample_reachable,
     unreachable_report,
 )
+from oqctrl.serialization import write_csv
 
 from bloch_oracles import qubit_bloch_generator
 
@@ -40,9 +44,23 @@ def small_cfg(**kw):
     return SamplerConfig(**defaults)
 
 
+def one_shot_draw(cfg):
+    """All random segment data for a run, reproducible from cfg.seed: the
+    segment counts, then u, n and log dt of every segment, each in one draw."""
+    rng = np.random.default_rng(cfg.seed)
+    nseg = _segment_counts(cfg, rng)
+    total = int(nseg.sum())
+    u = rng.uniform(-cfg.u_max, cfg.u_max, size=total)
+    n = rng.uniform(0.0, cfg.n_max, size=total)
+    lo = np.log(cfg.duration_range[0] / cfg.omega)
+    hi = np.log(cfg.duration_range[1] / cfg.omega)
+    dt = np.exp(rng.uniform(lo, hi, size=total))
+    return nseg, u, n, dt
+
+
 def drawn_schedules(cfg):
     """The schedules the sampler propagates, one per sample."""
-    nseg, u, n, dt = _draw(cfg)
+    nseg, u, n, dt = one_shot_draw(cfg)
     offset = 0
     for count in nseg:
         count = int(count)
@@ -57,7 +75,7 @@ def drawn_schedules(cfg):
 def sample_reachable_per_point(cfg, rho0):
     """Reference sampler: each sample's segment maps applied one at a time."""
     r0 = bloch_from_density(rho0)
-    nseg, u, n, dt = _draw(cfg)
+    nseg, u, n, dt = one_shot_draw(cfg)
     maps = _segment_maps(bloch_generator(cfg), u, n, dt)
     points = np.empty((int(nseg.sum()) + cfg.n_samples, 3))
     offset = 0
@@ -239,7 +257,7 @@ class TestSampler:
         # a whole step in one stack holds about 385 bytes a sample and fails it
         block_bytes = reachable.SAMPLER_BLOCK_ROWS * 4 * 4 * 8
         cfg = small_cfg(n_samples=5 * reachable.SAMPLER_BLOCK_ROWS, segment_range=(1, 2))
-        schedule_bytes = sum(a.nbytes for a in _draw(cfg))
+        schedule_bytes = sum(a.nbytes for a in one_shot_draw(cfg))
         tracemalloc.start()
         try:
             points = sample_reachable(cfg, GROUND)
@@ -397,15 +415,27 @@ class TestUnreachableReport:
         assert study.occupancy_change <= 0.005
 
     def test_study_draws_the_schedules_once(self, monkeypatch):
-        # the half-sample grid takes its prefix from the segment counts alone
+        # the half-sample grid takes its prefix from the segment counts alone,
+        # and the blocks' segment draws tile the stream once, in order
         cfg = SamplerConfig(gamma=0.1, n_samples=4000, seed=11, resolution=4)
-        nseg = _draw(cfg)[0]
+        nseg = one_shot_draw(cfg)[0]
         half = cfg.n_samples // 2
         draws = []
-        monkeypatch.setattr(reachable, "_draw", lambda c: draws.append(c) or _draw(c))
+        segment_draws = reachable._segment_draws
+
+        def spy(c, state, total, first, count):
+            draws.append((c, total, first, count))
+            return segment_draws(c, state, total, first, count)
+
+        monkeypatch.setattr(reachable, "_segment_draws", spy)
         study = run_reachability_study(cfg, GROUND)
-        assert draws == [cfg]
-        half_grid = coverage_map(study.points[: int(nseg[:half].sum()) + half], cfg.resolution)
+        monkeypatch.undo()
+        firsts = [first for _, _, first, _ in draws]
+        counts = [count for _, _, _, count in draws]
+        assert {(c, total) for c, total, _, _ in draws} == {(cfg, nseg.sum())}
+        assert firsts == np.cumsum([0] + counts[:-1]).tolist() and sum(counts) == nseg.sum()
+        points = sample_reachable(cfg, GROUND)
+        half_grid = coverage_map(points[: int(nseg[:half].sum()) + half], cfg.resolution)
         assert study.occupancy_change == abs(
             study.grid.occupancy_fraction - half_grid.occupancy_fraction
         )
@@ -429,8 +459,10 @@ class TestStudyBinning:
         pts = sample_reachable(small_cfg(n_samples=100), GROUND)
         pts[::13] = 0.0  # zero points are binned but have no direction
         split = {"zero": 0, "one": 1, "block": 128, "block+1": 129, "end": len(pts)}[where]
-        prefix, whole = _prefix_and_whole(pts, split, 10)
-        assert (prefix is None) == (split == 0)
+        prefix = coverage_map(pts[:split], 10) if split else None
+        rest = coverage_map(pts[split:], 10) if split < len(pts) else None
+        whole = prefix if rest is None else _merged(prefix, rest)
+        assert (whole is rest) == (split == 0)
         pairs = [(whole, coverage_map(pts, 10))]
         if split:
             pairs.append((prefix, coverage_map(pts[:split], 10)))
@@ -447,8 +479,139 @@ class TestStudyBinning:
         )
         cfg = small_cfg(n_samples=n_samples, resolution=2)
         study = run_reachability_study(cfg, GROUND)
-        assert sum(binned) == len(study.points)
+        points = sample_reachable(cfg, GROUND)
+        assert sum(binned) == len(points)
         assert len(binned) == (1 if n_samples == 1 else 2)
-        whole = real(study.points, cfg.resolution)
+        whole = real(points, cfg.resolution)
         assert study.grid.counts.tobytes() == whole.counts.tobytes()
         assert study.grid.radial_max.tobytes() == whole.radial_max.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_study_of_many_blocks_is_the_study_of_the_whole_cloud(self, monkeypatch, rows):
+        # every block boundary, the half-sample edge among them, merges grids
+        cfg = small_cfg(n_samples=301, resolution=3, segment_range=(1, 4))
+        points = sample_reachable(cfg, GROUND)
+        nseg = one_shot_draw(cfg)[0]
+        half_grid = coverage_map(points[: int(nseg[:150].sum()) + 150], cfg.resolution)
+        whole = coverage_map(points, cfg.resolution)
+        monkeypatch.setattr(reachable, "SAMPLER_BLOCK_ROWS", rows)
+        blocks = []
+        sample = reachable.sample_reachable
+        monkeypatch.setattr(
+            reachable, "sample_reachable", lambda c, r, a, b: blocks.append((a, b)) or sample(c, r, a, b)
+        )
+        study = run_reachability_study(cfg, GROUND)
+        assert len(blocks) == -(-150 // rows) + -(-151 // rows) and (150, 150 + min(rows, 151)) in blocks
+        for name in ("counts", "radial_max", "radial_counts"):
+            assert getattr(study.grid, name).tobytes() == getattr(whole, name).tobytes()
+        assert study.occupancy_change == abs(whole.occupancy_fraction - half_grid.occupancy_fraction)
+
+
+def sample_rows(nseg, start, stop):
+    """Rows of a whole run's points that samples [start, stop) contribute."""
+    return slice(int(nseg[:start].sum()) + start, int(nseg[:stop].sum()) + stop)
+
+
+class TestStream:
+    # 1001 samples: the half edge is at 500, inside the second default block
+    CONFIGS = {
+        "default": small_cfg(n_samples=1001, segment_range=(1, 20), seed=23),
+        # a bound of zero still takes one draw a segment
+        "zero-bounds": small_cfg(n_samples=1001, u_max=0.0, n_max=0.0, seed=29),
+    }
+    RANGES = {
+        "edge-0": (0, 5),
+        "edge-1": (1, 6),
+        "half-edge": (500, 505),
+        "last": (996, 1001),
+        "split-by-half": (495, 505),
+        "all": (0, 1001),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("where", list(RANGES))
+    def test_block_draws_are_slices_of_the_one_shot_draw(self, name, where):
+        cfg = self.CONFIGS[name]
+        start, stop = self.RANGES[where]
+        nseg, u, n, dt = one_shot_draw(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        assert np.array_equal(_segment_counts(cfg, rng), nseg)
+        total, first = int(nseg.sum()), int(nseg[:start].sum())
+        count = int(nseg[start:stop].sum())
+        if where == "last":
+            assert nseg[-1] > 1  # the block ends on a sample's last segment
+        got = _segment_draws(cfg, rng.bit_generator.state, total, first, count)
+        for block, whole in zip(got, (u, n, dt)):
+            assert block.tobytes() == whole[first : first + count].tobytes()
+
+    @pytest.mark.parametrize("where", list(RANGES))
+    def test_range_points_are_rows_of_the_whole_run(self, where):
+        cfg = self.CONFIGS["default"]
+        start, stop = self.RANGES[where]
+        nseg = one_shot_draw(cfg)[0]
+        rho0 = density_from_bloch([0.3, -0.4, 0.5])
+        whole = sample_reachable_per_point(cfg, rho0)
+        part = sample_reachable(cfg, rho0, start, stop)
+        assert part.tobytes() == whole[sample_rows(nseg, start, stop)].tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (5, 5), (6, 5), (-1, 3), (0, 1002)])
+    def test_empty_or_outside_range_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="sample range"):
+            sample_reachable(self.CONFIGS["default"], GROUND, start, stop)
+
+    def test_points_csv_is_write_csv_of_the_whole_cloud(self, tmp_path):
+        # an odd count over four blocks: two per half, the second of each short
+        n_samples = 2 * reachable.SAMPLER_BLOCK_ROWS + 1001
+        payload = {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "samples": n_samples,
+                   "segments": [1, 3], "resolution": 2, "seed": 31}
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        assert main(["reachable", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
+        cfg = SamplerConfig(gamma=0.1, n_samples=n_samples, segment_range=(1, 3), resolution=2, seed=31)
+        write_csv(tmp_path / "want.csv", ["x", "y", "z"], sample_reachable_per_point(cfg, GROUND))
+        assert (tmp_path / "out" / "points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert not (tmp_path / "out" / "points.csv.part").exists()
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamMemory:
+    # going from n to 4n samples may add only what the stream holds per
+    # sample, the segment counts each block's sampling call redraws (8
+    # bytes), plus a small constant; keeping the whole cloud and its
+    # schedules costs about 170 bytes a sample at these 1-2 segments
+    PER_SAMPLE_BYTES = 8
+    CONSTANT_BYTES = 300_000
+    N = 2 * reachable.SAMPLER_BLOCK_ROWS
+
+    def configs(self):
+        return [small_cfg(n_samples=k, segment_range=(1, 2), resolution=2) for k in (self.N, 4 * self.N)]
+
+    def test_study_memory_does_not_grow_with_the_samples(self):
+        small, large = self.configs()
+        run_reachability_study(small, GROUND)  # lazy imports and caches
+        peaks = [traced_peak(lambda: run_reachability_study(cfg, GROUND)) for cfg in (small, large)]
+        assert peaks[1] - peaks[0] < self.PER_SAMPLE_BYTES * 3 * self.N + self.CONSTANT_BYTES
+
+    def test_cli_run_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # the CLI run adds the points.csv writer and the manifest's hashes
+        argvs = []
+        for cfg in self.configs():
+            payload = {"omega": cfg.omega, "mu": cfg.mu, "gamma": cfg.gamma, "samples": cfg.n_samples,
+                       "segments": list(cfg.segment_range), "resolution": cfg.resolution, "seed": cfg.seed}
+            path = tmp_path / f"{cfg.n_samples}.json"
+            path.write_text(json.dumps(payload))
+            argvs.append(["reachable", str(path), "--out", str(tmp_path / f"out-{cfg.n_samples}")])
+        assert main(argvs[0]) == 0  # lazy imports and caches
+        peaks = []
+        for argv in argvs:
+            codes = []
+            peaks.append(traced_peak(lambda: codes.append(main(argv))))
+            assert codes == [0]
+        assert peaks[1] - peaks[0] < self.PER_SAMPLE_BYTES * 3 * self.N + self.CONSTANT_BYTES

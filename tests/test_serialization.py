@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oqctrl.serialization import CSV_BLOCK_ROWS, fmt, write_csv, write_json
+from oqctrl.serialization import CSV_BLOCK_ROWS, csv_row_blocks, fmt, write_csv, write_json
 
 
 @pytest.mark.parametrize(
@@ -95,3 +95,30 @@ def test_csv_of_bool_array_renders_words(tmp_path):
 def test_csv_of_empty_float_array_is_header_only(tmp_path):
     write_csv(tmp_path / "e.csv", ["x", "y", "z"], np.empty((0, 3)))
     assert (tmp_path / "e.csv").read_text() == "x,y,z\n"
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[], [0], [1], [3, 0, 5], [CSV_BLOCK_ROWS - 1, 2, CSV_BLOCK_ROWS + 1]],
+    ids=["none", "empty", "one", "with-empty", "across-csv-blocks"],
+)
+def test_row_blocks_append_to_the_text_of_their_concatenation(tmp_path, sizes):
+    rows = random_bit_patterns(9, (sum(sizes), 3))
+    with csv_row_blocks(tmp_path / "blocks.csv", ["x", "y", "z"]) as append:
+        for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+            append(rows[lo:hi])
+    write_csv(tmp_path / "whole.csv", ["x", "y", "z"], rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.csv", "whole.csv"]
+
+
+def test_row_blocks_leave_no_file_when_the_writer_raises(tmp_path):
+    (tmp_path / "old.csv").write_text("kept\n")
+    for name in ("new.csv", "old.csv"):
+        with pytest.raises(RuntimeError, match="stop"):
+            with csv_row_blocks(tmp_path / name, ["x"]) as append:
+                append(np.ones((2, 1)))
+                raise RuntimeError("stop")
+    # a file written before is left as it was
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+    assert (tmp_path / "old.csv").read_text() == "kept\n"
