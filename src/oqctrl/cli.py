@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 import traceback
@@ -24,7 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__, ingrape, kraussearch, lindblad, reachable, stiefel
-from .core import STRUCTURAL_TOL, bloch_from_density, hermitian_coordinates, validate_density, vec
+from .core import (STRUCTURAL_TOL, bloch_from_density, hermitian_coordinates, require_finite,
+                   validate_density, vec)
 from .serialization import csv_row_blocks, matrix_to_lists, sha256_file, write_csv, write_json
 
 # stiefel-max objectives this close to the best count as tied with it
@@ -58,22 +58,21 @@ def _read(cfg: dict, path: str, kind=None, default=...):
 
 
 def _typed(node, kind, path: str, entry: str = ""):
-    """``node`` if it is of type ``kind``; the one leaf rule of the config
-    reader.  ``entry`` locates the node inside the array at ``path``."""
-    where = f"field '{path}'" + (f" entry {entry}" if entry else "")
+    """``node`` if it is of type ``kind``, a number as a finite float where
+    ``kind`` takes floats; the one leaf rule of the config reader.  ``entry``
+    locates the node inside the array at ``path``."""
+    where = f"field '{path}'" + (f" entry '{path}{entry}'" if entry else "")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     # JSON booleans are ints to Python, but no field takes one as a number
-    if isinstance(node, bool) or not isinstance(node, kind):
-        names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{where} must be of type {names}")
-    # a real-valued field is read as a float, which a JSON integer can exceed;
+    if isinstance(node, bool) or not isinstance(node, kinds):
+        raise ConfigError(f"{where} must be of type {'/'.join(k.__name__ for k in kinds)}")
+    # a JSON integer in a real-valued field reads as the float its digits
+    # spell, which is infinite beyond the float range
+    if float in kinds and isinstance(node, (int, float)):
+        return require_finite(float(str(node)) if isinstance(node, int) else node, where)
     # any other integer but the seed (arbitrary-precision entropy) is a size
     # or a count, which must fit a machine integer
-    if isinstance(node, int) and float in (kind if isinstance(kind, tuple) else (kind,)):
-        try:
-            float(node)
-        except OverflowError:
-            raise ConfigError(f"{where} is outside the float range") from None
-    elif isinstance(node, int) and path != "seed" and abs(node) > sys.maxsize:
+    if isinstance(node, int) and path != "seed" and abs(node) > sys.maxsize:
         raise ConfigError(f"{where} is outside the machine-integer range")
     return node
 
@@ -95,19 +94,6 @@ def _array(cfg: dict, path: str, kind=(int, float), depth: int = 1) -> np.ndarra
     return _field(path, np.array, node, int if kind is int else float)
 
 
-def _require_finite(node, path: str = "") -> None:
-    """Reject the first NaN or infinity in a loaded config (``json`` parses
-    both), naming its field path."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"field '{path}' must be finite")
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _require_finite(value, f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
-        for k, value in enumerate(node):
-            _require_finite(value, f"{path}[{k}]")
-
-
 def _field(path: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``; the one place a library error gets the
     config field path attached."""
@@ -120,11 +106,11 @@ def _field(path: str, build, *args, **kwargs):
 def _given(cfg: dict, prefix: str = "", **kinds) -> dict:
     """The optional numbers the config sets (null counts as unset), so the
     library's own defaults apply to the rest: a JSON integer where ``kinds``
-    names ``int``, any JSON number where it names ``float``."""
+    names ``int``, any JSON number (read as a float) where it names ``float``."""
     given = {}
     for name, kind in kinds.items():
         if _read(cfg, prefix + name, default=None) is not None:
-            given[name] = kind(_read(cfg, prefix + name, (int,) if kind is int else (int, float)))
+            given[name] = _read(cfg, prefix + name, (int,) if kind is int else (int, float))
     return given
 
 
@@ -204,9 +190,9 @@ def _cmd_simulate(cfg: dict, seed, workers):
     rows = []
     for k in range(len(segments)):
         where = f"segments[{k}]"
-        dt, u = (float(_read(cfg, f"{where}.{x}", (int, float))) for x in ("dt", "u"))
+        dt, u = (_read(cfg, f"{where}.{x}", (int, float)) for x in ("dt", "u"))
         occ = _read(cfg, f"{where}.n", (int, float, list))
-        occ = _array(cfg, f"{where}.n") if isinstance(occ, list) else np.full(n_pairs, float(occ))
+        occ = _array(cfg, f"{where}.n") if isinstance(occ, list) else np.full(n_pairs, occ)
         if dt <= 0:
             raise ConfigError(f"field '{where}.dt' must be > 0")
         if occ.size != n_pairs or np.any(occ < 0):
@@ -294,14 +280,14 @@ def _pulse_problem(cfg: dict) -> ingrape.PulseProblem:
     # Hermitian to roundoff, tighter than SystemModel's check
     _field("system.dipole", hermitian_coordinates, lindblad.hamiltonian_superoperator(system.dipole))
     m = int(_read(cfg, "grid.segments", (int,)))
-    dt = float(_read(cfg, "grid.dt", (int, float)))
+    dt = _read(cfg, "grid.dt", (int, float))
     if m < 1 or dt <= 0:
         raise ConfigError("field 'grid': need segments >= 1 and dt > 0")
-    u_max = float(_read(cfg, "bounds.u_max", (int, float)))
-    u_min = float(_read(cfg, "bounds.u_min", (int, float), default=-u_max))
+    u_max = _read(cfg, "bounds.u_max", (int, float))
+    u_min = _read(cfg, "bounds.u_min", (int, float), default=-u_max)
     if u_min >= u_max:
         raise ConfigError("field 'bounds.u_max' must exceed 'bounds.u_min' (default -u_max)")
-    n_max = float(_read(cfg, "bounds.n_max", (int, float), default=0.0))
+    n_max = _read(cfg, "bounds.n_max", (int, float), default=0.0)
     if n_max < 0:
         raise ConfigError("field 'bounds.n_max' must be >= 0")
     common = dict(
@@ -380,7 +366,7 @@ def _cmd_kraus_search(cfg: dict, seed, workers):
     if mode not in ("exact", "float"):
         raise ConfigError("field 'mode' must be 'exact' or 'float'")
     options = _given(cfg, tol=float, max_states=int)
-    if not options.get("tol", kraussearch.SEARCH_TOL) > 0:
+    if options.get("tol", kraussearch.SEARCH_TOL) <= 0:
         raise ConfigError("field 'tol' must be > 0")
     if options.get("max_states", 1) < 1:
         raise ConfigError("field 'max_states' must be >= 1")
@@ -415,7 +401,7 @@ def _cmd_reachable(cfg: dict, seed, workers):
     # SamplerConfig (the one place the optional defaults live) takes one config
     # key at a time, so a fault its check finds is reported under that key
     sampler = reachable.SamplerConfig(seed=seed)
-    number = lambda key: float(_read(cfg, key, (int, float)))
+    number = lambda key: _read(cfg, key, (int, float))
     count = lambda key: _read(cfg, key, int)
     for key, attr, read in (
         ("omega", "omega", number),
@@ -431,8 +417,8 @@ def _cmd_reachable(cfg: dict, seed, workers):
         if key in cfg or key in ("omega", "mu", "gamma", "samples"):
             sampler = _field(key, dataclasses.replace, sampler, **{attr: read(key)})
     rho0 = _state_from(cfg, "initial_state", 2) if "initial_state" in cfg else np.diag([1.0, 0j])
-    slack = float(_read(cfg, "slack", (int, float), reachable.SLACK))
-    if not slack > 0:
+    slack = _read(cfg, "slack", (int, float), reachable.SLACK)
+    if slack <= 0:
         raise ConfigError("field 'slack' must be > 0")
 
     def run(out: Path) -> list[str]:
@@ -515,7 +501,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create --out or read the JSON config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config document must be a JSON object")
-        _require_finite(cfg)
         seed = _read(cfg, "seed", int, 0) if args.seed is None else args.seed
         if seed < 0:
             source = "field 'seed'" if args.seed is None else "option '--seed'"

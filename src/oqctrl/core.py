@@ -53,6 +53,14 @@ def _as_square(a, name: str) -> np.ndarray:
     return m
 
 
+def require_finite(value, name: str):
+    """``value`` (a number or an array) if every entry is finite, else a
+    ValueError naming ``name``: the package's one spelling of that rule."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dag)/2."""
     return 0.5 * (a + a.conj().T)
@@ -103,7 +111,8 @@ def hermitian_coordinates(superop: np.ndarray) -> np.ndarray:
     """T S T^dag (T from :func:`hermitian_basis`) for a superoperator S that
     maps Hermitian matrices to Hermitian ones: a real matrix.  Raises
     ValueError when the imaginary part it drops is above roundoff, that is
-    when S does not preserve Hermiticity."""
+    when S does not preserve Hermiticity or has an entry that is not finite."""
+    require_finite(superop, "superoperator")
     t = hermitian_basis(int(round(np.sqrt(superop.shape[0]))))
     s = t @ superop @ t.conj().T
     dropped = float(np.max(np.abs(s.imag)))
@@ -120,8 +129,8 @@ class ValidationReport:
     """Outcome of a density-matrix validation.
 
     ``worst`` names the largest violation among ``hermiticity``, ``trace``
-    and ``positivity``; the corresponding magnitudes are kept so callers can
-    report how badly a state failed.
+    and ``positivity`` (``finite`` for a NaN or infinite entry); the
+    magnitudes are kept so callers can report how badly a state failed.
     """
 
     ok: bool
@@ -135,7 +144,8 @@ def validate_density(rho, tol: float = STRUCTURAL_TOL) -> ValidationReport:
     """Check the Hermiticity, trace and positivity invariants of a state.
 
     The positivity test runs on the symmetrized matrix (rho + rho^dag)/2 so
-    a Hermiticity failure does not masquerade as a negative eigenvalue.
+    a Hermiticity failure does not masquerade as a negative eigenvalue; it
+    is skipped (``min_eigenvalue`` NaN) for a state with a non-finite entry.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -144,6 +154,8 @@ def validate_density(rho, tol: float = STRUCTURAL_TOL) -> ValidationReport:
         raise DimensionMismatchError("density matrix must have dimension >= 2")
     herm_err = float(np.max(np.abs(m - m.conj().T)))
     trace_err = float(abs(np.trace(m) - 1.0))
+    if not np.all(np.isfinite(m)):
+        return ValidationReport(False, herm_err, trace_err, float("nan"), "finite")
     min_eig = float(np.linalg.eigvalsh(herm(m)).min())
     violations = {
         "hermiticity": herm_err,

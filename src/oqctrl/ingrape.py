@@ -42,6 +42,7 @@ from .core import (
     STRUCTURAL_TOL,
     DimensionMismatchError,
     hermitian_coordinates,
+    require_finite,
     run_multistart,
     spectral_step,
     validate_density,
@@ -60,14 +61,13 @@ class ControlVector:
     dt: float
 
     def __post_init__(self):
-        uu = np.atleast_1d(np.asarray(self.u, dtype=float))
-        nn = np.atleast_1d(np.asarray(self.n, dtype=float))
+        uu = require_finite(np.atleast_1d(np.asarray(self.u, dtype=float)), "u")
+        nn = require_finite(np.atleast_1d(np.asarray(self.n, dtype=float)), "n")
+        require_finite(self.dt, "dt")
         if uu.shape != nn.shape or uu.ndim != 1:
             raise DimensionMismatchError("u and n must be equal-length vectors")
         if np.any(nn < 0):
             raise ValueError("incoherent controls must be nonnegative")
-        if not (np.all(np.isfinite(uu)) and np.all(np.isfinite(nn)) and np.isfinite(self.dt)):
-            raise ValueError("controls must be finite")
         if self.dt <= 0 and uu.size > 0:
             raise ValueError("segment duration must be positive")
         object.__setattr__(self, "u", uu)
@@ -108,9 +108,10 @@ class PulseProblem:
         # there is nothing to optimize (optimize_starts rejects it)
         if self.n_segments < 0:
             raise ValueError(f"n_segments must be >= 0, got {self.n_segments!r}")
-        # a NaN fails the chained comparison too
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        for name in ("dt", "u_bounds", "n_max"):
+            require_finite(getattr(self, name), name)
+        if self.dt <= 0:
+            raise ValueError(f"dt must be > 0, got {self.dt!r}")
         if self.u_bounds[0] >= self.u_bounds[1]:
             raise ValueError("u bounds must satisfy u_min < u_max")
         if self.n_max < 0:
@@ -126,8 +127,8 @@ class PulseProblem:
         return affine_generator(self.system, self.decoherence)
 
     def _square(self, name: str) -> np.ndarray:
-        """Field ``name`` as a complex matrix of the system's dimension."""
-        m, d = np.asarray(getattr(self, name), dtype=complex), self.system.dim
+        """Field ``name`` as a finite complex matrix of the system's dimension."""
+        m, d = require_finite(np.asarray(getattr(self, name), dtype=complex), name), self.system.dim
         if m.shape != (d, d):
             raise DimensionMismatchError(f"{name} must be {d} x {d}, got shape {m.shape}")
         object.__setattr__(self, name, m)

@@ -35,6 +35,7 @@ from .core import (
     ValidationReport,
     herm,
     hermitian_coordinates,
+    require_finite,
     unvec,
     validate_density,
     vec,
@@ -69,12 +70,10 @@ class SystemModel:
     dipole: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        v = np.asarray(self.dipole, dtype=complex)
+        e = require_finite(np.asarray(self.energies, dtype=float), "energies")
+        v = require_finite(np.asarray(self.dipole, dtype=complex), "dipole")
         if e.ndim != 1 or e.size < 2:
             raise DimensionMismatchError("energies must be a vector of length >= 2")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("energies must be finite")
         if v.shape != (e.size, e.size):
             raise DimensionMismatchError("dipole operator shape does not match energies")
         if np.max(np.abs(v - v.conj().T)) > STRUCTURAL_TOL:
@@ -107,7 +106,8 @@ class DecoherenceModel:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        a = np.asarray(self.couplings, dtype=float)
+        a = require_finite(np.asarray(self.couplings, dtype=float), "couplings")
+        require_finite(self.epsilon, "epsilon")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError("couplings must be a square matrix")
         if not np.allclose(a, a.T, atol=STRUCTURAL_TOL):
@@ -153,9 +153,9 @@ class ControlSchedule:
     n: np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.durations, dtype=float))
-        uu = np.atleast_1d(np.asarray(self.u, dtype=float))
-        nn = np.asarray(self.n, dtype=float)
+        d = require_finite(np.atleast_1d(np.asarray(self.durations, dtype=float)), "durations")
+        uu = require_finite(np.atleast_1d(np.asarray(self.u, dtype=float)), "u")
+        nn = require_finite(np.asarray(self.n, dtype=float), "n")
         if nn.ndim == 0:
             nn = np.full(d.shape, float(nn))
         if d.ndim != 1 or uu.shape != d.shape:
@@ -312,11 +312,9 @@ def cardano_eigenvalues(matrix) -> np.ndarray:
     the discriminant sits below its double-precision noise floor.  Two
     Newton steps on the characteristic polynomial polish each root.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = require_finite(np.asarray(matrix, dtype=float), "matrix entries")
     if m.shape != (3, 3):
         raise DimensionMismatchError("expected a 3x3 real matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
 
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     minors = (

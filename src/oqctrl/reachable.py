@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .core import PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, hermitian_basis, validate_density, vec
+from .core import (PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, hermitian_basis,
+                   require_finite, validate_density, vec)
 from .lindblad import VALIDATION_TOL, affine_generator, qubit_decoherence, qubit_system
 
 # (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than
@@ -64,7 +65,6 @@ class SamplerConfig:
     resolution: int = 10
 
     def __post_init__(self):
-        # written as "not x > 0" so that a NaN fails too
         if not (self.omega > 0 and self.mu > 0 and self.gamma > 0):
             raise ValueError("omega, mu, gamma must be positive")
         if not (self.u_max >= 0 and self.n_max >= 0):
@@ -77,6 +77,8 @@ class SamplerConfig:
             raise ValueError("duration range must be (lo, hi) with 0 < lo < hi")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
+        for name in ("omega", "mu", "gamma", "u_max", "n_max", "duration_range"):
+            require_finite(getattr(self, name), name)
 
 
 def _segment_counts(cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:

@@ -41,9 +41,14 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _write_float_rows(f, rows: np.ndarray) -> None:
-    """Write a 2-D float array's rows to ``f`` in blocks of ``CSV_BLOCK_ROWS``
-    rows, one template each, with the same text as formatting it cell by cell."""
+def _write_rows(f, rows: Iterable[Sequence]) -> None:
+    """Write one line per row to ``f``, each as it is formatted; a 2-D float
+    array goes in blocks of ``CSV_BLOCK_ROWS`` rows, one template each, with
+    the same text as formatting it cell by cell."""
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"):
+        for row in rows:
+            f.write(",".join(fmt(x) for x in row) + "\n")
+        return
     line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
     for lo in range(0, rows.shape[0], CSV_BLOCK_ROWS):
         block = rows[lo : lo + CSV_BLOCK_ROWS]
@@ -51,34 +56,28 @@ def _write_float_rows(f, rows: np.ndarray) -> None:
 
 
 @contextmanager
-def csv_row_blocks(path: Path, header: Sequence[str]) -> Iterator[Callable[[np.ndarray], None]]:
-    """Yield a function that appends the rows of one 2-D float array to a CSV
-    file with this header; the arrays appended in turn give the text
-    ``write_csv`` gives their concatenation.  The text goes to a ``.part``
-    file beside ``path``, which becomes ``path`` when the block exits
-    normally and is removed when it raises, so no partial file is left."""
+def csv_row_blocks(path: Path, header: Sequence[str]) -> Iterator[Callable[[Iterable], None]]:
+    """Yield a function that appends rows (a 2-D float array or rows of
+    cells) to a CSV file with this header; the blocks appended in turn give
+    the text their concatenation gives.  The text goes to a ``.part`` file
+    beside ``path``, which becomes ``path`` when the block exits normally
+    and is removed when it raises, so no partial file is left."""
     path = Path(path)
     part = path.with_name(path.name + ".part")
     try:
         with part.open("w") as f:
             f.write(",".join(header) + "\n")
-            yield lambda rows: _write_float_rows(f, rows)
+            yield lambda rows: _write_rows(f, rows)
         part.replace(path)
     finally:
         part.unlink(missing_ok=True)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Header line, then one line per row, each written as it is formatted;
-    a 2-D float array goes in blocks of ``CSV_BLOCK_ROWS`` rows, one template
-    each, with the same text as formatting it cell by cell."""
-    with Path(path).open("w") as f:
-        f.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            _write_float_rows(f, rows)
-        else:
-            for row in rows:
-                f.write(",".join(fmt(x) for x in row) + "\n")
+    """Header line, then one line per row (see :func:`csv_row_blocks`, which
+    writes it): no file if the rows raise."""
+    with csv_row_blocks(path, header) as append:
+        append(rows)
 
 
 def _render_json(obj, indent: int) -> str:

@@ -22,7 +22,7 @@ from scipy.linalg import lapack
 
 from .core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
                    STIEFEL_STEP_UNDERFLOW, DimensionMismatchError, herm,
-                   kraus_constraint_residual, run_multistart, spectral_step)
+                   kraus_constraint_residual, require_finite, run_multistart, spectral_step)
 
 STIEFEL_TOL = 1e-10
 INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
@@ -96,10 +96,10 @@ def _lifted(observable: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _operands(s: np.ndarray, rho, observable) -> tuple[np.ndarray, np.ndarray]:
-    """rho and the observable as complex arrays, checked against the point."""
+    """rho and the observable as finite complex arrays, checked against the point."""
     n = _check_point(s)
-    r = np.asarray(rho, dtype=complex)
-    o = np.asarray(observable, dtype=complex)
+    r = require_finite(np.asarray(rho, dtype=complex), "rho")
+    o = require_finite(np.asarray(observable, dtype=complex), "observable")
     if r.shape != (n, n) or o.shape != (n, n):
         raise DimensionMismatchError("state/observable dimensions do not match the point")
     return r, o

@@ -591,7 +591,8 @@ CONFIG_FAULTS = {
     "kraus-search-tol-nan": (
         "kraus-search", set_field(qubit_search_config(), "tol", float("nan")), "tol",
     ),
-    # json reads NaN and Infinity; the parse step rejects any non-finite number
+    # json reads NaN and Infinity; the reader of each real-valued field
+    # rejects a non-finite number
     "reachable-gamma-nan": (
         "reachable", set_field(qubit_reachable_config(), "gamma", float("nan")), "gamma",
     ),
@@ -774,6 +775,38 @@ CONFIG_FAULTS = {
         "kraus-search", set_field(qubit_search_config(), "alphabet[1].kraus[0][0][1][0]", True),
         "alphabet[1].kraus",
     ),
+    # a non-finite number on each reader path besides _read's and _array's:
+    # optional numbers (_given), numbers with a default, list-valued
+    # occupations, sampler ranges, states and the slack
+    "simulate-epsilon-nan": (
+        "simulate", set_field(qubit_simulate_config(), "decoherence.epsilon", float("nan")),
+        "decoherence.epsilon",
+    ),
+    "ingrape-gap-tol-infinity": (
+        "ingrape", set_field(qubit_state_transfer_config(), "gap_tol", float("inf")), "gap_tol",
+    ),
+    "ingrape-n-max-nan": (
+        "ingrape", set_field(qubit_state_transfer_config(), "bounds.n_max", float("nan")),
+        "bounds.n_max",
+    ),
+    "ingrape-u-min-infinity": (
+        "ingrape", set_field(qubit_gate_config(), "bounds.u_min", -float("inf")), "bounds.u_min",
+    ),
+    "simulate-n-list-nan": (
+        "simulate", set_field(qubit_simulate_config(), "segments[0].n", [float("nan")]),
+        "segments[0].n",
+    ),
+    "reachable-durations-infinity": (
+        "reachable", set_field(qubit_reachable_config(), "durations", [0.01, float("inf")]),
+        "durations",
+    ),
+    "simulate-initial-state-nan": (
+        "simulate", set_field(qubit_simulate_config(), "initial_state[1][1][0]", float("nan")),
+        "initial_state",
+    ),
+    "reachable-slack-infinity": (
+        "reachable", set_field(qubit_reachable_config(), "slack", float("inf")), "slack",
+    ),
 }
 
 
@@ -787,6 +820,35 @@ def test_config_fault_found_before_anything_runs(tmp_path, capsys, case):
     assert f"'{field}'" in err
     assert not (out / "FAILED").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_non_finite_entry_names_its_array_and_itself(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        set_field(qubit_stiefel_config(), "observable[1][1][0]", float("nan")),
+    )
+    assert main(["stiefel-max", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "field 'observable' entry 'observable[1][1][0]' must be finite" in err
+
+
+def test_config_key_that_is_not_read_is_not_checked(tmp_path):
+    # a number is checked by the reader of its field; the CLI reads no "notes"
+    payload = dict(qubit_stiefel_config(), notes={"scale": float("nan")})
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    assert main(["stiefel-max", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("path", ["segments[0].u", "system.energies[1]"])
+def test_overflowing_run_names_the_non_finite_state(tmp_path, capsys, path):
+    # finite inputs whose exponential overflows: the state check reports a
+    # non-finite state, not whichever NaN comparison wins
+    cfg = write_config(tmp_path / "cfg.json", set_field(qubit_simulate_config(), path, 1e300))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+    assert "state after segment 0 invalid (finite); herm=nan" in capsys.readouterr().err
+    assert (out / "FAILED").exists() and not (out / "manifest.json").exists()
 
 
 def test_seed_beyond_machine_integers_is_accepted(tmp_path):

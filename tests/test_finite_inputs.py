@@ -1,0 +1,90 @@
+"""Every model constructor rejects a NaN or an infinity in the field that
+holds it, through core.require_finite, and names that field."""
+
+import numpy as np
+import pytest
+
+from oqctrl import stiefel
+from oqctrl.core import PAULI_X, PAULI_Z, hermitian_coordinates, require_finite, validate_density
+from oqctrl.ingrape import ControlVector, GateProblem, StateTransferProblem
+from oqctrl.lindblad import ControlSchedule, DecoherenceModel, SystemModel, cardano_eigenvalues
+from oqctrl.reachable import SamplerConfig
+
+NAN, INF = float("nan"), float("inf")
+COUPLINGS = np.array([[0.0, 0.1], [0.1, 0.0]])
+ENERGIES = np.array([0.0, 1.0])
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+def pulse_problem(kind="gate", **fields):
+    common = dict(
+        system=SystemModel(energies=ENERGIES, dipole=PAULI_X),
+        decoherence=DecoherenceModel(couplings=COUPLINGS),
+        n_segments=2, dt=0.5, u_bounds=(-1.0, 1.0), n_max=1.0,
+    )
+    if kind == "gate":
+        return GateProblem(**{"target": HADAMARD, **common, **fields})
+    return StateTransferProblem(**{"rho0": np.eye(2) / 2, "observable": PAULI_Z, **common, **fields})
+
+
+def schedule(**fields):
+    return ControlSchedule(**{"durations": [1.0, 1.0], "u": [0.0, 0.5], "n": [0.0, 1.0], **fields})
+
+
+# (field, build): build() puts a non-finite number in that field
+NON_FINITE = {
+    "system-dipole-nan": ("dipole", lambda: SystemModel(energies=ENERGIES, dipole=NAN * PAULI_X)),
+    "system-dipole-inf": (
+        "dipole", lambda: SystemModel(energies=ENERGIES, dipole=np.diag([INF, 0.0])),
+    ),
+    "decoherence-epsilon-nan": ("epsilon", lambda: DecoherenceModel(COUPLINGS, epsilon=NAN)),
+    "decoherence-epsilon-inf": ("epsilon", lambda: DecoherenceModel(COUPLINGS, epsilon=INF)),
+    "decoherence-coupling-inf": (
+        "couplings", lambda: DecoherenceModel(np.array([[0.0, INF], [INF, 0.0]])),
+    ),
+    "schedule-u-nan": ("u", lambda: schedule(u=[0.0, NAN])),
+    "schedule-duration-inf": ("durations", lambda: schedule(durations=[1.0, INF])),
+    "schedule-n-inf": ("n", lambda: schedule(n=[INF, 0.0])),
+    "sampler-u-max-inf": ("u_max", lambda: SamplerConfig(u_max=INF)),
+    "sampler-omega-inf": ("omega", lambda: SamplerConfig(omega=INF)),
+    "sampler-duration-inf": ("duration_range", lambda: SamplerConfig(duration_range=(0.01, INF))),
+    "gate-u-bound-nan": ("u_bounds", lambda: pulse_problem(u_bounds=(NAN, 1.0))),
+    "gate-n-max-nan": ("n_max", lambda: pulse_problem(n_max=NAN)),
+    "gate-n-max-inf": ("n_max", lambda: pulse_problem(n_max=INF)),
+    "gate-target-nan": ("target", lambda: pulse_problem(target=np.array([[NAN, 0], [0, 1]]))),
+    "state-observable-nan": (
+        "observable", lambda: pulse_problem("state", observable=np.array([[1, 0], [0, NAN]])),
+    ),
+    "superoperator-nan": ("superoperator", lambda: hermitian_coordinates(np.full((4, 4), NAN))),
+    "stiefel-observable-nan": (
+        "observable",
+        lambda: stiefel.objective(
+            stiefel.random_stiefel(2, np.random.default_rng(0)), np.eye(2) / 2, NAN * PAULI_Z
+        ),
+    ),
+    "stiefel-rho-inf": (
+        "rho", lambda: stiefel.maximize(np.array([[INF, 0], [0, 0]]), PAULI_Z, max_iter=2),
+    ),
+    "controls-dt-nan": ("dt", lambda: ControlVector(u=[0.0], n=[0.0], dt=NAN)),
+    "cardano-nan": ("matrix entries", lambda: cardano_eigenvalues(np.diag([1.0, NAN, 0.0]))),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_field_rejected_at_construction(case):
+    field, build = NON_FINITE[case]
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        build()
+
+
+@pytest.mark.parametrize("value", [1.0, -0.0, 1e308, np.array([1.0, 2j]), (0.5, -3)])
+def test_finite_value_is_returned_unchanged(value):
+    assert require_finite(value, "x") is value
+
+
+def test_non_finite_state_is_reported_as_such():
+    # the eigenvalues of a matrix with a NaN entry mean nothing, so they are skipped
+    report = validate_density(np.array([[0.5, 0.0], [0.0, NAN]]))
+    assert not report.ok
+    assert report.worst == "finite"
+    assert np.isnan(report.min_eigenvalue)

@@ -112,6 +112,26 @@ def test_row_blocks_append_to_the_text_of_their_concatenation(tmp_path, sizes):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.csv", "whole.csv"]
 
 
+def test_csv_rows_raising_midway_leave_no_file(tmp_path):
+    def rows():
+        yield [1, 0.5]
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        write_csv(tmp_path / "rows.csv", ["k", "v"], rows())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_row_blocks_take_rows_of_cells_and_float_arrays(tmp_path):
+    cells = [[1, 0.1, True], [np.int64(-2), np.float64(1e-300), False]]
+    floats = random_bit_patterns(10, (5, 3))
+    with csv_row_blocks(tmp_path / "mixed.csv", ["a", "b", "c"]) as append:
+        append(cells)
+        append(floats)
+    write_csv_per_cell(tmp_path / "cells.csv", ["a", "b", "c"], cells + floats.tolist())
+    assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
 def test_row_blocks_leave_no_file_when_the_writer_raises(tmp_path):
     (tmp_path / "old.csv").write_text("kept\n")
     for name in ("new.csv", "old.csv"):

@@ -64,6 +64,13 @@ def test_one_float_format():
     assert uses == ["serialization.py"]
 
 
+def test_one_finiteness_rule():
+    # core.require_finite is the one spelling of the rule that a number is
+    # finite; a module that tests isfinite itself fails here
+    users = [p.name for p in SOURCES if "isfinite" in _names_used(p)]
+    assert users == ["core.py"]
+
+
 def test_one_hermitian_coordinate_layout():
     # core alone lays out the real coordinates of Hermitian matrices (the
     # pair order of np.triu_indices); a second copy of the layout fails here
