@@ -36,6 +36,18 @@ PULSE_STEP_UNDERFLOW = 1e-16
 STIEFEL_STEP_CAP = 1e3
 STIEFEL_STEP_FLOOR = 1e-10
 STIEFEL_STEP_UNDERFLOW = 1e-14
+# matrix entries that expm_stack exponentiates at a time (512 4x4 slices),
+# which bounds its temporaries to about ten arrays of that size
+EXPM_CHUNK_ELEMENTS = 8192
+# Pade-13 scaling threshold and numerator coefficients b_k / b_0 (Higham,
+# SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); b_0 = 1 makes the
+# exponential of a zero matrix the identity bit for bit
+_THETA_13 = 5.371920351148152
+_PADE_13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1,
+], dtype=float) / 64764752532480000
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -246,6 +258,50 @@ def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = a @ a.conj().T
     return m / np.trace(m).real
+
+
+def expm_stack(a) -> np.ndarray:
+    """exp(A_i) of every slice of a real or complex (k, n, n) stack.
+
+    Pade-13 scaling and squaring with the power s_i taken per slice from its
+    1-norm (the smallest s_i >= 0 with ||A_i||_1 / 2^s_i <= theta_13), after
+    Higham (2005); squaring step j updates only the slices with s_i > j.
+    ``EXPM_CHUNK_ELEMENTS`` entries go through at a time.  Every operation
+    acts on each slice alone, so a slice's result is bit for bit the same
+    whichever slices share the call.  A result that is not finite raises
+    ValueError("matrix exponential must be finite").
+    """
+    a = np.asarray(a)
+    if a.ndim != 3 or not 0 < a.shape[1] == a.shape[2]:
+        raise DimensionMismatchError(f"expm_stack needs a (k, n, n) stack, got shape {a.shape}")
+    out = np.empty(a.shape, np.result_type(a.dtype, np.float64))
+    rows = max(1, EXPM_CHUNK_ELEMENTS // a.shape[1] ** 2)
+    for first in range(0, a.shape[0], rows):
+        chunk = a[first:first + rows]
+        mantissa, exponent = np.frexp(np.abs(chunk).sum(axis=1).max(axis=1) / _THETA_13)
+        s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(.)), exactly
+        r = _pade_13(chunk * np.ldexp(1.0, -s)[:, None, None])
+        for j in range(int(s.max())):
+            square = s > j
+            r[square] = r[square] @ r[square]
+        out[first:first + rows] = require_finite(r, "matrix exponential")
+    return out
+
+
+def _pade_13(x: np.ndarray) -> np.ndarray:
+    """The [13/13] Pade approximant of exp(X_i) for each slice of a stack."""
+    b = _PADE_13
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    diag = np.arange(x.shape[1])
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
+    v[:, diag, diag] += b[0]
+    u = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
+    u[:, diag, diag] += b[1]
+    del x2, x4, x6  # before the solve, the peak of the temporaries
+    u = x @ u
+    return np.linalg.solve(v - u, v + u)
 
 
 def spectral_step(dx: np.ndarray, dg: np.ndarray, step: float, floor: float, cap: float) -> float:

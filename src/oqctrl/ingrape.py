@@ -342,8 +342,9 @@ def optimize_starts(
     with ``stalled=True`` and a diagnostic message; either way the start
     leaves the stacks and the others go on.
     """
-    if max_iter < 1:
+    if require_finite(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    require_finite(grad_tol, "grad_tol")
     if any(c.n_segments < 1 for c in initials):
         raise ValueError("n_segments must be >= 1 to optimize a pulse")
     direction = problem.pairing[1]
@@ -446,7 +447,7 @@ class ClusterReport:
 
 
 def cluster_report(values: Sequence[float], gap_tol: float) -> ClusterReport:
-    if not gap_tol >= 0:
+    if require_finite(gap_tol, "gap_tol") < 0:
         raise ValueError(f"gap_tol must be >= 0, got {gap_tol!r}")
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:

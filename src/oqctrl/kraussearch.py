@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import hermitian_units
+from .core import hermitian_units, require_finite
 
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
 _SQRT2 = 1.4142135623730951
@@ -318,6 +318,7 @@ def _kernel(mode: str, tol: float) -> type:
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
+    require_finite(tol, "tol")
     return _KERNELS[mode]
 
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# expm is unused here: perfbench's EXPM_CALLERS and its
+# test_tracer_rebinds_imported_names_and_restores_them look it up in this module
 from scipy.linalg import expm
 
-from .core import (PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, hermitian_basis,
+from .core import (PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, expm_stack, hermitian_basis,
                    require_finite, validate_density, vec)
 from .lindblad import VALIDATION_TOL, affine_generator, qubit_decoherence, qubit_system
 
@@ -114,11 +116,12 @@ def bloch_generator(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _segment_maps(generator, u, n, dt) -> np.ndarray:
-    """exp((G0 + u Gu + n Gn) dt) per segment, as one (k, 4, 4) stack; scipy's
-    ``expm`` takes the slices one at a time, so a map does not depend on
-    which other segments share the call."""
+    """exp((G0 + u Gu + n Gn) dt) per segment, as one (k, 4, 4) stack from
+    ``core.expm_stack``, which treats each slice alone, so a map does not
+    depend on which other segments share the call; a map that is not finite
+    raises ValueError("matrix exponential must be finite")."""
     g0, gu, gn = generator
-    return expm((u[:, None, None] * gu + n[:, None, None] * gn + g0) * dt[:, None, None])
+    return expm_stack((u[:, None, None] * gu + n[:, None, None] * gn + g0) * dt[:, None, None])
 
 
 def sample_reachable(cfg: SamplerConfig, rho0, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -295,7 +298,7 @@ def unreachable_report(
     """
     if gamma < 0 or omega <= 0:
         raise ValueError("need gamma >= 0 and omega > 0")
-    if not slack > 0:
+    if require_finite(slack, "slack") <= 0:
         raise ValueError("slack must be positive")
     if occupancy_change is not None and occupancy_change > 0.005:
         raise ValueError(

@@ -241,8 +241,9 @@ def maximize(
     gradient norm is still above ``grad_tol``) terminates the run with
     ``stalled=True`` and a diagnostic message instead of looping forever.
     """
-    if max_iter < 1:
+    if require_finite(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    require_finite(grad_tol, "grad_tol")
     r = np.asarray(rho, dtype=complex)
     s = random_stiefel(r.shape[0], np.random.default_rng(seed))
     r, o = _operands(s, r, observable)

@@ -851,6 +851,22 @@ def test_overflowing_run_names_the_non_finite_state(tmp_path, capsys, path):
     assert (out / "FAILED").exists() and not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("u_max", [1e20, 1e300])
+def test_non_finite_sampler_map_is_a_runtime_failure(tmp_path, capsys, u_max):
+    # finite bounds whose segment maps overflow while squaring: the run stops
+    # at the exponential instead of writing NaN or infinite points and a PASS
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"omega": 1.0, "mu": 1.0, "gamma": 0.1, "u_max": u_max, "segments": [1, 2], "samples": 200,
+         "seed": 3},
+    )
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["reachable", str(cfg), "--out", str(out)]) == 2
+    assert "matrix exponential must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["FAILED"]
+
+
 def test_seed_beyond_machine_integers_is_accepted(tmp_path):
     # the seed is entropy for numpy's SeedSequence, which takes any integer >= 0
     cfg = write_config(tmp_path / "cfg.json", set_field(qubit_stiefel_config(), "seed", 2**130))

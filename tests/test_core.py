@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from oqctrl import core
 from oqctrl.core import (
     PAULI_X,
     PAULI_Z,
@@ -9,6 +11,7 @@ from oqctrl.core import (
     bloch_from_density,
     density_from_bloch,
     expectation,
+    expm_stack,
     hermitian_basis,
     hermitian_coordinates,
     kraus_constraint_residual,
@@ -291,3 +294,97 @@ class TestRunMultistart:
     def test_needs_a_start(self):
         with pytest.raises(ValueError, match="starts must be >= 1"):
             run_multistart(_tag_block, starts=0, seed=3)
+
+
+def expm_error(got, want):
+    """Largest relative Frobenius error ||got - want|| / max(1, ||want||) of a stack."""
+    scale = np.maximum(1.0, np.linalg.norm(want, axis=(1, 2)))
+    return float(np.max(np.linalg.norm(got - want, axis=(1, 2)) / scale))
+
+
+def jordan_like(eigenvalue, spread=0.0):
+    """A 4x4 similar, by a fixed rotation, to eigenvalue * I + the nilpotent
+    shift (one Jordan block), with its eigenvalues moved ``spread`` apart.
+    The rotation keeps it off scipy's triangular path, which on the
+    triangular form with eigenvalues 1e-8 apart is off by about 5e-9."""
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    return q @ (eigenvalue * np.eye(4) + np.eye(4, k=1) + np.diag(np.arange(4) * spread)) @ q.T
+
+
+def mixed_norm_stack(count, rng):
+    """Real 4x4 slices whose 1-norms spread from 1e-3 to 200, so their
+    scaling powers run from 0 to 6."""
+    a = rng.standard_normal((count, 4, 4))
+    scales = np.exp(rng.uniform(np.log(1e-3), np.log(200.0), count))
+    return a * (scales / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+
+
+class TestExpmStack:
+    # scipy's expm is the oracle: it takes a stack one slice at a time
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_gaussian_stacks_of_unit_norm(self, n, kind):
+        rng = np.random.default_rng(100 + n)
+        a = rng.standard_normal((200, n, n))
+        if kind is complex:
+            a = a + 1j * rng.standard_normal((200, n, n))
+        norms = rng.uniform(0.0, 1.0, 200) / np.abs(a).sum(axis=1).max(axis=1)
+        a = a * norms[:, None, None]
+        got = expm_stack(a)
+        assert got.dtype == np.result_type(kind, float)
+        assert expm_error(got, expm(a)) <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
+    @pytest.mark.parametrize("eigenvalue", [-0.5, 0.0, 1j])
+    def test_repeated_eigenvalue(self, scale, eigenvalue):
+        # a Jordan block, and the same with eigenvalues 1e-9 apart
+        a = scale * np.stack([jordan_like(eigenvalue), jordan_like(eigenvalue, 1e-9)])
+        assert expm_error(expm_stack(a), expm(a)) <= 1e-12
+
+    def test_six_or_more_squarings(self):
+        # a damped rotation generator with a Jordan part: ||A||_1 > 2^5 theta_13
+        rotation = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
+        a = 100.0 * (rotation + np.eye(4, k=2) - 0.01 * np.eye(4))
+        assert np.abs(a).sum(axis=0).max() > 2**5 * 5.371920351148152
+        assert expm_error(expm_stack(a[None]), expm(a)[None]) <= 1e-12
+
+    def test_complex_generator(self):
+        rng = np.random.default_rng(7)
+        h = random_hermitian(3, rng)
+        a = np.stack([-1j * h * t for t in (0.1, 1.0, 30.0)]).astype(np.complex64)
+        got = expm_stack(a)
+        assert got.dtype == np.complex128
+        assert expm_error(got, expm(a.astype(complex))) <= 1e-12
+
+    def test_empty_stack(self):
+        out = expm_stack(np.zeros((0, 3, 3)))
+        assert out.shape == (0, 3, 3) and out.dtype == float
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_zero_slice_gives_the_identity_bit_for_bit(self, kind):
+        a = np.zeros((3, 4, 4), dtype=kind)
+        a[1] = np.eye(4, k=1)
+        out = expm_stack(a)
+        for i in (0, 2):
+            assert np.array_equal(out[i], np.eye(4)) and not np.signbit(out[i].real).any()
+
+    def test_slice_is_bit_identical_alone_and_in_any_stack(self, monkeypatch):
+        rows = core.EXPM_CHUNK_ELEMENTS // 16
+        a = mixed_norm_stack(rows + 40, np.random.default_rng(11))
+        stacked = expm_stack(a)
+        for i in (0, rows - 2, rows - 1, rows, rows + 1, rows + 39):
+            assert np.array_equal(expm_stack(a[i : i + 1])[0], stacked[i])
+        assert np.array_equal(expm_stack(a[::-1])[::-1], stacked)
+        monkeypatch.setattr(core, "EXPM_CHUNK_ELEMENTS", 7 * 16)
+        assert np.array_equal(expm_stack(a), stacked)
+
+    @pytest.mark.parametrize("a", [np.diag([800.0, 0.0]), np.diag([np.nan, 0.0])])
+    def test_non_finite_exponential_is_named(self, a):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^matrix exponential must be finite$"):
+                expm_stack(np.stack([np.zeros((2, 2)), a]))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4), (2, 0, 0)])
+    def test_stack_of_square_matrices_required(self, shape):
+        with pytest.raises(DimensionMismatchError, match="expm_stack"):
+            expm_stack(np.zeros(shape))

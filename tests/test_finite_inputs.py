@@ -1,14 +1,18 @@
 """Every model constructor rejects a NaN or an infinity in the field that
-holds it, through core.require_finite, and names that field."""
+holds it, and every solver or report in its tolerances, iteration limit and
+slack, through core.require_finite, naming that field or argument."""
 
 import numpy as np
 import pytest
 
 from oqctrl import stiefel
 from oqctrl.core import PAULI_X, PAULI_Z, hermitian_coordinates, require_finite, validate_density
-from oqctrl.ingrape import ControlVector, GateProblem, StateTransferProblem
+from oqctrl.ingrape import (ControlVector, GateProblem, StateTransferProblem, cluster_report,
+                            optimize_pulse, optimize_starts)
+from oqctrl.kraussearch import (ChannelAlphabet, RationalComplexMatrix, bounded_reachability,
+                                canonical_state_key)
 from oqctrl.lindblad import ControlSchedule, DecoherenceModel, SystemModel, cardano_eigenvalues
-from oqctrl.reachable import SamplerConfig
+from oqctrl.reachable import SamplerConfig, coverage_map, unreachable_report
 
 NAN, INF = float("nan"), float("inf")
 COUPLINGS = np.array([[0.0, 0.1], [0.1, 0.0]])
@@ -75,6 +79,50 @@ def test_non_finite_field_rejected_at_construction(case):
     field, build = NON_FINITE[case]
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         build()
+
+
+RHO = np.array([[0.6, 0.1], [0.1, 0.4]])
+GROUND_EXACT = RationalComplexMatrix.from_literals([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+EXCITED_EXACT = RationalComplexMatrix.from_literals([[[0, 0], [0, 0]], [[0, 0], [1, 0]]])
+GRID = coverage_map(np.eye(3), 4)
+
+
+def flip_search(mode, tol):
+    alphabet = ChannelAlphabet.from_kraus_lists(
+        [[RationalComplexMatrix.from_literals([[[0, 0], [1, 0]], [[1, 0], [0, 0]]])]]
+    )
+    return bounded_reachability(alphabet, GROUND_EXACT, EXCITED_EXACT, 2, mode=mode, tol=tol)
+
+
+def state_starts(**limits):
+    return optimize_starts(
+        pulse_problem("state"), [ControlVector(u=[0.0, 0.5], n=[0.0, 0.5], dt=0.5)], **limits
+    )
+
+
+# (argument, call): call() passes a non-finite number in that argument
+NON_FINITE_ARGUMENTS = {
+    "stiefel-grad-tol-nan": ("grad_tol", lambda: stiefel.maximize(RHO, PAULI_Z, grad_tol=NAN)),
+    "stiefel-max-iter-nan": ("max_iter", lambda: stiefel.maximize(RHO, PAULI_Z, max_iter=NAN)),
+    "starts-grad-tol-nan": ("grad_tol", lambda: state_starts(grad_tol=NAN)),
+    "starts-max-iter-nan": ("max_iter", lambda: state_starts(max_iter=NAN)),
+    "starts-max-iter-inf": ("max_iter", lambda: state_starts(max_iter=INF)),
+    "scan-grad-tol-nan": ("grad_tol", lambda: optimize_pulse(pulse_problem(), 2, grad_tol=NAN)),
+    "scan-max-iter-nan": ("max_iter", lambda: optimize_pulse(pulse_problem(), 2, max_iter=NAN)),
+    "cluster-gap-tol-nan": ("gap_tol", lambda: cluster_report([0.1, 0.2], NAN)),
+    "unreachable-slack-nan": ("slack", lambda: unreachable_report(GRID, 0.1, 1.0, slack=NAN)),
+    # a NaN tol fails the search's positivity check, as test_kraus_search matches
+    "search-tol-inf-exact": ("tol", lambda: flip_search("exact", INF)),
+    "search-tol-inf-float": ("tol", lambda: flip_search("float", INF)),
+    "state-key-tol-inf": ("tol", lambda: canonical_state_key(GROUND_EXACT, "exact", INF)),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_ARGUMENTS))
+def test_non_finite_argument_rejected_at_entry(case):
+    argument, call = NON_FINITE_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{argument} must be finite$"):
+        call()
 
 
 @pytest.mark.parametrize("value", [1.0, -0.0, 1e308, np.array([1.0, 2j]), (0.5, -3)])

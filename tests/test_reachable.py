@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
 from oqctrl import reachable
 from oqctrl.cli import main
-from oqctrl.core import bloch_from_density, density_from_bloch, hermitian_basis, random_density, vec
+from oqctrl.core import (bloch_from_density, density_from_bloch, expm_stack, hermitian_basis,
+                         random_density, vec)
 from oqctrl.lindblad import (
     ControlSchedule,
     build_liouvillian,
@@ -265,6 +267,46 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert peak - points.nbytes - schedule_bytes < 4 * block_bytes + 100 * cfg.n_samples
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SamplerConfig(gamma=0.1, seed=909),  # criterion 9, both decoherence rates
+            SamplerConfig(gamma=0.01, seed=909),
+            SamplerConfig(gamma=0.1, segment_range=(1, 5), n_samples=50_000, seed=7),  # bloch-cloud
+        ],
+    )
+    def test_segment_maps_match_scipy_expm(self, cfg):
+        # the first 20 000 segments of the stream; their 1-norms need up to
+        # 6 squarings (u_max * duration_range[1] is 100)
+        rng = np.random.default_rng(cfg.seed)
+        total = int(_segment_counts(cfg, rng).sum())
+        u, n, dt = _segment_draws(cfg, rng.bit_generator.state, total, 0, 20_000)
+        g0, gu, gn = bloch_generator(cfg)
+        want = expm((u[:, None, None] * gu + n[:, None, None] * gn + g0) * dt[:, None, None])
+        got = _segment_maps((g0, gu, gn), u, n, dt)
+        scale = np.maximum(1.0, np.linalg.norm(want, axis=(1, 2)))
+        assert np.max(np.linalg.norm(got - want, axis=(1, 2)) / scale) <= 1e-11
+
+    def test_sampler_exponentiates_every_segment_with_expm_stack(self, monkeypatch):
+        # reachable keeps scipy's name bound only for the benchmark's tracer;
+        # every segment map goes through core.expm_stack instead
+        def refuse(a):
+            raise AssertionError("scipy's expm called")
+
+        slices = []
+
+        def spy(a):
+            slices.append(len(a))
+            return expm_stack(a)
+
+        cfg = small_cfg(n_samples=300)
+        points = sample_reachable(cfg, GROUND)
+        monkeypatch.setattr(reachable, "expm", refuse)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        monkeypatch.setattr(reachable, "expm_stack", spy)
+        assert np.array_equal(sample_reachable(cfg, GROUND), points)
+        assert sum(slices) == _segment_counts(cfg, np.random.default_rng(cfg.seed)).sum()
 
     @pytest.mark.parametrize(
         "rho0, worst",
