@@ -159,7 +159,7 @@ def validate_density(rho, tol: float = STRUCTURAL_TOL) -> ValidationReport:
     a Hermiticity failure does not masquerade as a negative eigenvalue; it
     is skipped (``min_eigenvalue`` NaN) for a state with a non-finite entry.
     """
-    if tol <= 0:
+    if require_finite(tol, "tol") <= 0:
         raise ValueError("tol must be positive")
     m = _as_square(rho, "rho")
     if m.shape[0] < 2:
@@ -261,7 +261,9 @@ def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def expm_stack(a) -> np.ndarray:
-    """exp(A_i) of every slice of a real or complex (k, n, n) stack.
+    """exp(A_i) of every slice of a real or complex (k, n, n) stack: the
+    package's one matrix exponential, behind inGRAPE's segment and adjoint
+    stacks, ``lindblad.propagate_schedule`` and the Bloch sampler's maps.
 
     Pade-13 scaling and squaring with the power s_i taken per slice from its
     1-norm (the smallest s_i >= 0 with ||A_i||_1 / 2^s_i <= theta_13), after

@@ -17,9 +17,10 @@ incoherent direction (see :func:`grape_gradient`).
 
 Superoperators here act on the real coordinates of Hermitian matrices in the
 orthonormal basis of :func:`core.hermitian_basis`, where a GKSL generator is
-a real matrix, so every stack exponential is real.  The descent keeps the
-forward pass of the line-search trial it accepts, and the gradient at the
-new iterate reuses its segment propagators.  A multistart scan runs its
+a real matrix, so every stack exponential is real; each is one
+:func:`core.expm_stack` call, which treats every slice alone.  The descent
+keeps the forward pass of the line-search trial it accepts, and the gradient
+at the new iterate reuses its segment propagators.  A multistart scan runs its
 starts in lock-step: each line-search round exponentiates the segments of
 every start still searching in one stack, and each round of accepted
 iterates makes one adjoint stack for all of them.
@@ -32,6 +33,8 @@ from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
+# expm is unused here: perfbench's EXPM_CALLERS and its
+# test_tracer_rebinds_imported_names_and_restores_them look it up in this module
 from scipy.linalg import expm
 
 from .core import (
@@ -41,6 +44,7 @@ from .core import (
     PULSE_STEP_UNDERFLOW,
     STRUCTURAL_TOL,
     DimensionMismatchError,
+    expm_stack,
     hermitian_coordinates,
     require_finite,
     run_multistart,
@@ -210,14 +214,14 @@ class ForwardPass(NamedTuple):
 def forward_stack(problem: PulseProblem, u: np.ndarray, n: np.ndarray, dt: np.ndarray) -> ForwardPass:
     """The forward passes of the k pulses with controls ``u``, ``n`` (k x M)
     and segment durations ``dt`` (k,): every segment generator
-    L0 + u Du + n Dn in one broadcast, one stack exponential of the k M
-    exponents and the M forward products of all k pulses.  Each pulse's
+    L0 + u Du + n Dn in one broadcast, one :func:`core.expm_stack` of the
+    k M exponents and the M forward products of all k pulses.  Each pulse's
     result is bit for bit the same whatever else is in the stack."""
     offset, sign, pairing = problem.pairing
     l0, du, dn = problem.affine_generator
     (k, m), d2 = u.shape, pairing.shape[0]
     exponents = (l0 + u[..., None, None] * du + n[..., None, None] * dn) * dt[:, None, None, None]
-    segments = expm(exponents.reshape(k * m, d2, d2)).reshape(exponents.shape)
+    segments = expm_stack(exponents.reshape(k * m, d2, d2)).reshape(exponents.shape)
     forward = np.empty((k, m + 1, d2, d2))
     forward[:, 0] = np.eye(d2)
     for j in range(m):
@@ -248,7 +252,7 @@ def gradient_stack(
     g[j] = sign * dt * sum(X_j^T o D) for D = Du and D = Dn.  ``trial``, the
     :func:`forward_stack` of these same controls if the caller has it, saves
     the k M segment propagators (d^2 x d^2); the k M adjoint blocks
-    (2d^2 x 2d^2) make the call's one stack exponential.
+    (2d^2 x 2d^2) make the call's one :func:`core.expm_stack`.
     """
     _, sign, pairing = problem.pairing
     if trial is None:
@@ -263,7 +267,7 @@ def gradient_stack(
     blocks = np.zeros((k, m, 2 * d2, 2 * d2))
     blocks[..., :d2, :d2] = blocks[..., d2:, d2:] = exponents
     blocks[..., :d2, d2:] = forward[:, :m] @ pairing.T @ backward[:, 1:]  # lam_j^T
-    adjoint = expm(blocks.reshape(k * m, 2 * d2, 2 * d2)).reshape(blocks.shape)[..., :d2, d2:]
+    adjoint = expm_stack(blocks.reshape(k * m, 2 * d2, 2 * d2)).reshape(blocks.shape)[..., :d2, d2:]
     _, du, dn = problem.affine_generator
     directions = np.stack([du, dn])
     # one contraction per pulse: a batched einsum may sum in another order

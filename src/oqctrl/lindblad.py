@@ -18,6 +18,8 @@ with downward rate ``gamma (n + 1)`` and upward rate ``gamma n``.
 Superoperators act on column-stacked density matrices (``core.vec``).
 inGRAPE and the qubit reachable-set sampler propagate with the real triple
 (L0, Du, Dn) of L(u, n) = L0 + u Du + n Dn from :func:`affine_generator`.
+Every segment map, here and in those two, is exponentiated by
+``core.expm_stack``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+# expm is unused here: perfbench's EXPM_CALLERS and its
+# test_tracer_rebinds_imported_names_and_restores_them look it up in this module
 from scipy.linalg import expm
 
 from .core import (
@@ -33,6 +37,7 @@ from .core import (
     STRUCTURAL_TOL,
     DimensionMismatchError,
     ValidationReport,
+    expm_stack,
     herm,
     hermitian_coordinates,
     require_finite,
@@ -248,14 +253,16 @@ def propagate_segment(liouvillian: np.ndarray, rho, dt: float) -> np.ndarray:
     """Evolve rho for time dt under a constant generator, exp(L dt) vec(rho).
 
     The output is re-symmetrized to suppress roundoff drift away from
-    Hermiticity; the trace is preserved by the generator itself.
+    Hermiticity; the trace is preserved by the generator itself.  No library
+    code calls this (:func:`propagate_schedule` exponentiates its segments in
+    one stack); the tests and perfbench's TARGETS use it.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     m = np.asarray(rho, dtype=complex)
     if dt == 0.0:
         return m.copy()
-    out = unvec(expm(liouvillian * dt) @ vec(m))
+    out = unvec(expm_stack((liouvillian * dt)[None])[0] @ vec(m))
     return herm(out)
 
 
@@ -267,18 +274,24 @@ def propagate_schedule(
 ) -> list[np.ndarray]:
     """States at the schedule boundaries, starting from rho0.
 
-    Raises :class:`PropagationFailure` if any intermediate state leaves the
-    state space by more than ``VALIDATION_TOL`` (which signals a numerical
+    The M segment maps exp(L_m dt_m) come from one ``core.expm_stack`` call,
+    which raises ValueError if a map is not finite.  Raises
+    :class:`PropagationFailure` if any intermediate state leaves the state
+    space by more than ``VALIDATION_TOL`` (which signals a numerical
     blow-up; it cannot happen for well-posed inputs).
     """
     report = validate_density(rho0, VALIDATION_TOL)
     if not report.ok:
         raise PropagationFailure(f"initial state invalid ({report.worst})")
     states = [np.asarray(rho0, dtype=complex).copy()]
+    d2 = states[0].size
+    exponents = np.empty((schedule.n_segments, d2, d2), dtype=complex)
     for m in range(schedule.n_segments):
         # one shared occupation or one per level pair, as build_liouvillian takes it
         gen = build_liouvillian(system, decoherence, float(schedule.u[m]), schedule.n[m])
-        nxt = propagate_segment(gen, states[-1], float(schedule.durations[m]))
+        exponents[m] = gen * float(schedule.durations[m])
+    for m, segment in enumerate(expm_stack(exponents)):
+        nxt = herm(unvec(segment @ vec(states[-1])))
         report = validate_density(nxt, VALIDATION_TOL)
         if not report.ok:
             raise PropagationFailure(

@@ -296,7 +296,7 @@ def unreachable_report(
     sampling has not converged and the report is refused.  A report with no
     direction bin of at least ``MIN_BIN_COUNT`` samples does not pass.
     """
-    if gamma < 0 or omega <= 0:
+    if require_finite(gamma, "gamma") < 0 or require_finite(omega, "omega") <= 0:
         raise ValueError("need gamma >= 0 and omega > 0")
     if require_finite(slack, "slack") <= 0:
         raise ValueError("slack must be positive")

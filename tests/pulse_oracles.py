@@ -4,7 +4,10 @@ the density-matrix propagator instead of the superoperator pairing, the
 complex objective and gradient path in column-stacked coordinates that the
 real Hermitian-coordinate path replaced, and the per-start descent that the
 lock-step one replaced (with the line search that starts from twice the last
-accepted step, which the spectral step replaced, as an option)."""
+accepted step, which the spectral step replaced, as an option).  The complex
+oracles exponentiate with scipy's ``expm``, an independent kernel compared to
+a tolerance; the per-start ones with ``core.expm_stack``, the library's
+kernel, so that they match the lock-step descent bit for bit."""
 
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from oqctrl.core import (
     PULSE_STEP_CAP,
     PULSE_STEP_UNDERFLOW,
     DimensionMismatchError,
+    expm_stack,
     spectral_step,
     unvec,
     vec,
@@ -132,7 +136,7 @@ def forward_pass(controls: ControlVector, problem: PulseProblem):
     offset, sign, pairing = problem.pairing
     l0, du, dn = problem.affine_generator
     exponents = (l0 + controls.u[:, None, None] * du + controls.n[:, None, None] * dn) * controls.dt
-    segments = expm(exponents)
+    segments = expm_stack(exponents)
     forward = np.empty((controls.n_segments + 1,) + pairing.shape)
     forward[0] = np.eye(pairing.shape[0])
     for k, g in enumerate(segments):
@@ -154,7 +158,7 @@ def grape_gradient(controls: ControlVector, problem: PulseProblem, trial=None):
     blocks = np.zeros((m, 2 * d2, 2 * d2))
     blocks[:, :d2, :d2] = blocks[:, d2:, d2:] = exponents
     blocks[:, :d2, d2:] = forward[:m] @ pairing.T @ backward[1:]
-    adjoint = expm(blocks)[:, :d2, d2:]
+    adjoint = expm_stack(blocks)[:, :d2, d2:]
     _, du, dn = problem.affine_generator
     grad_u, grad_n = sign * controls.dt * np.einsum("kji,dij->dk", adjoint, np.stack([du, dn]))
     return value, grad_u, grad_n
@@ -179,7 +183,7 @@ def per_start_optimize_run(
     :func:`grape_gradient` of its own.  With ``spectral=False`` every line
     search starts from twice the last accepted step instead (capped at
     1e4).  Evaluations go through this module's ``forward_pass``,
-    ``grape_gradient`` and ``expm``, so a patch there sees them."""
+    ``grape_gradient`` and ``expm_stack``, so a patch there sees them."""
     direction = problem.pairing[1]
     lo, hi = problem.u_bounds
     cur = clip_controls(initial.u, initial.n, initial.dt, problem)

@@ -839,15 +839,22 @@ def test_config_key_that_is_not_read_is_not_checked(tmp_path):
     assert main(["stiefel-max", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("path", ["segments[0].u", "system.energies[1]"])
-def test_overflowing_run_names_the_non_finite_state(tmp_path, capsys, path):
-    # finite inputs whose exponential overflows: the state check reports a
-    # non-finite state, not whichever NaN comparison wins
+# finite inputs whose segment map is not a channel: a map that is not finite
+# stops the run at the exponential, and a finite one at the state check
+OVERFLOW_MESSAGES = {
+    "segments[0].u": "state after segment 0 invalid (trace)",
+    "system.energies[1]": "state after segment 0 invalid (trace)",
+    "decoherence.epsilon": "matrix exponential must be finite",
+}
+
+
+@pytest.mark.parametrize("path", list(OVERFLOW_MESSAGES))
+def test_overflowing_run_is_a_runtime_failure(tmp_path, capsys, path):
     cfg = write_config(tmp_path / "cfg.json", set_field(qubit_simulate_config(), path, 1e300))
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert main(["simulate", str(cfg), "--out", str(out)]) == 2
-    assert "state after segment 0 invalid (finite); herm=nan" in capsys.readouterr().err
+    assert OVERFLOW_MESSAGES[path] in capsys.readouterr().err
     assert (out / "FAILED").exists() and not (out / "manifest.json").exists()
 
 

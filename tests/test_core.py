@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oqctrl import core
+from oqctrl import core, ingrape
 from oqctrl.core import (
     PAULI_X,
     PAULI_Z,
@@ -29,6 +29,7 @@ from oqctrl.lindblad import (
 )
 
 from random_matrices import random_hermitian, random_kraus, random_unitary
+from test_ingrape import FRAGILE, MODELS, random_problem
 
 I2 = np.eye(2, dtype=complex)
 
@@ -319,8 +320,55 @@ def mixed_norm_stack(count, rng):
     return a * (scales / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
 
 
+def van_loan_blocks(case, kind):
+    """The (M, 2d^2, 2d^2) adjoint stack that ``ingrape.grape_gradient``
+    exponentiates for ``case``: ((system, decoherence), M, dt, draw)."""
+    (system, dec), m, dt, draw = case
+    rng = np.random.default_rng(44)
+    problem = random_problem(kind, system, dec, m, dt, rng)
+    stacks, real = [], ingrape.expm_stack
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingrape, "expm_stack", lambda a: stacks.append(a) or real(a))
+        ingrape.grape_gradient(ingrape.ControlVector(*draw(rng, m), dt), problem)
+    return stacks[-1]
+
+
+# the fragile lock-step cases of test_ingrape (qutrits) and the large-norm
+# draw on a qubit
+VAN_LOAN_CASES = {
+    "qubit-large-norm": (MODELS["qubit"],) + FRAGILE["large-norm"][1:],
+    **{name: FRAGILE[name] for name in
+       ("large-norm", "near-degenerate-energies", "degenerate-energies")},
+}
+
+
 class TestExpmStack:
     # scipy's expm is the oracle: it takes a stack one slice at a time
+    @pytest.mark.parametrize("case", list(VAN_LOAN_CASES))
+    @pytest.mark.parametrize("kind", ["gate", "state"])
+    def test_ingrape_van_loan_blocks(self, case, kind):
+        blocks = van_loan_blocks(VAN_LOAN_CASES[case], kind)
+        d2 = VAN_LOAN_CASES[case][0][0].dim ** 2
+        assert blocks.shape[1:] == (2 * d2, 2 * d2) and blocks.dtype == float
+        assert expm_error(expm_stack(blocks), expm(blocks)) <= 1e-12
+
+    def test_qutrit_gksl_generators(self):
+        # the segment exponents of the qutrit-gksl benchmark's simulate call:
+        # a three-level ladder, random u, one occupation per level pair
+        system = SystemModel(
+            np.array([0.0, 1.0, 1.9]),
+            np.array([[0, 1, 0], [1, 0, np.sqrt(2)], [0, np.sqrt(2), 0]], dtype=complex),
+        )
+        dec = DecoherenceModel(np.array([[0.0, 0.05, 0.02], [0.05, 0.0, 0.08], [0.02, 0.08, 0.0]]))
+        rng = np.random.default_rng(12)
+        a = np.stack([
+            build_liouvillian(system, dec, rng.uniform(-1, 1), rng.uniform(0, 1, 3))
+            * rng.uniform(0.05, 0.5)
+            for _ in range(200)
+        ])
+        assert a.shape == (200, 9, 9) and a.dtype == complex
+        assert expm_error(expm_stack(a), expm(a)) <= 1e-12
+
     @pytest.mark.parametrize("n", [1, 2, 4, 9])
     @pytest.mark.parametrize("kind", [float, complex])
     def test_gaussian_stacks_of_unit_norm(self, n, kind):

@@ -1,6 +1,7 @@
 """Every model constructor rejects a NaN or an infinity in the field that
-holds it, and every solver or report in its tolerances, iteration limit and
-slack, through core.require_finite, naming that field or argument."""
+holds it, and every solver, report or state check in its tolerances, rates,
+iteration limit and slack, through core.require_finite, naming that field or
+argument."""
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ NON_FINITE_ARGUMENTS = {
     "scan-max-iter-nan": ("max_iter", lambda: optimize_pulse(pulse_problem(), 2, max_iter=NAN)),
     "cluster-gap-tol-nan": ("gap_tol", lambda: cluster_report([0.1, 0.2], NAN)),
     "unreachable-slack-nan": ("slack", lambda: unreachable_report(GRID, 0.1, 1.0, slack=NAN)),
+    # an infinite gamma made an infinite bound that any grid passed, a NaN one a NaN bound
+    "unreachable-gamma-inf": ("gamma", lambda: unreachable_report(GRID, INF, 1.0)),
+    "unreachable-gamma-nan": ("gamma", lambda: unreachable_report(GRID, NAN, 1.0)),
+    "unreachable-omega-nan": ("omega", lambda: unreachable_report(GRID, 0.1, NAN)),
+    "unreachable-omega-inf": ("omega", lambda: unreachable_report(GRID, 0.1, INF)),
+    # a NaN tol failed the maximally mixed state, an infinite one passed any matrix
+    "validate-tol-nan": ("tol", lambda: validate_density(np.eye(2) / 2, tol=NAN)),
+    "validate-tol-inf": ("tol", lambda: validate_density(np.eye(2) / 2, tol=INF)),
     # a NaN tol fails the search's positivity check, as test_kraus_search matches
     "search-tol-inf-exact": ("tol", lambda: flip_search("exact", INF)),
     "search-tol-inf-float": ("tol", lambda: flip_search("float", INF)),

@@ -502,7 +502,7 @@ def _uniform_controls(rng, m):
 # (models, M, dt, controls drawn from (rng, M)) where the adjoint block is
 # most likely to lose accuracy
 FRAGILE = {
-    # |dt L|_1 is about 30, so scipy's expm scales and squares several times
+    # |dt L|_1 is about 30, so the exponential scales and squares several times
     "large-norm": (
         MODELS["qutrit-eps"], 6, 3.0,
         lambda rng, m: (2.0 * rng.choice([-1.0, 1.0], m), rng.uniform(0, 1, m)),
@@ -637,8 +637,8 @@ class TestAffineFastPath:
 
     def test_gradient_makes_one_propagator_and_one_adjoint_exponential(self, monkeypatch):
         shapes = []
-        real = ingrape.expm
-        monkeypatch.setattr(ingrape, "expm", lambda a: shapes.append(a.shape) or real(a))
+        real = ingrape.expm_stack
+        monkeypatch.setattr(ingrape, "expm_stack", lambda a: shapes.append(a.shape) or real(a))
         system, dec = MODELS["qutrit-eps"]
         m = 7
         problem = random_problem("gate", system, dec, m, 0.4, np.random.default_rng(45))
@@ -675,7 +675,7 @@ class TestAffineFastPath:
 
     def test_one_segment_stack_per_trial_and_one_adjoint_stack_per_iterate(self, monkeypatch):
         shapes, trials, steps = [], [], []
-        real_expm, real_forward = ingrape.expm, ingrape.forward_stack
+        real_expm, real_forward = ingrape.expm_stack, ingrape.forward_stack
         real_gradient = ingrape.gradient_stack
 
         def gradient(problem, u, n, dt, trial=None):
@@ -684,7 +684,7 @@ class TestAffineFastPath:
             steps.append((trial is not None, shapes[first:]))
             return out
 
-        monkeypatch.setattr(ingrape, "expm", lambda a: shapes.append(a.shape) or real_expm(a))
+        monkeypatch.setattr(ingrape, "expm_stack", lambda a: shapes.append(a.shape) or real_expm(a))
         monkeypatch.setattr(
             ingrape, "forward_stack", lambda p, u, n, dt: trials.append(u) or real_forward(p, u, n, dt)
         )
@@ -832,12 +832,12 @@ def lockstep_case(case, kind):
 def mixed_endings():
     """A closed qubit steered to the identity with grad_tol 1e-12 and
     max_iter 4: start 0 converges at iteration 1, start 1 stalls at
-    iteration 3 and start 3 at iteration 4, while starts 2 and 4 run on to
+    iteration 3 and start 2 at iteration 4, while starts 3 and 4 run on to
     the cap."""
     system, dec = closed_qubit()
     problem = GateProblem(system=system, decoherence=dec, target=np.eye(2, dtype=complex),
                           n_segments=3, dt=0.2)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(242)
     starts = [ControlVector(np.zeros(3), np.zeros(3), 0.2)] + [
         ControlVector(rng.uniform(-1, 1, 3) * scale, rng.uniform(0, 1, 3), 0.2)
         for scale in (0.05, 0.3, 1.0, 1.0)
@@ -882,8 +882,8 @@ class TestLockStep:
         problem, starts, options = mixed_endings()
         batch = ingrape.optimize_starts(problem, starts, **options)
         endings = [(r.iterations, r.converged, r.stalled) for r in batch]
-        assert endings == [(1, True, False), (3, False, True), (4, False, False),
-                           (4, False, True), (4, False, False)]
+        assert endings == [(1, True, False), (3, False, True), (4, False, True),
+                           (4, False, False), (4, False, False)]
         for start, run in zip(starts, batch):
             assert_same_run(run, optimize_run(problem, start, **options))
             assert_same_run(run, pulse_oracles.per_start_optimize_run(problem, start, **options))
@@ -895,7 +895,7 @@ class TestLockStep:
         total segment and adjoint slices."""
         d2 = problem.pairing[2].shape[0]
         groups, slices = [], [0, 0]
-        real = pulse_oracles.expm
+        real = pulse_oracles.expm_stack
 
         def counted(a):
             adjoint = a.shape[-1] == 2 * d2
@@ -906,7 +906,7 @@ class TestLockStep:
                 groups[-1][-1] += 1
             return real(a)
 
-        monkeypatch.setattr(pulse_oracles, "expm", counted)
+        monkeypatch.setattr(pulse_oracles, "expm_stack", counted)
         for start in starts:
             groups.append([0])
             pulse_oracles.per_start_optimize_run(problem, start, **options)
@@ -932,7 +932,7 @@ class TestLockStep:
 
         d2 = problem.pairing[2].shape[0]
         calls, slices = [], [0, 0]
-        real = ingrape.expm
+        real = ingrape.expm_stack
 
         def counted(a):
             adjoint = a.shape[-1] == 2 * d2
@@ -940,7 +940,7 @@ class TestLockStep:
             slices[adjoint] += a.shape[0]
             return real(a)
 
-        monkeypatch.setattr(ingrape, "expm", counted)
+        monkeypatch.setattr(ingrape, "expm_stack", counted)
         ingrape.optimize_starts(problem, starts, **options)
         assert calls.count(False) == rounds
         assert calls.count(True) == iterates
