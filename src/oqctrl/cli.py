@@ -20,7 +20,6 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, ingrape, kraussearch, lindblad, reachable, stiefel
 from .core import (STRUCTURAL_TOL, bloch_from_density, hermitian_coordinates, require_finite,
@@ -172,7 +171,6 @@ def _write_manifest(out: Path, subcommand: str, config_path: Path, seed, outputs
             "versions": {
                 "oqctrl": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
             },
             "outputs": sorted(outputs),

@@ -306,6 +306,15 @@ def _pade_13(x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
+def __getattr__(name: str):
+    """PEP 562 hook that ``ingrape``, ``lindblad`` and ``reachable`` import: the name
+    ``expm`` gives scipy's, imported only then, for perfbench's ``EXPM_CALLERS``."""
+    if name != "expm":
+        raise AttributeError(f"module has no attribute {name!r}")
+    from scipy.linalg import expm
+    return expm
+
+
 def spectral_step(dx: np.ndarray, dg: np.ndarray, step: float, floor: float, cap: float) -> float:
     """Barzilai-Borwein step |<dx, dg>| / <dg, dg> for the last move dx and
     the gradient change dg (real parts of the inner products), clamped to

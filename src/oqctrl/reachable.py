@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# expm is unused here: perfbench's EXPM_CALLERS and its
-# test_tracer_rebinds_imported_names_and_restores_them look it up in this module
-from scipy.linalg import expm
 
 from .core import (PAULI_X, PAULI_Y, PAULI_Z, bloch_from_density, expm_stack, hermitian_basis,
-                   require_finite, validate_density, vec)
+                   require_finite, validate_density, vec,
+                   __getattr__)  # the lazy name expm, looked up by perfbench's tracer only
 from .lindblad import VALIDATION_TOL, affine_generator, qubit_decoherence, qubit_system
 
 # (cos theta, azimuth) bins of the radial-maximum map; bins with fewer than

@@ -1,7 +1,7 @@
 """Test oracles for the Stiefel ascent: the objective and gradient written
 product by product, as they were before ``stiefel`` grouped them on one
-kernel, the QR retraction through numpy's ``qr``, as it was before
-``stiefel.retract`` called LAPACK itself, and a manifold curve whose
+kernel, the QR retraction through numpy's ``qr``, which ``stiefel.retract``
+computes as Cholesky-QR, and a manifold curve whose
 second-order Taylor term ``stiefel.hessian_apply`` must reproduce."""
 
 from __future__ import annotations

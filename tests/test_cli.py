@@ -51,6 +51,7 @@ class TestSimulate:
         assert set(manifest["outputs"]) == {
             "trajectory.csv", "final_state.json", "manifest.json",
         }
+        assert set(manifest["versions"]) == {"oqctrl", "numpy", "python"}
 
     def test_missing_field_is_validation_error(self, tmp_path, capsys):
         payload = qubit_simulate_config()

@@ -289,7 +289,7 @@ class TestSampler:
         assert np.max(np.linalg.norm(got - want, axis=(1, 2)) / scale) <= 1e-11
 
     def test_sampler_exponentiates_every_segment_with_expm_stack(self, monkeypatch):
-        # reachable keeps scipy's name bound only for the benchmark's tracer;
+        # reachable gives out scipy's name (core.__getattr__) only for the benchmark's tracer;
         # every segment map goes through core.expm_stack instead
         def refuse(a):
             raise AssertionError("scipy's expm called")
