@@ -206,7 +206,8 @@ def test_cli_import_loads_no_scipy():
         "print(json.dumps([loaded, bound, missing]))\n"
     )
     src = str(SOURCES[0].parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60,
                           capture_output=True, text=True)
     loaded, bound, missing = json.loads(done.stdout)
