@@ -259,6 +259,7 @@ def _cmd_stiefel_max(cfg: dict, seed, workers):
                         "iterations": r.iterations,
                         "converged": bool(r.converged),
                         "final_grad_norm": float(r.gradient_norms[-1]),
+                        "gap": r.gap,
                     }
                     for r in reports
                 ],

@@ -24,6 +24,7 @@ from .core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
                    kraus_constraint_residual, require_finite, run_multistart, spectral_step)
 
 STIEFEL_TOL = 1e-10
+GAP_TOL = 1e-12  # converged once lambda_max(O) - J <= GAP_TOL max(1, ||O||_2)
 INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
 TANGENCY_TOL = 1e-8  # largest |S^dag dS + dS^dag S| of a tangent vector
 # critical-point classification: Rayleigh samples from a fixed seed, the
@@ -86,10 +87,10 @@ def random_stiefel(n: int, rng: np.random.Generator) -> np.ndarray:
 def _lifted(observable: np.ndarray, x: np.ndarray) -> np.ndarray:
     r"""(I \otimes O) X, block by block: O times each N-row block of X.
 
-    One GEMM of O with the N x N^3 "wide" matrix [X_1 ... X_{N^2}] halves
-    this call at N = 6, but it rounds differently, and that moves fixed-seed
-    starts across the ``grad_tol`` floor of :func:`maximize`; the batched
-    product stays until that tolerance is redesigned."""
+    One GEMM of O with the N x N^3 "wide" matrix [X_1 ... X_{N^2}] saves at
+    most about 8 us a call at N = 6, and the 8 starts of an N = 6
+    :func:`maximize` run make about 170 calls in all, so the batched product
+    stays."""
     n = x.shape[1]
     return (observable @ x.reshape(-1, n, n)).reshape(x.shape)
 
@@ -200,7 +201,8 @@ def retract(s: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OptimizationReport:
-    """Result of a single gradient-ascent run."""
+    """Result of a single gradient-ascent run; ``gap`` is lambda_max(O) - J
+    at the final point."""
 
     iterations: int
     objective_value: float
@@ -209,8 +211,26 @@ class OptimizationReport:
     steps: np.ndarray
     converged: bool
     point: np.ndarray
+    gap: float
     stalled: bool = False
     stall_message: str = ""
+
+
+def _support_inverse(r: np.ndarray) -> np.ndarray:
+    """rho^+, the inverse of rho on its support, from one ``eigh``: eigenvalues
+    at or below N eps lambda_max(rho) count as zero."""
+    w, v = np.linalg.eigh(r)
+    keep = w > r.shape[0] * np.finfo(float).eps * max(w[-1], 0.0)
+    v = v[:, keep]
+    return (v / w[keep]) @ v.conj().T
+
+
+def _direction(s: np.ndarray, g: np.ndarray, rho_plus: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ascent direction D = G rho^+ - S herm(S^dag G rho^+), the tangent
+    projection of G rho^+, and its slope Re <G, D> = Tr(G^dag G rho^+) >= 0
+    (the projection drops out of the slope because G is tangent)."""
+    z = g @ rho_plus
+    return z - s @ herm(s.conj().T @ z), float(np.vdot(g, z).real)
 
 
 def maximize(
@@ -220,22 +240,28 @@ def maximize(
     grad_tol: float = 1e-8,
     seed: int | None = 0,
 ) -> OptimizationReport:
-    """Riemannian gradient ascent of J over the Stiefel manifold.
+    """Riemannian ascent of J over the Stiefel manifold for a density ``rho``.
 
-    Armijo backtracking along the gradient with QR retraction; the trial
-    step is seeded with a Barzilai-Borwein estimate, which cuts the
-    iteration count by an order of magnitude near the (gauge-degenerate)
-    optimum while the backtracking keeps the objective history
-    non-decreasing.  Each trial point is evaluated once, by one
-    :func:`_products` call; the accepted trial's J, OS and W are the new
-    iterate's, and its gradient is built from them.  The gradient is used
-    without a tangent projection: at a point with S^dag S = I it gives
-    S^dag G = W rho - rho W, which is anti-Hermitian, so the projection
-    would move roundoff only, and the retraction keeps every iterate on the
-    manifold.  Terminates when the gradient norm drops below ``grad_tol``.
-    A line-search underflow (no step satisfies the Armijo condition, which
-    happens when J sits at its attainable floating-point maximum while the
-    gradient norm is still above ``grad_tol``) terminates the run with
+    The step goes along the rho^+-preconditioned direction of
+    :func:`_direction` (Mishra and Sepulchre, SIAM J. Optim. 26, 635 (2016)):
+    the gradient carries a right factor rho, so along rho's small
+    eigen-directions it is small and plain gradient ascent crawls there;
+    G rho^+ undoes that factor on rho's support.  Armijo backtracking with
+    the slope Re <G, D> and a QR retraction; the trial step is a
+    Barzilai-Borwein estimate from the last move and the change of D, and
+    the backtracking keeps the objective history non-decreasing.  Each trial
+    point is evaluated once, by one :func:`_products` call; the accepted
+    trial's J, OS and W are the new iterate's, and its gradient is built
+    from them.  The gradient is used without a tangent projection (at a
+    point with S^dag S = I, S^dag G = W rho - rho W is anti-Hermitian), and
+    the retraction keeps every iterate on the manifold.
+
+    Since J <= lambda_max(O) for a density, ``gap`` = lambda_max(O) - J is an
+    optimality certificate.  A run has converged when its gap is at most
+    ``GAP_TOL`` max(1, ||O||_2) or its gradient norm is below ``grad_tol``;
+    ``grad_tol`` = 0 turns both stops off.  A line-search underflow (no step
+    satisfies the Armijo condition, as when J sits at its attainable
+    floating-point maximum and no stop has fired) ends the run with
     ``stalled=True`` and a diagnostic message instead of looping forever.
     """
     if require_finite(max_iter, "max_iter") < 1:
@@ -244,6 +270,10 @@ def maximize(
     r = np.asarray(rho, dtype=complex)
     s = random_stiefel(r.shape[0], np.random.default_rng(seed))
     r, o = _operands(s, r, observable)
+    spectrum = np.linalg.eigvalsh(o)
+    lam_max = float(spectrum[-1])
+    gap_tol = GAP_TOL * max(1.0, float(np.abs(spectrum).max()))
+    rho_plus = _support_inverse(r)
     j, os_, w = _products(s, r, o)
     history = [j]
     gnorms = []
@@ -253,22 +283,23 @@ def maximize(
     stalled = False
     stall_message = ""
     s_prev = None
-    g_prev = None
+    d_prev = None
     for it in range(1, max_iter + 1):
         g = _gradient(s, r, os_, w)
         gnorm = float(np.linalg.norm(g))
         gnorms.append(gnorm)
-        if gnorm < grad_tol:
+        if grad_tol > 0 and (lam_max - j <= gap_tol or gnorm < grad_tol):
             converged = True
             break
-        if g_prev is not None:
-            step = spectral_step(s - s_prev, g - g_prev, step, STIEFEL_STEP_FLOOR, STIEFEL_STEP_CAP)
+        d, slope = _direction(s, g, rho_plus)
+        if d_prev is not None:
+            step = spectral_step(s - s_prev, d - d_prev, step, STIEFEL_STEP_FLOOR, STIEFEL_STEP_CAP)
         t = step
         accepted = False
         while t >= STIEFEL_STEP_UNDERFLOW:
-            cand = retract(s, t * g)
+            cand = retract(s, t * d)
             j_cand, os_cand, w_cand = _products(cand, r, o)
-            if j_cand >= j + ARMIJO_C * t * gnorm**2:
+            if j_cand >= j + ARMIJO_C * t * slope:
                 accepted = True
                 break
             t *= BACKTRACK
@@ -276,10 +307,10 @@ def maximize(
             stalled = True
             stall_message = (
                 f"line search underflow at iteration {it}: "
-                f"J={j:.12g}, |grad|={gnorm:.3e}"
+                f"J={j:.12g}, |grad|={gnorm:.3e}, gap={lam_max - j:.3e}"
             )
             break
-        s_prev, g_prev = s, g
+        s_prev, d_prev = s, d
         s, j, os_, w = cand, j_cand, os_cand, w_cand
         history.append(j)
         steps.append(t)
@@ -292,6 +323,7 @@ def maximize(
         steps=np.array(steps),
         converged=converged,
         point=s,
+        gap=lam_max - j,
         stalled=stalled,
         stall_message=stall_message,
     )

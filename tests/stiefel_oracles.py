@@ -1,13 +1,17 @@
 """Test oracles for the Stiefel ascent: the objective and gradient written
 product by product, as they were before ``stiefel`` grouped them on one
 kernel, the QR retraction through numpy's ``qr``, which ``stiefel.retract``
-computes as Cholesky-QR, and a manifold curve whose
-second-order Taylor term ``stiefel.hessian_apply`` must reproduce."""
+computes as Cholesky-QR, a manifold curve whose second-order Taylor term
+``stiefel.hessian_apply`` must reproduce, and the plain gradient ascent that
+``stiefel.maximize`` ran before it stepped along a preconditioned direction."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from oqctrl import stiefel
+from oqctrl.core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
+                         STIEFEL_STEP_UNDERFLOW, spectral_step)
 from oqctrl.stiefel import _lifted as lifted
 
 
@@ -52,3 +56,37 @@ def hessian_curve(s: np.ndarray, delta: np.ndarray, t: float) -> np.ndarray:
     w = s.conj().T @ delta
     correction = 0.25 * t * t * (delta @ w - s @ w @ w)
     return _polar(s + t * delta + correction)
+
+
+def gradient_ascent(rho, observable, max_iter: int = 2000, grad_tol: float = 1e-8,
+                    seed: int = 0) -> tuple[float, bool, bool]:
+    """The slow path: Armijo ascent along the gradient itself, with a
+    Barzilai-Borwein trial step from the last move and gradient change and a
+    stop only on the gradient norm.  Returns the final J and whether the run
+    converged or stalled."""
+    r = np.asarray(rho, dtype=complex)
+    o = np.asarray(observable, dtype=complex)
+    s = stiefel.random_stiefel(r.shape[0], np.random.default_rng(seed))
+    j, os_, w = stiefel._products(s, r, o)
+    step = stiefel.INITIAL_STEP
+    s_prev = g_prev = None
+    for _ in range(max_iter):
+        g = stiefel._gradient(s, r, os_, w)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm < grad_tol:
+            return j, True, False
+        if g_prev is not None:
+            step = spectral_step(s - s_prev, g - g_prev, step, STIEFEL_STEP_FLOOR, STIEFEL_STEP_CAP)
+        t = step
+        while True:
+            if t < STIEFEL_STEP_UNDERFLOW:
+                return j, False, True
+            cand = stiefel.retract(s, t * g)
+            j_cand, os_cand, w_cand = stiefel._products(cand, r, o)
+            if j_cand >= j + ARMIJO_C * t * gnorm**2:
+                break
+            t *= BACKTRACK
+        s_prev, g_prev = s, g
+        s, j, os_, w = cand, j_cand, os_cand, w_cand
+        step = min(t / BACKTRACK, STIEFEL_STEP_CAP)
+    return j, False, False

@@ -106,6 +106,19 @@ class TestStiefelMax:
         assert lines[0] == "iter,objective,grad_norm,step"
         assert len(lines) > 2
 
+    def test_every_converged_run_reports_a_gap_within_the_tolerance(self, tmp_path):
+        payload = dict(qubit_stiefel_config(), starts=4)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["stiefel-max", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        lam_max = report["observable_max_eigenvalue"]
+        tol = stiefel.GAP_TOL * max(1.0, abs(lam_max))  # the observable is diag(1, -1)
+        assert all(run["converged"] for run in report["runs"])
+        for run in report["runs"]:
+            assert run["gap"] == lam_max - run["objective"]
+            assert run["gap"] <= tol
+
     @pytest.mark.parametrize("lift, best", [(4e-16, 0), (1e-9, 1)], ids=["roundoff-tie", "better"])
     def test_best_start_is_the_lowest_within_a_tie(self, tmp_path, monkeypatch, lift, best):
         # start 1 ends above start 0 by `lift`: by one ulp it is a tie, which

@@ -347,16 +347,20 @@ class TestFusedKernel:
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         for name in ("objective", "gradient", "project_tangent"):
             monkeypatch.setattr(stiefel, name, forbidden)
-        rng = np.random.default_rng(321)
-        report = maximize(random_density(3, rng), random_hermitian(3, rng), seed=4)
-        assert report.converged
-        trials = calls["retract"]
-        # every accepted step took at least one trial, and some took more
-        assert trials > report.steps.size == report.iterations - 1
-        assert calls["lifted"] == 1 + trials
-        # one Cholesky factorization per trial; numpy's QR only for the random start
-        assert calls["cholesky"] == trials
-        assert calls["qr"] == 1
+        # the first start takes every first trial, the second backtracks
+        for rng_seed, seed, backtracks in ((321, 4, False), (322, 0, True)):
+            calls.update(dict.fromkeys(calls, 0))
+            rng = np.random.default_rng(rng_seed)
+            report = maximize(random_density(3, rng), random_hermitian(3, rng), seed=seed)
+            assert report.converged
+            trials = calls["retract"]
+            # every accepted step took at least one trial
+            assert trials >= report.steps.size == report.iterations - 1
+            assert (trials > report.steps.size) == backtracks
+            assert calls["lifted"] == 1 + trials
+            # one Cholesky factorization per trial; numpy's QR only for the random start
+            assert calls["cholesky"] == trials
+            assert calls["qr"] == 1
 
 
 class TestProjectionRetraction:
@@ -490,7 +494,7 @@ class TestMaximize:
             assert ra.objective_value == rb.objective_value
             assert ra.iterations == rb.iterations
 
-    def test_step_comes_from_the_last_move_and_gradient_change(self, monkeypatch):
+    def test_step_comes_from_the_last_move_and_direction_change(self, monkeypatch):
         seen = []
         real = stiefel.spectral_step
         monkeypatch.setattr(stiefel, "spectral_step", lambda *a: seen.append(a) or real(*a))
@@ -500,10 +504,92 @@ class TestMaximize:
         assert len(seen) == report.iterations - 1 == 2
         s0 = random_stiefel(3, np.random.default_rng(3))
         s1 = maximize(rho, obs, seed=3, max_iter=1).point
-        g0, g1 = (gradient(s, rho, obs) for s in (s0, s1))
+        rho_plus = stiefel._support_inverse(rho)
+        d0, d1 = (stiefel._direction(s, gradient(s, rho, obs), rho_plus)[0] for s in (s0, s1))
         dx, dg, _, floor, cap = seen[0]
-        assert dx.tobytes() == (s1 - s0).tobytes() and dg.tobytes() == (g1 - g0).tobytes()
+        assert dx.tobytes() == (s1 - s0).tobytes() and dg.tobytes() == (d1 - d0).tobytes()
         assert (floor, cap) == (stiefel.STIEFEL_STEP_FLOOR, stiefel.STIEFEL_STEP_CAP)
+
+
+    def test_gap_stop_fires_above_a_positive_grad_tol(self):
+        rng = np.random.default_rng(321)
+        rho, obs = random_density(3, rng), random_hermitian(3, rng)
+        report = maximize(rho, obs, seed=4, grad_tol=1e-8)
+        lam_max = np.linalg.eigvalsh(obs)
+        tol = stiefel.GAP_TOL * max(1.0, np.abs(lam_max).max())
+        assert report.converged and not report.stalled
+        assert report.gradient_norms[-1] >= 1e-8
+        assert report.gap == lam_max[-1] - report.objective_value
+        assert 0 < report.gap <= tol
+
+    def test_nearly_singular_rho_converges(self):
+        # smallest eigenvalue of rho 6.2e-5: plain gradient ascent ended
+        # capped at 2000 iterations, 7.7e-6 below lambda_max
+        rng = np.random.default_rng(1014)
+        rho, obs = random_density(6, rng), random_hermitian(6, rng)
+        report = maximize(rho, obs, seed=14)
+        assert report.converged
+        assert report.iterations <= 500
+        assert report.gap <= stiefel.GAP_TOL
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_deficient_rho_converges(self, rank):
+        rho, obs = low_rank_problem(rank, np.random.default_rng(540 + rank))
+        tol = stiefel.GAP_TOL * max(1.0, np.abs(np.linalg.eigvalsh(obs)).max())
+        for seed in range(3):
+            report = maximize(rho, obs, seed=seed)
+            assert report.converged
+            assert report.iterations <= 40
+            assert report.gap <= tol
+
+    @pytest.mark.parametrize("rng_seed", [404, 405, 406, 407])
+    def test_gradient_ascent_oracle_reaches_the_same_maximum(self, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        rho, obs = random_density(3, rng), random_hermitian(3, rng)
+        lam_max = np.linalg.eigvalsh(obs).max()
+        for seed in range(3):
+            slow, _, _ = stiefel_oracles.gradient_ascent(rho, obs, seed=seed)
+            fast = maximize(rho, obs, seed=seed)
+            assert fast.converged
+            assert abs(slow - lam_max) <= 1e-10
+            assert abs(fast.objective_value - lam_max) <= 1e-10
+
+
+def low_rank_problem(rank, rng, n=4):
+    """A rank-``rank`` density and a random observable at dimension ``n``."""
+    u = random_unitary(n, rng)
+    p = np.zeros(n)
+    p[:rank] = rng.uniform(0.2, 1.0, rank)
+    rho = (u * (p / p.sum())) @ u.conj().T
+    return rho, random_hermitian(n, rng)
+
+
+class TestDirection:
+    """The rho^+-preconditioned ascent direction against ``np.linalg.pinv``."""
+
+    @pytest.mark.parametrize("rank", [4, 1, 2, 3])
+    def test_tangent_with_the_pinv_slope(self, rank):
+        rng = np.random.default_rng(600 + rank)
+        rho, obs = low_rank_problem(rank, rng)
+        rho_plus = stiefel._support_inverse(rho)
+        assert np.linalg.matrix_rank(rho_plus) == rank
+        assert np.max(np.abs(rho_plus - np.linalg.pinv(rho, hermitian=True))) <= (
+            1e-12 * np.linalg.norm(rho_plus, 2))
+        for _ in range(5):
+            s = random_stiefel(4, rng)
+            g = gradient(s, rho, obs)
+            d, slope = stiefel._direction(s, g, rho_plus)
+            assert tangency_residual(s, d) <= 1e-12
+            oracle = np.trace(g.conj().T @ g @ np.linalg.pinv(rho)).real
+            assert slope == pytest.approx(oracle, rel=1e-12)
+            assert slope == pytest.approx(inner(g, d), rel=1e-12)
+
+    def test_zero_gradient_gives_zero_direction(self):
+        rng = np.random.default_rng(610)
+        rho, _ = low_rank_problem(2, rng)
+        s = random_stiefel(4, rng)
+        d, slope = stiefel._direction(s, np.zeros_like(s), stiefel._support_inverse(rho))
+        assert np.max(np.abs(d)) == 0.0 and slope == 0.0
 
 
 class TestClassification:
