@@ -21,7 +21,9 @@ import numpy as np
 
 from .core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
                    STIEFEL_STEP_UNDERFLOW, DimensionMismatchError, herm,
-                   kraus_constraint_residual, require_finite, run_multistart, spectral_step)
+                   kraus_constraint_residual, require_finite, run_multistart, spectral_step,
+                   validate_density)
+from .lindblad import VALIDATION_TOL
 
 STIEFEL_TOL = 1e-10
 GAP_TOL = 1e-12  # converged once lambda_max(O) - J <= GAP_TOL max(1, ||O||_2)
@@ -256,8 +258,9 @@ def maximize(
     point with S^dag S = I, S^dag G = W rho - rho W is anti-Hermitian), and
     the retraction keeps every iterate on the manifold.
 
-    Since J <= lambda_max(O) for a density, ``gap`` = lambda_max(O) - J is an
-    optimality certificate.  A run has converged when its gap is at most
+    ``rho`` must be a density to ``lindblad.VALIDATION_TOL`` (else
+    ValueError).  Since J <= lambda_max(O) for a density, ``gap`` =
+    lambda_max(O) - J is an optimality certificate.  A run has converged when its gap is at most
     ``GAP_TOL`` max(1, ||O||_2) or its gradient norm is below ``grad_tol``;
     ``grad_tol`` = 0 turns both stops off.  A line-search underflow (no step
     satisfies the Armijo condition, as when J sits at its attainable
@@ -270,6 +273,10 @@ def maximize(
     r = np.asarray(rho, dtype=complex)
     s = random_stiefel(r.shape[0], np.random.default_rng(seed))
     r, o = _operands(s, r, observable)
+    # the gap certificate and the sign of the slope hold only for a density
+    report = validate_density(r, VALIDATION_TOL)
+    if not report.ok:
+        raise ValueError(f"rho is not a density matrix ({report.worst})")
     spectrum = np.linalg.eigvalsh(o)
     lam_max = float(spectrum[-1])
     gap_tol = GAP_TOL * max(1.0, float(np.abs(spectrum).max()))
