@@ -59,11 +59,11 @@ def hessian_curve(s: np.ndarray, delta: np.ndarray, t: float) -> np.ndarray:
 
 
 def gradient_ascent(rho, observable, max_iter: int = 2000, grad_tol: float = 1e-8,
-                    seed: int = 0) -> tuple[float, bool, bool]:
+                    seed: int = 0) -> float:
     """The slow path: Armijo ascent along the gradient itself, with a
-    Barzilai-Borwein trial step from the last move and gradient change and a
-    stop only on the gradient norm.  Returns the final J and whether the run
-    converged or stalled."""
+    Barzilai-Borwein trial step from the last move and gradient change, that
+    ends when the gradient norm drops below ``grad_tol``, the line search
+    underflows or ``max_iter`` is spent.  Returns the final J."""
     r = np.asarray(rho, dtype=complex)
     o = np.asarray(observable, dtype=complex)
     s = stiefel.random_stiefel(r.shape[0], np.random.default_rng(seed))
@@ -74,19 +74,19 @@ def gradient_ascent(rho, observable, max_iter: int = 2000, grad_tol: float = 1e-
         g = stiefel._gradient(s, r, os_, w)
         gnorm = float(np.linalg.norm(g))
         if gnorm < grad_tol:
-            return j, True, False
+            break
         if g_prev is not None:
             step = spectral_step(s - s_prev, g - g_prev, step, STIEFEL_STEP_FLOOR, STIEFEL_STEP_CAP)
         t = step
-        while True:
-            if t < STIEFEL_STEP_UNDERFLOW:
-                return j, False, True
+        while t >= STIEFEL_STEP_UNDERFLOW:
             cand = stiefel.retract(s, t * g)
             j_cand, os_cand, w_cand = stiefel._products(cand, r, o)
             if j_cand >= j + ARMIJO_C * t * gnorm**2:
                 break
             t *= BACKTRACK
+        else:
+            break
         s_prev, g_prev = s, g
         s, j, os_, w = cand, j_cand, os_cand, w_cand
         step = min(t / BACKTRACK, STIEFEL_STEP_CAP)
-    return j, False, False
+    return j
