@@ -26,7 +26,7 @@ from .core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
 from .lindblad import VALIDATION_TOL
 
 STIEFEL_TOL = 1e-10
-GAP_TOL = 1e-12  # converged once lambda_max(O) - J <= GAP_TOL max(1, ||O||_2)
+GAP_TOL = 1e-12  # converged once the bound on J minus J <= GAP_TOL max(1, ||O||_2)
 INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
 TANGENCY_TOL = 1e-8  # largest |S^dag dS + dS^dag S| of a tangent vector
 # critical-point classification: Rayleigh samples from a fixed seed, the
@@ -203,8 +203,8 @@ def retract(s: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OptimizationReport:
-    """Result of a single gradient-ascent run; ``gap`` is lambda_max(O) - J
-    at the final point."""
+    """Result of a single gradient-ascent run; ``gap`` is the attainable
+    maximum of J (see :func:`maximize`) minus J at the final point."""
 
     iterations: int
     objective_value: float
@@ -218,21 +218,38 @@ class OptimizationReport:
     stall_message: str = ""
 
 
-def _support_inverse(r: np.ndarray) -> np.ndarray:
-    """rho^+, the inverse of rho on its support, from one ``eigh``: eigenvalues
-    at or below N eps lambda_max(rho) count as zero."""
-    w, v = np.linalg.eigh(r)
-    keep = w > r.shape[0] * np.finfo(float).eps * max(w[-1], 0.0)
-    v = v[:, keep]
-    return (v / w[keep]) @ v.conj().T
+def _metric(r: np.ndarray):
+    """What the ascent needs of rho, from one ``eigh`` of herm(rho): its
+    eigenvalues lam and eigenvectors V, the projector Pi onto its support
+    (eigenvalues at or below N eps lambda_max(rho) count as zero) and the
+    coefficients c_ik = 2(l_k - l_i)/(l_i + l_k) of :func:`_direction`, with
+    l the eigenvalues set to zero off the support and c = 0 where both are
+    zero, so that |c_ik| <= 2."""
+    lam, v = np.linalg.eigh(herm(r))
+    keep = lam > r.shape[0] * np.finfo(float).eps * max(lam[-1], 0.0)
+    pi = v[:, keep] @ v[:, keep].conj().T
+    kept = np.where(keep, lam, 0.0)
+    total = kept[:, None] + kept[None, :]
+    c = 2.0 * (kept[None, :] - kept[:, None]) / np.where(total > 0, total, 1.0)
+    return lam, v, pi, c
 
 
-def _direction(s: np.ndarray, g: np.ndarray, rho_plus: np.ndarray) -> tuple[np.ndarray, float]:
-    """The ascent direction D = G rho^+ - S herm(S^dag G rho^+), the tangent
-    projection of G rho^+, and its slope Re <G, D> = Tr(G^dag G rho^+) >= 0
-    (the projection drops out of the slope because G is tangent)."""
-    z = g @ rho_plus
-    return z - s @ herm(s.conj().T @ z), float(np.vdot(g, z).real)
+def _direction(s: np.ndarray, g: np.ndarray, os_: np.ndarray, w: np.ndarray,
+               metric: tuple) -> tuple[np.ndarray, float]:
+    r"""The ascent direction D and its slope Re <G, D> >= 0.
+
+    D is the Riemannian gradient of J under the metric Re Tr(X^dag Y rho) of
+    Mishra and Sepulchre, taken on rho's support: Re Tr(D^dag X rho) =
+    Re <G, X> for every tangent X.  Its normal part (I - S S^dag) G rho^+ is
+    written 2(OS - S W) Pi, so that no eigenvalue of rho divides anything,
+    and its part S A inside the span of S solves (A rho + rho A)/2 = S^dag G
+    = W rho - rho W, that is A = V (c o V^dag W V) V^dag.  Both parts are
+    bounded by the observable, whatever rho's small eigenvalues."""
+    _, v, pi, c = metric
+    vh = v.conj().T
+    a = v @ (c * (vh @ w @ v)) @ vh
+    d = 2.0 * (os_ @ pi) + s @ (a - 2.0 * (w @ pi))
+    return d, float(np.vdot(g, d).real)
 
 
 def maximize(
@@ -244,28 +261,32 @@ def maximize(
 ) -> OptimizationReport:
     """Riemannian ascent of J over the Stiefel manifold for a density ``rho``.
 
-    The step goes along the rho^+-preconditioned direction of
-    :func:`_direction` (Mishra and Sepulchre, SIAM J. Optim. 26, 635 (2016)):
-    the gradient carries a right factor rho, so along rho's small
-    eigen-directions it is small and plain gradient ascent crawls there;
-    G rho^+ undoes that factor on rho's support.  Armijo backtracking with
-    the slope Re <G, D> and a QR retraction; the trial step is a
-    Barzilai-Borwein estimate from the last move and the change of D, and
-    the backtracking keeps the objective history non-decreasing.  Each trial
-    point is evaluated once, by one :func:`_products` call; the accepted
-    trial's J, OS and W are the new iterate's, and its gradient is built
-    from them.  The gradient is used without a tangent projection (at a
-    point with S^dag S = I, S^dag G = W rho - rho W is anti-Hermitian), and
+    The step goes along the preconditioned direction of :func:`_direction`,
+    the Riemannian gradient under the metric Re Tr(X^dag Y rho) (Mishra and
+    Sepulchre, SIAM J. Optim. 26, 635 (2016)): the gradient carries a right
+    factor rho, so along rho's small eigen-directions it is small and plain
+    gradient ascent crawls there; the metric undoes that factor on rho's
+    support, and stays bounded however small rho's kept eigenvalues are.
+    Armijo backtracking with the slope Re <G, D> and a QR retraction; the
+    trial step is a Barzilai-Borwein estimate from the last move and the
+    change of D, a trial whose retraction is rank deficient counts as failed,
+    and the backtracking keeps the objective history non-decreasing.  Each
+    trial point is evaluated once, by one :func:`_products` call; the
+    accepted trial's J, OS and W are the new iterate's, and its gradient is
+    built from them.  The gradient is used without a tangent projection (at
+    a point with S^dag S = I, S^dag G = W rho - rho W is anti-Hermitian), and
     the retraction keeps every iterate on the manifold.
 
     ``rho`` must be a density to ``lindblad.VALIDATION_TOL`` (else
-    ValueError).  Since J <= lambda_max(O) for a density, ``gap`` =
-    lambda_max(O) - J is an optimality certificate.  A run has converged when its gap is at most
-    ``GAP_TOL`` max(1, ||O||_2) or its gradient norm is below ``grad_tol``;
-    ``grad_tol`` = 0 turns both stops off.  A line-search underflow (no step
-    satisfies the Armijo condition, as when J sits at its attainable
-    floating-point maximum and no stop has fired) ends the run with
-    ``stalled=True`` and a diagnostic message instead of looping forever.
+    ValueError).  J is at most lambda_max(herm O) Tr(rho) (with rho's
+    negative eigenvalues, if any, weighted by lambda_min), so ``gap``, that
+    bound minus J, is an optimality certificate.  A run has converged when
+    its gap is at most ``GAP_TOL`` max(1, ||herm O||_2) or its gradient norm
+    is below ``grad_tol``; ``grad_tol`` = 0 turns both stops off.  A
+    line-search underflow (no step satisfies the Armijo condition, as when J
+    sits at its attainable floating-point maximum and no stop has fired)
+    ends the run with ``stalled=True`` and a diagnostic message instead of
+    looping forever.
     """
     if require_finite(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
@@ -277,10 +298,13 @@ def maximize(
     report = validate_density(r, VALIDATION_TOL)
     if not report.ok:
         raise ValueError(f"rho is not a density matrix ({report.worst})")
-    spectrum = np.linalg.eigvalsh(o)
-    lam_max = float(spectrum[-1])
+    metric = _metric(r)
+    # J <= the attainable maximum, lambda_max(herm O) times rho's positive
+    # weight plus lambda_min(herm O) times its negative weight
+    spectrum = np.linalg.eigvalsh(herm(o))
+    lam = metric[0]
+    bound = float(spectrum[-1] * lam[lam > 0].sum() + spectrum[0] * lam[lam < 0].sum())
     gap_tol = GAP_TOL * max(1.0, float(np.abs(spectrum).max()))
-    rho_plus = _support_inverse(r)
     j, os_, w = _products(s, r, o)
     history = [j]
     gnorms = []
@@ -295,18 +319,24 @@ def maximize(
         g = _gradient(s, r, os_, w)
         gnorm = float(np.linalg.norm(g))
         gnorms.append(gnorm)
-        if grad_tol > 0 and (lam_max - j <= gap_tol or gnorm < grad_tol):
+        if grad_tol > 0 and (bound - j <= gap_tol or gnorm < grad_tol):
             converged = True
             break
-        d, slope = _direction(s, g, rho_plus)
+        d, slope = _direction(s, g, os_, w, metric)
         if d_prev is not None:
             step = spectral_step(s - s_prev, d - d_prev, step, STIEFEL_STEP_FLOOR, STIEFEL_STEP_CAP)
         t = step
         accepted = False
         while t >= STIEFEL_STEP_UNDERFLOW:
-            cand = retract(s, t * d)
+            try:
+                cand = retract(s, t * d)
+            except ValueError:  # a trial too long to orthonormalize fails like any other
+                t *= BACKTRACK
+                continue
             j_cand, os_cand, w_cand = _products(cand, r, o)
-            if j_cand >= j + ARMIJO_C * t * slope:
+            # the increase against the predicted one: a trial that leaves J
+            # unchanged fails even when t * slope is below J's last bit
+            if j_cand - j >= ARMIJO_C * t * slope:
                 accepted = True
                 break
             t *= BACKTRACK
@@ -314,7 +344,7 @@ def maximize(
             stalled = True
             stall_message = (
                 f"line search underflow at iteration {it}: "
-                f"J={j:.12g}, |grad|={gnorm:.3e}, gap={lam_max - j:.3e}"
+                f"J={j:.12g}, |grad|={gnorm:.3e}, gap={bound - j:.3e}"
             )
             break
         s_prev, d_prev = s, d
@@ -330,7 +360,7 @@ def maximize(
         steps=np.array(steps),
         converged=converged,
         point=s,
-        gap=lam_max - j,
+        gap=bound - j,
         stalled=stalled,
         stall_message=stall_message,
     )

@@ -512,8 +512,7 @@ class TestMaximize:
         assert len(seen) == report.iterations - 1 == 2
         s0 = random_stiefel(3, np.random.default_rng(3))
         s1 = maximize(rho, obs, seed=3, max_iter=1).point
-        rho_plus = stiefel._support_inverse(rho)
-        d0, d1 = (stiefel._direction(s, gradient(s, rho, obs), rho_plus)[0] for s in (s0, s1))
+        d0, d1 = (direction(s, rho, obs)[1] for s in (s0, s1))
         dx, dg, _, floor, cap = seen[0]
         assert dx.tobytes() == (s1 - s0).tobytes() and dg.tobytes() == (d1 - d0).tobytes()
         assert (floor, cap) == (stiefel.STIEFEL_STEP_FLOOR, stiefel.STIEFEL_STEP_CAP)
@@ -526,7 +525,7 @@ class TestMaximize:
         tol = stiefel.GAP_TOL * max(1.0, np.abs(spectrum).max())
         assert report.converged and not report.stalled
         assert report.gradient_norms[-1] >= 1e-8
-        assert report.gap == spectrum[-1] - report.objective_value
+        assert report.gap == pytest.approx(spectrum[-1] - report.objective_value, abs=1e-14)
         assert 0 < report.gap <= tol
 
     def test_nearly_singular_rho_converges(self):
@@ -536,8 +535,56 @@ class TestMaximize:
         rho, obs = random_density(6, rng), random_hermitian(6, rng)
         report = maximize(rho, obs, seed=14)
         assert report.converged
-        assert report.iterations <= 500
+        assert report.iterations <= 60
         assert report.gap <= stiefel.GAP_TOL
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-13])
+    def test_rho_with_a_tiny_eigenvalue_converges(self, n, eps):
+        # with the eigenvalue kept on rho's support, a direction with a factor
+        # 1/eps made the first retraction rank deficient (eps <= 1e-10) or
+        # crawled for 2000 iterations (eps = 1e-6)
+        rho, obs = nearly_singular_problem(eps, np.random.default_rng(620 + n), n)
+        tol = stiefel.GAP_TOL * max(1.0, np.abs(np.linalg.eigvalsh(obs)).max())
+        for seed in range(4):
+            report = maximize(rho, obs, seed=seed)
+            assert report.converged
+            assert report.iterations <= 40
+            assert report.gap <= tol
+
+    def test_rank_deficient_retraction_is_a_failed_trial(self, monkeypatch):
+        calls = []
+        real = stiefel.retract
+
+        def first_fails(s, step):
+            calls.append(step)
+            if len(calls) == 1:
+                raise ValueError("S + step is rank deficient; retraction undefined")
+            return real(s, step)
+
+        monkeypatch.setattr(stiefel, "retract", first_fails)
+        rng = np.random.default_rng(321)
+        report = maximize(random_density(3, rng), random_hermitian(3, rng), seed=4)
+        assert report.converged
+        assert np.array_equal(calls[1], stiefel.BACKTRACK * calls[0])
+        assert report.steps[0] <= stiefel.INITIAL_STEP * stiefel.BACKTRACK
+
+    @pytest.mark.parametrize("shift", [-3.0, 3.0], ids=["negative", "positive"])
+    def test_gap_is_taken_from_what_j_optimizes(self, shift):
+        # Tr(rho) = 1 - 1e-8 and O Hermitian only to 1e-10, both inside the
+        # tolerances maximize accepts: the bound is lambda_max(herm O) Tr(rho)
+        rng = np.random.default_rng(630)
+        rho = (1.0 - 1e-8) * random_density(3, rng)
+        hermitian = random_hermitian(3, rng) + shift * np.eye(3)
+        skew = 1e-10j * random_hermitian(3, rng)
+        lam = np.linalg.eigvalsh(hermitian)
+        tol = stiefel.GAP_TOL * max(1.0, np.abs(lam).max())
+        bound = lam[-1] * np.trace(rho).real
+        for seed in range(3):
+            report = maximize(rho, hermitian + skew, seed=seed)
+            assert report.converged
+            assert report.gap == pytest.approx(bound - report.objective_value, abs=1e-14)
+            assert -tol <= report.gap <= tol
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_rank_deficient_rho_converges(self, rank):
@@ -562,6 +609,16 @@ class TestMaximize:
             assert abs(fast.objective_value - lam_max) <= 1e-10
 
 
+def nearly_singular_problem(eps, rng, n=4):
+    """A density whose smallest eigenvalue is about ``eps`` and a random
+    observable at dimension ``n``."""
+    u = random_unitary(n, rng)
+    p = rng.uniform(0.2, 1.0, n)
+    p[-1] = eps
+    rho = (u * (p / p.sum())) @ u.conj().T
+    return rho, random_hermitian(n, rng)
+
+
 def low_rank_problem(rank, rng, n=4):
     """A rank-``rank`` density and a random observable at dimension ``n``."""
     u = random_unitary(n, rng)
@@ -571,25 +628,51 @@ def low_rank_problem(rank, rng, n=4):
     return rho, random_hermitian(n, rng)
 
 
+def direction(s, rho, obs):
+    """G, D and the slope at S, from the kernels ``maximize`` evaluates there."""
+    r, o = np.asarray(rho, dtype=complex), np.asarray(obs, dtype=complex)
+    _, os_, w = stiefel._products(s, r, o)
+    g = stiefel._gradient(s, r, os_, w)
+    return (g, *stiefel._direction(s, g, os_, w, stiefel._metric(r)))
+
+
 class TestDirection:
-    """The rho^+-preconditioned ascent direction against ``np.linalg.pinv``."""
+    """The preconditioned ascent direction: the Riemannian gradient of the
+    metric Re Tr(X^dag Y rho), checked against ``np.linalg.pinv``."""
 
     @pytest.mark.parametrize("rank", [4, 1, 2, 3])
-    def test_tangent_with_the_pinv_slope(self, rank):
+    def test_gradient_of_the_rho_metric(self, rank):
         rng = np.random.default_rng(600 + rank)
         rho, obs = low_rank_problem(rank, rng)
-        rho_plus = stiefel._support_inverse(rho)
-        assert np.linalg.matrix_rank(rho_plus) == rank
-        assert np.max(np.abs(rho_plus - np.linalg.pinv(rho, hermitian=True))) <= (
-            1e-12 * np.linalg.norm(rho_plus, 2))
+        pinv = np.linalg.pinv(rho, hermitian=True)
+        _, _, pi, _ = stiefel._metric(rho)
+        assert np.max(np.abs(pi - pinv @ rho)) <= 1e-12
         for _ in range(5):
             s = random_stiefel(4, rng)
-            g = gradient(s, rho, obs)
-            d, slope = stiefel._direction(s, g, rho_plus)
+            g, d, slope = direction(s, rho, obs)
+            scale = np.linalg.norm(g) * np.linalg.norm(d)
             assert tangency_residual(s, d) <= 1e-12
-            oracle = np.trace(g.conj().T @ g @ np.linalg.pinv(rho)).real
-            assert slope == pytest.approx(oracle, rel=1e-12)
+            # the part normal to span(S) is that of G rho^+
+            normal = g @ pinv - s @ (s.conj().T @ g @ pinv)
+            assert np.max(np.abs(d - s @ (s.conj().T @ d) - normal)) <= 1e-12 * np.linalg.norm(d)
+            # Re Tr(D^dag X rho) = Re <G, X> for tangent X
+            for _ in range(3):
+                x = random_tangent(s, rng)
+                assert abs(inner(d, x @ rho) - inner(g, x)) <= 1e-12 * scale
             assert slope == pytest.approx(inner(g, d), rel=1e-12)
+            assert slope == pytest.approx(inner(d, d @ rho), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-15])
+    def test_bounded_when_rho_is_nearly_singular(self, eps):
+        # G rho^+ has entries of order 1/eps in the span of S; D stays of the
+        # order of the observable
+        rng = np.random.default_rng(610)
+        rho, obs = nearly_singular_problem(eps, rng)
+        for _ in range(5):
+            s = random_stiefel(4, rng)
+            g, d, _ = direction(s, rho, obs)
+            assert np.linalg.norm(g @ np.linalg.pinv(rho, hermitian=True)) >= 1e-3 / eps
+            assert np.linalg.norm(d) <= 6.0 * np.sqrt(4) * np.linalg.norm(obs, 2)
 
 
 class TestClassification:
