@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -471,6 +472,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)  # reserved for runtime failures here
 
 
+@functools.cache  # one parser a process, however many main calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="oqctrl", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

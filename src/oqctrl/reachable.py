@@ -16,6 +16,7 @@ GKSL generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,6 +66,8 @@ class SamplerConfig:
     resolution: int = 10
 
     def __post_init__(self):
+        for name in ("segment_range", "duration_range"):  # tuples, so a config hashes
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not (self.omega > 0 and self.mu > 0 and self.gamma > 0):
             raise ValueError("omega, mu, gamma must be positive")
         if not (self.u_max >= 0 and self.n_max >= 0):
@@ -106,11 +109,13 @@ def _segment_draws(cfg: SamplerConfig, state: dict, total: int, first: int, coun
     return uniform(0, -cfg.u_max, cfg.u_max), uniform(1, 0.0, cfg.n_max), np.exp(uniform(2, lo, hi))
 
 
+@functools.lru_cache(maxsize=1)
 def bloch_generator(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G0, Gu, Gn) with [[A, b], [0, 0]] = G0 + u Gu + n Gn: lindblad's
-    affine triple of the damped qubit, conjugated by ``BLOCH_FROM_HERMITIAN``."""
+    """(G0, Gu, Gn) with [[A, b], [0, 0]] = G0 + u Gu + n Gn: lindblad's affine triple of the
+    damped qubit, conjugated by ``BLOCH_FROM_HERMITIAN``; built once per config, read-only."""
     triple = affine_generator(qubit_system(cfg.omega, cfg.mu), qubit_decoherence(cfg.gamma))
-    return tuple(BLOCH_FROM_HERMITIAN @ g @ np.linalg.inv(BLOCH_FROM_HERMITIAN) for g in triple)
+    maps = (BLOCH_FROM_HERMITIAN @ g @ np.linalg.inv(BLOCH_FROM_HERMITIAN) for g in triple)
+    return tuple(np.broadcast_to(g, g.shape) for g in maps)  # broadcast_to: read-only
 
 
 def _segment_maps(generator, u, n, dt) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oqctrl import cli, reachable, stiefel
-from oqctrl.cli import main
+from oqctrl.cli import build_parser, main
 from oqctrl.serialization import matrix_to_lists
 
 
@@ -857,9 +857,9 @@ def test_config_key_that_is_not_read_is_not_checked(tmp_path):
 # finite inputs whose segment map is not a channel: a map that is not finite
 # stops the run at the exponential, and a finite one at the state check
 OVERFLOW_MESSAGES = {
-    "segments[0].u": "state after segment 0 invalid (trace)",
+    "segments[0].u": "matrix exponential must be finite",
     "system.energies[1]": "state after segment 0 invalid (trace)",
-    "decoherence.epsilon": "matrix exponential must be finite",
+    "decoherence.epsilon": "state after segment 0 invalid (trace)",
 }
 
 
@@ -955,6 +955,22 @@ class TestReproducibility:
         assert main(["simulate", str(cfg), "--out", str(out2)]) == 0
         for name in ("trajectory.csv", "final_state.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_one_parser_serves_every_main_call(self, tmp_path, capsys):
+        # the parser is built once a process: an override or a bad argument in
+        # one call leaves nothing behind for the next
+        assert build_parser() is build_parser()
+        cfg = write_config(tmp_path / "cfg.json", qubit_simulate_config())
+        outs = [tmp_path / f"run{k}" for k in range(3)]
+        assert main(["simulate", str(cfg), "--out", str(outs[0])]) == 0
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "seeded"), "--seed", "7", "-v"]) == 0
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "bad"), "--workers", "x"]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert main(["simulate", str(cfg), "--out", str(outs[1])]) == 0
+        assert main(["simulate", str(cfg), "--out", str(outs[2])]) == 0
+        assert capsys.readouterr().out == ""
+        for name in ("trajectory.csv", "final_state.json", "manifest.json"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1
 
     def test_ingrape_byte_identical(self, tmp_path):
         payload = {

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -314,7 +317,7 @@ def jordan_like(eigenvalue, spread=0.0):
 
 def mixed_norm_stack(count, rng):
     """Real 4x4 slices whose 1-norms spread from 1e-3 to 200, so their
-    scaling powers run from 0 to 6."""
+    scaling powers run from 0 to 9."""
     a = rng.standard_normal((count, 4, 4))
     scales = np.exp(rng.uniform(np.log(1e-3), np.log(200.0), count))
     return a * (scales / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
@@ -436,3 +439,32 @@ class TestExpmStack:
     def test_stack_of_square_matrices_required(self, shape):
         with pytest.raises(DimensionMismatchError, match="expm_stack"):
             expm_stack(np.zeros(shape))
+
+    def test_theta_16_is_the_unit_roundoff_backward_error_bound(self):
+        # h(x) = log(e^-x T_16(x)) = sum_{k>16} c_k x^k, exactly to degree 60
+        # from T h' = T' - T (T = T_16); the backward error of a slice of
+        # 1-norm theta is at most sum |c_k| theta^(k-1) of its norm
+        t = [Fraction(1, math.factorial(k)) for k in range(17)] + [Fraction(0)] * 44
+        dh = [Fraction(0)] * 60  # dh[n]: the x^n coefficient of h'
+        for n in range(60):
+            dh[n] = (n + 1) * t[n + 1] - t[n] - sum(t[n - j] * dh[j] for j in range(n))
+        assert not any(dh[:16])
+        c = {k: dh[k - 1] / k for k in range(17, 61)}
+
+        def bound(theta):
+            return sum(abs(ck) * Fraction(theta) ** (k - 1) for k, ck in c.items())
+
+        assert bound(core._THETA_16) <= Fraction(1, 2**53)
+        assert bound(core._THETA_16 * (1 + 1e-5)) > Fraction(1, 2**53)
+        assert np.array_equal(core._TAYLOR_16, [float(x) for x in t[:17]])
+
+    def test_no_linear_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("expm_stack solved a linear system")
+
+        a = mixed_norm_stack(600, np.random.default_rng(12))
+        want = [expm_stack(a), expm_stack(a * 1j)]
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert np.array_equal(expm_stack(a), want[0])
+        assert np.array_equal(expm_stack(a * 1j), want[1])

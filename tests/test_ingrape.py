@@ -833,11 +833,12 @@ def mixed_endings():
     """A closed qubit steered to the identity with grad_tol 1e-12 and
     max_iter 4: start 0 converges at iteration 1, start 1 stalls at
     iteration 3 and start 2 at iteration 4, while starts 3 and 4 run on to
-    the cap."""
+    the cap.  The endings hang on roundoff: seed 296 gives them under the
+    Taylor-16 expm_stack, and a change of kernel may need a new seed."""
     system, dec = closed_qubit()
     problem = GateProblem(system=system, decoherence=dec, target=np.eye(2, dtype=complex),
                           n_segments=3, dt=0.2)
-    rng = np.random.default_rng(242)
+    rng = np.random.default_rng(296)
     starts = [ControlVector(np.zeros(3), np.zeros(3), 0.2)] + [
         ControlVector(rng.uniform(-1, 1, 3) * scale, rng.uniform(0, 1, 3), 0.2)
         for scale in (0.05, 0.3, 1.0, 1.0)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import expm
 
-from oqctrl import reachable
+from oqctrl import lindblad, reachable
 from oqctrl.cli import main
 from oqctrl.core import (bloch_from_density, density_from_bloch, expm_stack, hermitian_basis,
                          random_density, vec)
@@ -179,6 +179,28 @@ class TestBlochGenerator:
             assert np.max(np.abs(c.imag)) < 1e-15
             want = np.append(bloch_from_density(rho), np.trace(rho).real)
             np.testing.assert_allclose(BLOCH_FROM_HERMITIAN @ c.real, want, rtol=0, atol=1e-15)
+
+    def test_built_once_per_config_whatever_the_blocks(self, monkeypatch):
+        # a study's blocks share one generator: two build_liouvillian calls
+        # (L0 and Dn) per config, and its arrays are read-only
+        calls = []
+        real = lindblad.build_liouvillian
+        monkeypatch.setattr(lindblad, "build_liouvillian", lambda *a: calls.append(a) or real(*a))
+        bloch_generator.cache_clear()
+        for rows, gamma in ((1000, 0.1), (400, 0.1), (400, 0.12)):
+            monkeypatch.setattr(reachable, "SAMPLER_BLOCK_ROWS", rows)
+            cfg = SamplerConfig(gamma=gamma, n_samples=4000, seed=11, resolution=4)
+            assert len(reachable._sample_blocks(cfg.n_samples)) >= 4
+            run_reachability_study(cfg, GROUND)
+        assert len(calls) == 4
+        assert not any(g.flags.writeable for g in bloch_generator(cfg))
+
+    def test_list_ranges_make_a_hashable_config(self):
+        # the generator cache hashes the config, so ranges given as lists are kept as tuples
+        cfg = small_cfg(segment_range=[1, 5], duration_range=[0.1, 2.0])
+        assert cfg == small_cfg(duration_range=(0.1, 2.0))
+        assert np.array_equal(sample_reachable(cfg, GROUND),
+                              sample_reachable(small_cfg(duration_range=(0.1, 2.0)), GROUND))
 
 
 class TestSampler:
