@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -89,7 +90,21 @@ def _segment_counts(cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(cfg.segment_range[0], cfg.segment_range[1] + 1, size=cfg.n_samples)
 
 
-def _segment_draws(cfg: SamplerConfig, state: dict, total: int, first: int, count: int):
+@functools.lru_cache(maxsize=1)
+def _segment_stream(cfg: SamplerConfig) -> tuple[np.ndarray, MappingProxyType]:
+    """(ends, state): ends[i] is the number of segments of samples 0..i (the
+    prefix sums of the segment counts, summed in place, 8 bytes a sample)
+    and state the PCG64 state the count draw leaves; drawn once per config,
+    read-only."""
+    rng = np.random.default_rng(cfg.seed)
+    ends = _segment_counts(cfg, rng)
+    np.cumsum(ends, out=ends)
+    ends.flags.writeable = False
+    state = rng.bit_generator.state
+    return ends, MappingProxyType({**state, "state": MappingProxyType(state["state"])})
+
+
+def _segment_draws(cfg: SamplerConfig, state: Mapping, total: int, first: int, count: int):
     """u, n and dt of segments [first, first + count) of the stream's ``total``.
 
     The stream draws u, n and log dt as three arrays of ``total`` values each,
@@ -100,7 +115,7 @@ def _segment_draws(cfg: SamplerConfig, state: dict, total: int, first: int, coun
 
     def uniform(k: int, lo: float, hi: float) -> np.ndarray:
         bits = np.random.PCG64()
-        bits.state = state
+        bits.state = dict(state)
         bits.advance(k * total + first)
         return np.random.Generator(bits).uniform(lo, hi, size=count)
 
@@ -138,11 +153,11 @@ def sample_reachable(cfg: SamplerConfig, rho0, start: int = 0, stop: int | None 
     matrix within ``lindblad.VALIDATION_TOL`` (``ValueError`` otherwise), so
     every point satisfies ||r|| <= 1 (up to roundoff).
 
-    Beyond the range's schedules and points and the stream's segment counts
-    (redrawn per call, 8 bytes a sample), memory is bounded by one block: the
-    maps of a lock-step are built, exponentiated and applied
-    ``SAMPLER_BLOCK_ROWS`` live samples at a time, and no point depends on
-    the blocking.
+    Beyond the range's schedules and points and the stream's segment ends
+    (``_segment_stream``, drawn once per config, 8 bytes a sample), memory
+    is bounded by one block: the maps of a lock-step are built,
+    exponentiated and applied ``SAMPLER_BLOCK_ROWS`` live samples at a
+    time, and no point depends on the blocking.
     """
     stop = cfg.n_samples if stop is None else stop
     if not 0 <= start < stop <= cfg.n_samples:
@@ -152,14 +167,12 @@ def sample_reachable(cfg: SamplerConfig, rho0, start: int = 0, stop: int | None 
         raise ValueError(f"rho0 is not a density matrix ({report.worst})")
     r0 = bloch_from_density(rho0)
     generator = bloch_generator(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    counts = _segment_counts(cfg, rng)
-    nseg = counts[start:stop].copy()
-    u, n, dt = _segment_draws(
-        cfg, rng.bit_generator.state, int(counts.sum()), int(counts[:start].sum()), int(nseg.sum())
-    )
-    del counts  # the lock-step needs only the range's counts
-    first_seg = np.cumsum(nseg) - nseg
+    ends, state = _segment_stream(cfg)
+    before = int(ends[start - 1]) if start else 0
+    last = ends[start:stop] - before  # the range's segment ends, from its first segment
+    nseg = np.diff(last, prepend=0)
+    u, n, dt = _segment_draws(cfg, state, int(ends[-1]), before, int(last[-1]))
+    first_seg = last - nseg
     first_pt = first_seg + np.arange(nseg.size)
     points = np.empty((u.size + nseg.size, 3))
     points[first_pt] = r0
@@ -362,7 +375,7 @@ def run_reachability_study(
     sampled (one ``sample_reachable`` call), handed to ``sink`` when one is
     given (the blocks in order are the whole run's points), binned, merged
     into the running grid and dropped.  So beyond one block, memory holds the
-    grids and the sampler's per-sample segment counts, however many samples
+    grids and the sampler's per-sample segment ends, however many samples
     a run has, and every result is the one the whole cloud gives.
     """
     half = cfg.n_samples // 2

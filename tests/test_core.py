@@ -393,10 +393,11 @@ class TestExpmStack:
         assert expm_error(expm_stack(a), expm(a)) <= 1e-12
 
     def test_six_or_more_squarings(self):
-        # a damped rotation generator with a Jordan part: ||A||_1 > 2^5 theta_13
+        # a damped rotation generator with a Jordan part: ||A||_1 > 2^5 theta_16,
+        # so the kernel squares at least six times
         rotation = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
         a = 100.0 * (rotation + np.eye(4, k=2) - 0.01 * np.eye(4))
-        assert np.abs(a).sum(axis=0).max() > 2**5 * 5.371920351148152
+        assert np.abs(a).sum(axis=0).max() > 2**5 * core._THETA_16
         assert expm_error(expm_stack(a[None]), expm(a)[None]) <= 1e-12
 
     def test_complex_generator(self):

@@ -504,6 +504,26 @@ class TestUnreachableReport:
             study.grid.occupancy_fraction - half_grid.occupancy_fraction
         )
 
+    def test_study_draws_the_counts_once_per_config(self, monkeypatch):
+        # a study's blocks share one draw of the segment counts, kept as their
+        # read-only prefix sums with the PCG64 state the draw leaves
+        calls = []
+        monkeypatch.setattr(reachable, "_segment_counts", lambda c, rng: calls.append(c) or _segment_counts(c, rng))
+        monkeypatch.setattr(reachable, "SAMPLER_BLOCK_ROWS", 1000)
+        reachable._segment_stream.cache_clear()
+        for gamma in (0.1, 0.1, 0.12):
+            cfg = SamplerConfig(gamma=gamma, n_samples=4000, seed=11, resolution=4)
+            assert len(reachable._sample_blocks(cfg.n_samples)) >= 4
+            run_reachability_study(cfg, GROUND)
+        assert len(calls) == 2
+        ends, state = reachable._segment_stream(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        assert np.array_equal(ends, np.cumsum(_segment_counts(cfg, rng)))
+        assert state == rng.bit_generator.state
+        assert not ends.flags.writeable
+        with pytest.raises(TypeError):
+            state["state"]["inc"] = 0
+
     def test_gap_scales_with_gamma(self):
         # the declared size claim: empirical gap tracks gamma/omega
         gaps = {}

@@ -1,9 +1,12 @@
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oqctrl.serialization import CSV_BLOCK_ROWS, csv_row_blocks, fmt, write_csv, write_json
+from oqctrl.serialization import (CSV_BLOCK_CELLS, CSV_BLOCK_ROWS, csv_row_blocks, fmt, write_csv,
+                                  write_json)
 
 
 @pytest.mark.parametrize(
@@ -142,3 +145,126 @@ def test_row_blocks_leave_no_file_when_the_writer_raises(tmp_path):
     # a file written before is left as it was
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
     assert (tmp_path / "old.csv").read_text() == "kept\n"
+
+
+# the numpy encoder of float arrays against Python's formatting, the oracle
+
+
+def assert_encoded_like_fmt(tmp_path, rows):
+    """write_csv of a float array: the per-cell writer's bytes, and each cell
+    the 17-digit format spec of its value."""
+    rows = np.asarray(rows)
+    header = [f"c{k}" for k in range(rows.shape[1])]
+    write_csv(tmp_path / "block.csv", header, rows)
+    write_csv_per_cell(tmp_path / "cells.csv", header, rows)
+    text = (tmp_path / "block.csv").read_bytes()
+    assert text == (tmp_path / "cells.csv").read_bytes()
+    cells = [c for line in text.decode().splitlines()[1:] for c in line.split(",")]
+    assert cells == [format(float(x), ".17g") for x in rows.ravel().tolist()]
+
+
+def ulp_neighbours(x, steps=3):
+    """x and the `steps` doubles on either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_powers_of_ten_and_their_ulp_neighbours(tmp_path):
+    # 1e-4 and 1e17 are the edges of the fixed notation, which the encoder
+    # writes itself; log10 may miss the exponent by one next to a power
+    values = [v for m in range(-6, 19) for v in ulp_neighbours(float(f"1e{m}"))]
+    values += [-v for v in values]
+    assert_encoded_like_fmt(tmp_path, np.array(values)[:, None])
+
+
+def test_no_double_rounds_up_to_a_power_of_ten_in_the_fixed_range():
+    # the encoder has no carry step: the double below 10^m lies more than
+    # half a 17th digit below it, so its 17 digits stay below 10^m
+    for m in range(-4, 18):
+        below = float(np.nextafter(float(f"1e{m}"), 0.0))
+        assert Fraction(10) ** m - Fraction(below) > Fraction(10) ** (m - 17) / 2
+        assert Fraction(format(below, ".17g")) < Fraction(10) ** m
+
+
+def test_rounding_that_carries_through_nines(tmp_path):
+    # short decimals whose double lies just below them and rounds up to them
+    # at 17 digits: 1.23 is 1.2299999999999999822..., whose 17th digit
+    # carries into the 9s before it
+    values = []
+    for k in np.random.default_rng(11).integers(1, 10**6, size=1000).tolist():
+        for e in range(-9, 12):
+            x = float(f"{k}e{e}")
+            if 1e-4 <= x < 1e17 and Fraction(x) < Fraction(f"{k}e{e}") == Fraction(format(x, ".17g")):
+                values.append(x)
+    assert len(values) > 500
+    assert_encoded_like_fmt(tmp_path, np.array(values)[:, None])
+
+
+def test_exact_ties_at_the_17th_digit_round_half_even(tmp_path):
+    # x = m 2^-(1+j) with m odd puts x 10^j exactly halfway between two
+    # integers; j = 16 - X digits follow the first, for every exponent X of
+    # the fixed notation that has such doubles
+    rng = np.random.default_rng(12)
+    values = []
+    for x_exp in range(-4, 16):
+        j = 16 - x_exp
+        lo, hi = Fraction(10) ** x_exp * 2 ** (1 + j), Fraction(10) ** (x_exp + 1) * 2 ** (1 + j)
+        hi = min(hi, Fraction(2**53))
+        for m in rng.integers(int(lo) + 1, int(hi), size=40).tolist():
+            m |= 1
+            x = m / 2 ** (1 + j)
+            digits = Fraction(x) * 10**j
+            assert digits.denominator == 2 and 10**16 <= digits < 10**17
+            values.append(x)
+    # both ways: to the even neighbour above and below
+    ups = [Fraction(format(x, ".17g")) > Fraction(x) for x in values]
+    assert any(ups) and not all(ups)
+    assert_encoded_like_fmt(tmp_path, np.array(values).reshape(-1, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_special_values_subnormals_and_narrow_floats(tmp_path, dtype):
+    info = np.finfo(dtype)
+    values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, float(info.smallest_subnormal),
+              -float(info.smallest_subnormal), float(info.smallest_normal), float(info.max), 1e-4, 0.1]
+    rng = np.random.default_rng(13)
+    cells = np.concatenate([np.array(values, dtype=dtype), rng.standard_normal(600).astype(dtype),
+                            (rng.standard_normal(600) * 1e-4).astype(dtype)])
+    assert_encoded_like_fmt(tmp_path, cells.reshape(-1, 3))
+
+
+def test_integers_keep_their_trailing_zeros(tmp_path):
+    rng = np.random.default_rng(14)
+    ints = rng.integers(1, 10**7, size=900) * 10 ** rng.integers(0, 10, size=900)
+    values = np.concatenate([ints, ints + 0.5, ints / 1000, -ints]).astype(float)
+    assert_encoded_like_fmt(tmp_path, values.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("cols", [1, 3, 19])
+@pytest.mark.parametrize("offset", [-1, 0, 1, CSV_BLOCK_CELLS])
+def test_blocks_of_any_width_across_the_cell_limit(tmp_path, cols, offset):
+    # a block holds CSV_BLOCK_CELLS // cols rows, however many columns
+    rows = max(1, CSV_BLOCK_CELLS // cols + offset)
+    values = np.random.default_rng(cols).standard_normal((rows, cols))
+    values[::5, 0] = 0.0
+    values[::7, -1] *= 1e-6
+    assert_encoded_like_fmt(tmp_path, values)
+
+
+def test_array_without_columns_writes_empty_lines(tmp_path):
+    write_csv(tmp_path / "none.csv", [], np.empty((2, 0)))
+    write_csv_per_cell(tmp_path / "cells.csv", [], np.empty((2, 0)))
+    assert (tmp_path / "none.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes() == b"\n\n\n"
+
+
+def test_encoder_raises_no_floating_point_warning(tmp_path):
+    rows = np.concatenate([random_bit_patterns(15, (2000, 3)), np.array(SPECIAL_FLOATS * 3).reshape(-1, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            write_csv(tmp_path / "w.csv", ["x", "y", "z"], rows)
+    write_csv_per_cell(tmp_path / "cells.csv", ["x", "y", "z"], rows)
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
