@@ -14,9 +14,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ ROUNDOFF_TOL = 1e-13
 # sufficient-change constant and step shrink factor.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
 # Trial-step limits of the two line searches: the largest first trial, the
 # smallest spectral step (the pulse descent's is its underflow step) and the
 # step below which the search gives up (underflow).
@@ -313,13 +315,98 @@ def spectral_step(dx: np.ndarray, dg: np.ndarray, step: float, floor: float, cap
     the gradient change dg (real parts of the inner products), clamped to
     [floor, cap]; ``step`` when <dg, dg> is 0 or the ratio is not finite
     and positive."""
-    dx, dg = np.ravel(dx), np.ravel(dg)
-    denom = float(np.real(np.vdot(dg, dg)))
+    denom = float(np.vdot(dg, dg).real)  # vdot flattens its arguments
     if denom > 0:
-        bb = abs(float(np.real(np.vdot(dx, dg)))) / denom
-        if np.isfinite(bb) and bb > 0:
+        bb = abs(float(np.vdot(dx, dg).real)) / denom
+        if math.isfinite(bb) and bb > 0:
             return min(max(bb, floor), cap)
     return step
+
+
+class Ascent(NamedTuple):
+    """The end of one :func:`ascent`; ``message`` is "" unless it stalled."""
+
+    point: object
+    value: float
+    history: np.ndarray
+    gradient_norms: np.ndarray
+    steps: np.ndarray
+    iterations: int
+    converged: bool
+    message: str
+
+
+def ascent(x, sign, move, max_iter: int, cap: float, floor: float, underflow: float):
+    """One start's Armijo line-search ascent of ``sign`` times an objective:
+    a generator that asks :func:`run_lockstep` for every evaluation and
+    returns an :class:`Ascent`.
+
+    At the start and at each accepted point it yields ``("iterate", x, aux)``
+    (``aux`` is None at the start, else the accepted trial's) for
+    ``(value, D, slope, bb, gnorm, converged)``: the direction, its slope,
+    the vector whose change gives the Barzilai-Borwein step, the gradient
+    norm and the caller's stop rule.  At each trial point ``move(x, t, D)``
+    (None for a failed trial) it yields ``("trial", y)`` for ``(value,
+    aux)``; y is accepted when sign (J_y - J) >= ``ARMIJO_C`` t slope, else
+    t shrinks by ``BACKTRACK`` down to ``underflow``, where the start stalls.
+    The first t is ``INITIAL_STEP``, each later one the :func:`spectral_step`
+    in [``floor``, ``cap``] or twice the last accepted step."""
+    value, d, slope, bb, gnorm, done = yield "iterate", x, None
+    history, gnorms, steps = [value], [], []
+    step, prev, converged, message = INITIAL_STEP, None, False, ""
+    for it in range(1, max_iter + 1):
+        gnorms.append(gnorm)
+        if done:
+            converged = True
+            break
+        if prev is not None:
+            step = spectral_step(x - prev[0], bb - prev[1], step, floor, cap)
+        t = step
+        while t >= underflow:
+            y = move(x, t, d)
+            if y is not None:
+                y_value, aux = yield "trial", y
+                # the increase against the predicted one: a trial that leaves
+                # the value unchanged fails even when t slope is below its last bit
+                if sign * (y_value - value) >= ARMIJO_C * t * slope:
+                    break
+            t *= BACKTRACK
+        else:
+            message = f"line search underflow at iteration {it}: objective={value:.12g}, |grad|={gnorm:.3e}"
+            break
+        prev, x = (x, bb), y
+        value, d, slope, bb, gnorm, done = yield "iterate", x, aux
+        history.append(value)
+        steps.append(t)
+        step = min(t / BACKTRACK, cap)
+    return Ascent(x, value, np.array(history), np.array(gnorms), np.array(steps), it, converged, message)
+
+
+def run_lockstep(ascents: Sequence, trials: Callable, iterates: Callable) -> list[Ascent]:
+    """The results of the :func:`ascent` generators ``ascents``, in order,
+    with their requests served in stacks: each round answers every pending
+    trial with one ``trials(rows, points)`` call, and once no ascent waits
+    on a trial, one ``iterates(rows, points, auxes)`` call answers every
+    accepted point.  ``rows`` are the ascents' positions, and a call returns
+    one reply per row, in order."""
+    results = [None] * len(ascents)
+    trial_queue, iterate_queue = [], [(i, a, next(a)) for i, a in enumerate(ascents)]
+    while trial_queue or iterate_queue:
+        if trial_queue:
+            batch, trial_queue = trial_queue, []
+            replies = trials([i for i, _, _ in batch], [r[1] for _, _, r in batch])
+        else:
+            batch, iterate_queue = iterate_queue, []
+            replies = iterates([i for i, _, _ in batch], [r[1] for _, _, r in batch],
+                               [r[2] for _, _, r in batch])
+        for (i, a, _), reply in zip(batch, replies):
+            try:
+                request = a.send(reply)
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                (trial_queue if request[0] == "trial" else iterate_queue).append((i, a, request))
+    return results
 
 
 def run_multistart(task: Callable, starts: int, seed: int, workers: int = 1) -> list:

@@ -18,12 +18,9 @@ incoherent direction (see :func:`grape_gradient`).
 Superoperators here act on the real coordinates of Hermitian matrices in the
 orthonormal basis of :func:`core.hermitian_basis`, where a GKSL generator is
 a real matrix, so every stack exponential is real; each is one
-:func:`core.expm_stack` call, which treats every slice alone.  The descent
-keeps the forward pass of the line-search trial it accepts, and the gradient
-at the new iterate reuses its segment propagators.  A multistart scan runs its
-starts in lock-step: each line-search round exponentiates the segments of
-every start still searching in one stack, and each round of accepted
-iterates makes one adjoint stack for all of them.
+:func:`core.expm_stack` call, which treats every slice alone.  A scan runs
+its starts in lock-step (:func:`optimize_starts`), and the gradient at an
+accepted trial reuses the trial's segment propagators.
 """
 
 from __future__ import annotations
@@ -35,17 +32,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    ARMIJO_C,
-    BACKTRACK,
     PULSE_STEP_CAP,
     PULSE_STEP_UNDERFLOW,
     STRUCTURAL_TOL,
     DimensionMismatchError,
+    ascent,
     expm_stack,
     hermitian_coordinates,
     require_finite,
+    run_lockstep,
     run_multistart,
-    spectral_step,
     validate_density,
     vec,
     __getattr__,  # the lazy name expm, looked up by perfbench's tracer only
@@ -314,9 +310,7 @@ def optimize_run(
     max_iter: int = 1000,
     grad_tol: float = 1e-7,
 ) -> PulseRunResult:
-    """Projected-gradient descent (ascent for state transfer) with Armijo
-    backtracking and bound clipping from one start; the objective history
-    is monotone.  The one-start case of :func:`optimize_starts`."""
+    """The one-start case of :func:`optimize_starts`; the history is monotone."""
     return optimize_starts(problem, [initial], max_iter, grad_tol)[0]
 
 
@@ -326,112 +320,62 @@ def optimize_starts(
     max_iter: int = 1000,
     grad_tol: float = 1e-7,
 ) -> list[PulseRunResult]:
-    """Projected-gradient descent from each of ``initials`` (same M), all
-    starts in lock-step: every line-search round evaluates the trials of
-    all starts still searching with one :func:`forward_stack`, and every
-    round of accepted iterates takes one :func:`gradient_stack`.
+    """Projected-gradient descent from each of ``initials`` (same M): each
+    start is one :func:`oqctrl.core.ascent` of x = (u, n), and
+    :func:`oqctrl.core.run_lockstep` evaluates each line-search round's
+    trials with one :func:`forward_stack` and each round of accepted
+    iterates with one :func:`gradient_stack`, so a start's result is bit
+    for bit the same whichever starts share its stacks.
 
-    Everything else is per start, so a start's result is bit for bit the
-    same whichever starts share its stacks.  From the second iteration on,
-    each line search starts at the spectral (Barzilai-Borwein) step of the
-    last accepted move in (u, n) and the change in gradient
-    (:func:`oqctrl.core.spectral_step`), which makes this the spectral
-    projected gradient method of Birgin, Martinez and Raydan (2000); twice
-    the last accepted step is the fallback.  Components that push against an
-    active bound are dropped, a start whose projected gradient norm is below
-    ``grad_tol`` has converged, and a line-search underflow (no step down to
-    ``PULSE_STEP_UNDERFLOW`` satisfies the Armijo condition) ends a start
-    with ``stalled=True`` and a diagnostic message; either way the start
-    leaves the stacks and the others go on.
+    The Barzilai-Borwein first step from the last move and the change in
+    gradient makes this the spectral projected gradient method of Birgin,
+    Martinez and Raydan (2000).  A trial is clipped to the bounds,
+    components that push against an active bound are dropped, and a start
+    has converged when its projected gradient norm is below ``grad_tol``.
+    A line-search underflow (no step down to ``PULSE_STEP_UNDERFLOW``
+    satisfies the Armijo condition) ends a start with ``stalled=True`` and
+    a diagnostic message.
     """
     if require_finite(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     require_finite(grad_tol, "grad_tol")
     if any(c.n_segments < 1 for c in initials):
         raise ValueError("n_segments must be >= 1 to optimize a pulse")
-    direction = problem.pairing[1]
-    lo, hi = problem.u_bounds
-    n_max = problem.n_max
-    k = len(initials)
-    u = np.clip(np.stack([c.u for c in initials]), lo, hi)
-    n = np.clip(np.stack([c.n for c in initials]), 0.0, n_max)
+    sign = problem.pairing[1]
+    m = initials[0].n_segments
+    lo, hi = np.repeat([[problem.u_bounds[0], 0.0], [problem.u_bounds[1], problem.n_max]], m, axis=1)
     dt = np.array([c.dt for c in initials])
-    value, gu, gn = gradient_stack(problem, u, n, dt)
-    history = [[v] for v in value]
-    step = np.ones(k)
-    prev = None  # (u, n, gu, gn) before the last accepted move
-    iterations = [max_iter] * k
-    converged = [False] * k
-    stall_messages = [""] * k
-    live = np.arange(k)
-    for it in range(1, max_iter + 1):
-        if prev is not None:
-            dx = np.concatenate([u[live] - prev[0][live], n[live] - prev[1][live]], axis=1)
-            dg = np.concatenate([gu[live] - prev[2][live], gn[live] - prev[3][live]], axis=1)
-            for row, s in enumerate(live):
-                step[s] = spectral_step(dx[row], dg[row], step[s], PULSE_STEP_UNDERFLOW, PULSE_STEP_CAP)
-        pu, pn = direction * gu[live], direction * gn[live]
+
+    def move(x, t, d):
+        return (x + t * d).clip(lo, hi)
+
+    def trials(rows, points):
+        x = np.array(points)
+        trial = forward_stack(problem, x[:, :m], x[:, m:], dt[rows])
+        return zip(trial.value.tolist(), zip(*trial))
+
+    def iterates(rows, points, auxes):
+        x = np.array(points)
+        trial = None if auxes[0] is None else ForwardPass(*map(np.array, zip(*auxes)))
+        value, gu, gn = gradient_stack(problem, x[:, :m], x[:, m:], dt[rows], trial)
+        g = np.concatenate([gu, gn], axis=1)
+        p = sign * g
         # drop components that push against an active bound
-        cu, cn = u[live], n[live]
-        pu[((cu >= hi) & (pu > 0)) | ((cu <= lo) & (pu < 0))] = 0.0
-        pn[((cn >= n_max) & (pn > 0)) | ((cn <= 0.0) & (pn < 0))] = 0.0
-        gnorm2 = np.sum(pu**2, axis=1) + np.sum(pn**2, axis=1)
-        done = np.sqrt(gnorm2) < grad_tol
-        for s in live[done]:
-            iterations[s], converged[s] = it, True
-        searching = ~done
-        live, pu, pn, gnorm2 = live[searching], pu[searching], pn[searching], gnorm2[searching]
-        if live.size == 0:
-            break
-        # line-search rounds over the rows of ``live``; ``kept`` collects
-        # each start's accepted trial
-        t = step[live].copy()
-        pending = np.flatnonzero(t >= PULSE_STEP_UNDERFLOW)
-        accepted = np.zeros(live.size, dtype=bool)
-        cand_u, cand_n, kept = np.empty_like(pu), np.empty_like(pn), None
-        while pending.size:
-            s = live[pending]
-            tp = t[pending, None]
-            ru = np.clip(u[s] + tp * pu[pending], lo, hi)
-            rn = np.clip(n[s] + tp * pn[pending], 0.0, n_max)
-            trial = forward_stack(problem, ru, rn, dt[s])
-            ok = direction * (trial.value - value[s]) >= ARMIJO_C * t[pending] * gnorm2[pending]
-            if kept is None:
-                kept = ForwardPass(*(np.empty((live.size,) + f.shape[1:]) for f in trial))
-            for dst, f in zip((cand_u, cand_n) + kept, (ru, rn) + trial):
-                dst[pending[ok]] = f[ok]
-            accepted[pending[ok]] = True
-            pending = pending[~ok]
-            t[pending] *= BACKTRACK
-            pending = pending[t[pending] >= PULSE_STEP_UNDERFLOW]
-        for row in np.flatnonzero(~accepted):
-            s = live[row]
-            iterations[s] = it
-            stall_messages[s] = (
-                f"line search underflow at iteration {it}: "
-                f"objective={float(value[s]):.12g}, |grad|={float(np.sqrt(gnorm2[row])):.3e}"
-            )
-        live, t = live[accepted], t[accepted]
-        if live.size == 0:
-            break
-        prev = u.copy(), n.copy(), gu.copy(), gn.copy()
-        u[live], n[live] = cand_u[accepted], cand_n[accepted]
-        trial = ForwardPass(*(f[accepted] for f in kept))
-        value[live], gu[live], gn[live] = gradient_stack(problem, u[live], n[live], dt[live], trial)
-        for s in live:
-            history[s].append(value[s])
-        step[live] = np.minimum(t / BACKTRACK, PULSE_STEP_CAP)
+        p[((x >= hi) & (p > 0)) | ((x <= lo) & (p < 0))] = 0.0
+        gnorm2 = np.sum(p[:, :m] ** 2, axis=1) + np.sum(p[:, m:] ** 2, axis=1)
+        gnorm = np.sqrt(gnorm2)
+        return zip(value.tolist(), p, gnorm2.tolist(), g, gnorm.tolist(), (gnorm < grad_tol).tolist())
+
+    x0 = [np.clip(np.concatenate([c.u, c.n]), lo, hi) for c in initials]
+    runs = run_lockstep(
+        [ascent(x, sign, move, max_iter, PULSE_STEP_CAP, PULSE_STEP_UNDERFLOW, PULSE_STEP_UNDERFLOW)
+         for x in x0],
+        trials, iterates,
+    )
     return [
-        PulseRunResult(
-            controls=ControlVector(u=u[s], n=n[s], dt=initials[s].dt),
-            objective_value=float(value[s]),
-            objective_history=np.array(history[s]),
-            iterations=iterations[s],
-            converged=converged[s],
-            stalled=bool(stall_messages[s]),
-            stall_message=stall_messages[s],
-        )
-        for s in range(k)
+        PulseRunResult(ControlVector(run.point[:m], run.point[m:], c.dt), run.value, run.history,
+                       run.iterations, run.converged, bool(run.message), run.message)
+        for run, c in zip(runs, initials)
     ]
 
 

@@ -19,15 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
-                   STIEFEL_STEP_UNDERFLOW, DimensionMismatchError, herm,
-                   kraus_constraint_residual, require_finite, run_multistart, spectral_step,
-                   validate_density)
+from .core import (STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR, STIEFEL_STEP_UNDERFLOW,
+                   DimensionMismatchError, ascent, herm, kraus_constraint_residual,
+                   require_finite, run_lockstep, run_multistart, validate_density)
 from .lindblad import VALIDATION_TOL
 
 STIEFEL_TOL = 1e-10
 GAP_TOL = 1e-12  # converged once the bound on J minus J <= GAP_TOL max(1, ||O||_2)
-INITIAL_STEP = 1.0  # first trial step, before any Barzilai-Borwein estimate
 TANGENCY_TOL = 1e-8  # largest |S^dag dS + dS^dag S| of a tangent vector
 # critical-point classification: Rayleigh samples from a fixed seed, the
 # curvature band counted as flat, and the largest gradient norm of a critical point
@@ -267,26 +265,25 @@ def maximize(
     factor rho, so along rho's small eigen-directions it is small and plain
     gradient ascent crawls there; the metric undoes that factor on rho's
     support, and stays bounded however small rho's kept eigenvalues are.
-    Armijo backtracking with the slope Re <G, D> and a QR retraction; the
-    trial step is a Barzilai-Borwein estimate from the last move and the
-    change of D, a trial whose retraction is rank deficient counts as failed,
-    and the backtracking keeps the objective history non-decreasing.  Each
-    trial point is evaluated once, by one :func:`_products` call; the
-    accepted trial's J, OS and W are the new iterate's, and its gradient is
-    built from them.  The gradient is used without a tangent projection (at
-    a point with S^dag S = I, S^dag G = W rho - rho W is anti-Hermitian), and
-    the retraction keeps every iterate on the manifold.
+    The line search is :func:`oqctrl.core.ascent` with the slope Re <G, D>,
+    the QR retraction as its move (a rank-deficient one is a failed trial)
+    and the Barzilai-Borwein step from the change of D.  Each trial point is
+    evaluated by one :func:`_products` call, whose J, OS and W an accepted
+    trial hands to its gradient.  The gradient is used without a tangent
+    projection (at a point with S^dag S = I, S^dag G = W rho - rho W is
+    anti-Hermitian).
 
     ``rho`` must be a density to ``lindblad.VALIDATION_TOL`` (else
     ValueError).  J is at most lambda_max(herm O) Tr(rho) (with rho's
     negative eigenvalues, if any, weighted by lambda_min), so ``gap``, that
     bound minus J, is an optimality certificate.  A run has converged when
-    its gap is at most ``GAP_TOL`` max(1, ||herm O||_2) or its gradient norm
-    is below ``grad_tol``; ``grad_tol`` = 0 turns both stops off.  A
-    line-search underflow (no step satisfies the Armijo condition, as when J
-    sits at its attainable floating-point maximum and no stop has fired)
-    ends the run with ``stalled=True`` and a diagnostic message instead of
-    looping forever.
+    its gap is at most ``GAP_TOL`` max(1, ||herm O||_2) + |w_-| (lambda_max
+    - lambda_min)(herm O), w_- being rho's negative weight (the direction
+    leaves the columns on rho's negative eigen-directions alone, so J can
+    stop that far below the bound), or its gradient norm is below
+    ``grad_tol``; ``grad_tol`` = 0 turns both stops off.  A line-search
+    underflow (as when J sits at its floating-point maximum and no stop has
+    fired) ends the run with ``stalled=True`` and a diagnostic message.
     """
     if require_finite(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
@@ -303,67 +300,36 @@ def maximize(
     # weight plus lambda_min(herm O) times its negative weight
     spectrum = np.linalg.eigvalsh(herm(o))
     lam = metric[0]
-    bound = float(spectrum[-1] * lam[lam > 0].sum() + spectrum[0] * lam[lam < 0].sum())
-    gap_tol = GAP_TOL * max(1.0, float(np.abs(spectrum).max()))
-    j, os_, w = _products(s, r, o)
-    history = [j]
-    gnorms = []
-    steps = []
-    step = INITIAL_STEP
-    converged = False
-    stalled = False
-    stall_message = ""
-    s_prev = None
-    d_prev = None
-    for it in range(1, max_iter + 1):
+    negative = float(lam[lam < 0].sum())
+    bound = float(spectrum[-1] * lam[lam > 0].sum() + spectrum[0] * negative)
+    gap_tol = (GAP_TOL * max(1.0, float(np.abs(spectrum).max()))
+               - negative * float(spectrum[-1] - spectrum[0]))
+
+    def move(x, t, d):
+        try:
+            return retract(x, t * d)
+        except ValueError:  # a trial too long to orthonormalize fails like any other
+            return None
+
+    def trials(rows, points):
+        return [(products[0], products) for products in (_products(p, r, o) for p in points)]
+
+    def iterates(rows, points, auxes):
+        [s], [aux] = points, auxes
+        j, os_, w = aux or _products(s, r, o)
         g = _gradient(s, r, os_, w)
         gnorm = float(np.linalg.norm(g))
-        gnorms.append(gnorm)
         if grad_tol > 0 and (bound - j <= gap_tol or gnorm < grad_tol):
-            converged = True
-            break
+            return [(j, None, 0.0, None, gnorm, True)]
         d, slope = _direction(s, g, os_, w, metric)
-        if d_prev is not None:
-            step = spectral_step(s - s_prev, d - d_prev, step, STIEFEL_STEP_FLOOR, STIEFEL_STEP_CAP)
-        t = step
-        accepted = False
-        while t >= STIEFEL_STEP_UNDERFLOW:
-            try:
-                cand = retract(s, t * d)
-            except ValueError:  # a trial too long to orthonormalize fails like any other
-                t *= BACKTRACK
-                continue
-            j_cand, os_cand, w_cand = _products(cand, r, o)
-            # the increase against the predicted one: a trial that leaves J
-            # unchanged fails even when t * slope is below J's last bit
-            if j_cand - j >= ARMIJO_C * t * slope:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
-            stalled = True
-            stall_message = (
-                f"line search underflow at iteration {it}: "
-                f"J={j:.12g}, |grad|={gnorm:.3e}, gap={bound - j:.3e}"
-            )
-            break
-        s_prev, d_prev = s, d
-        s, j, os_, w = cand, j_cand, os_cand, w_cand
-        history.append(j)
-        steps.append(t)
-        step = min(t / BACKTRACK, STIEFEL_STEP_CAP)
-    return OptimizationReport(
-        iterations=it,
-        objective_value=j,
-        objective_history=np.array(history),
-        gradient_norms=np.array(gnorms),
-        steps=np.array(steps),
-        converged=converged,
-        point=s,
-        gap=bound - j,
-        stalled=stalled,
-        stall_message=stall_message,
+        return [(j, d, slope, d, gnorm, False)]
+
+    [run] = run_lockstep(
+        [ascent(s, 1.0, move, max_iter, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR, STIEFEL_STEP_UNDERFLOW)],
+        trials, iterates,
     )
+    return OptimizationReport(run.iterations, run.value, run.history, run.gradient_norms, run.steps,
+                              run.converged, run.point, bound - run.value, bool(run.message), run.message)
 
 
 def _maximize_block(rho, observable, kwargs: dict, seeds) -> list[OptimizationReport]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from oqctrl import stiefel
-from oqctrl.core import (ARMIJO_C, BACKTRACK, STIEFEL_STEP_CAP, STIEFEL_STEP_FLOOR,
-                         STIEFEL_STEP_UNDERFLOW, spectral_step)
+from oqctrl.core import (ARMIJO_C, BACKTRACK, INITIAL_STEP, STIEFEL_STEP_CAP,
+                         STIEFEL_STEP_FLOOR, STIEFEL_STEP_UNDERFLOW, spectral_step)
 from oqctrl.stiefel import _lifted as lifted
 
 
@@ -68,7 +68,7 @@ def gradient_ascent(rho, observable, max_iter: int = 2000, grad_tol: float = 1e-
     o = np.asarray(observable, dtype=complex)
     s = stiefel.random_stiefel(r.shape[0], np.random.default_rng(seed))
     j, os_, w = stiefel._products(s, r, o)
-    step = stiefel.INITIAL_STEP
+    step = INITIAL_STEP
     s_prev = g_prev = None
     for _ in range(max_iter):
         g = stiefel._gradient(s, r, os_, w)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
-from oqctrl import ingrape, lindblad
+from oqctrl import core, ingrape, lindblad
 from oqctrl.core import (
     PAULI_X,
     PAULI_Y,
@@ -788,8 +788,8 @@ class TestSpectralStep:
 
     def test_step_comes_from_the_last_move_and_gradient_change(self, monkeypatch):
         seen = []
-        real = ingrape.spectral_step
-        monkeypatch.setattr(ingrape, "spectral_step",
+        real = core.spectral_step
+        monkeypatch.setattr(core, "spectral_step",
                             lambda *a: seen.append(a) or real(*a))
         problem, starts = self.tgate_scan_starts()
         result = optimize_run(problem, starts[0], max_iter=5)

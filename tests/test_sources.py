@@ -41,6 +41,14 @@ def test_one_multistart_runner(name):
     assert users == ["core.py"]
 
 
+@pytest.mark.parametrize("name", ["ARMIJO_C", "BACKTRACK", "spectral_step"])
+def test_one_line_search(name):
+    # the Armijo line search and its Barzilai-Borwein first step live in
+    # core.ascent, which both ascents run; a second copy fails here
+    users = [p.name for p in SOURCES if name in _names_used(p)]
+    assert users == ["core.py"]
+
+
 def test_one_matrix_exponential():
     # core.expm_stack is the library's one matrix exponential; a call of
     # scipy's expm (by name or as an attribute) fails here, while the module

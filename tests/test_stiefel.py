@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqctrl import stiefel
+from oqctrl import core, stiefel
 from oqctrl.core import (
     PAULI_Z,
     apply_kraus,
@@ -504,8 +504,8 @@ class TestMaximize:
 
     def test_step_comes_from_the_last_move_and_direction_change(self, monkeypatch):
         seen = []
-        real = stiefel.spectral_step
-        monkeypatch.setattr(stiefel, "spectral_step", lambda *a: seen.append(a) or real(*a))
+        real = core.spectral_step
+        monkeypatch.setattr(core, "spectral_step", lambda *a: seen.append(a) or real(*a))
         rng = np.random.default_rng(27)
         rho, obs = random_density(3, rng), random_hermitian(3, rng)
         report = maximize(rho, obs, seed=3, max_iter=3)
@@ -566,8 +566,8 @@ class TestMaximize:
         rng = np.random.default_rng(321)
         report = maximize(random_density(3, rng), random_hermitian(3, rng), seed=4)
         assert report.converged
-        assert np.array_equal(calls[1], stiefel.BACKTRACK * calls[0])
-        assert report.steps[0] <= stiefel.INITIAL_STEP * stiefel.BACKTRACK
+        assert np.array_equal(calls[1], core.BACKTRACK * calls[0])
+        assert report.steps[0] <= core.INITIAL_STEP * core.BACKTRACK
 
     @pytest.mark.parametrize("shift", [-3.0, 3.0], ids=["negative", "positive"])
     def test_gap_is_taken_from_what_j_optimizes(self, shift):
@@ -585,6 +585,25 @@ class TestMaximize:
             assert report.converged
             assert report.gap == pytest.approx(bound - report.objective_value, abs=1e-14)
             assert -tol <= report.gap <= tol
+
+    def test_rho_with_a_negative_eigenvalue_inside_the_tolerance_converges(self):
+        # eigenvalues (0.6, 0.4 + 5e-8, -5e-8): the direction leaves the columns
+        # on rho's negative eigen-direction where they are, so J stops short of
+        # the bound by up to |w_-| (lambda_max - lambda_min); with a stop
+        # tolerance that left this out, every seed stalled 4-5e-8 below it
+        rng = np.random.default_rng(5)
+        u, obs = random_unitary(3, rng), random_hermitian(3, rng)
+        rho = u @ np.diag([0.6, 0.4 + 5e-8, -5e-8]) @ u.conj().T
+        lam, spectrum = np.linalg.eigvalsh(rho), np.linalg.eigvalsh(obs)
+        negative = lam[lam < 0].sum()
+        bound = spectrum[-1] * lam[lam > 0].sum() + spectrum[0] * negative
+        tol = stiefel.GAP_TOL * max(1.0, np.abs(spectrum).max()) - negative * (spectrum[-1] - spectrum[0])
+        for seed in range(3):
+            report = maximize(rho, obs, seed=seed)
+            assert report.converged and not report.stalled
+            assert report.iterations <= 20
+            assert report.gap == pytest.approx(bound - report.objective_value, abs=1e-14)
+            assert 0 < report.gap <= tol
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_rank_deficient_rho_converges(self, rank):
