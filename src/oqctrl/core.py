@@ -40,7 +40,7 @@ STIEFEL_STEP_CAP = 1e3
 STIEFEL_STEP_FLOOR = 1e-10
 STIEFEL_STEP_UNDERFLOW = 1e-14
 # matrix entries that expm_stack exponentiates at a time (512 4x4 slices),
-# which bounds its temporaries to about ten arrays of that size
+# which bounds its temporaries to about a dozen arrays of that size
 EXPM_CHUNK_ELEMENTS = 8192
 # Taylor-16 threshold: the largest theta with sum_{k>16} |c_k| theta^(k-1)
 # <= 2^-53 for log(e^-x T_16(x)) = sum_k c_k x^k, a backward error within
@@ -48,6 +48,10 @@ EXPM_CHUNK_ELEMENTS = 8192
 # (2009)); T_16's coefficients 1/k! start at 1, so exp(0) is I bit for bit
 _THETA_16 = 0.780287
 _TAYLOR_16 = 1.0 / np.cumprod([1.0, *range(1, 17)])
+# row i: the coefficients of B_i = sum_j c_{4i+j} X^j on (I, X, X^2, X^3, X^4)
+_PATERSON_STOCKMEYER = np.zeros((4, 5))
+_PATERSON_STOCKMEYER[:, :4] = _TAYLOR_16[:16].reshape(4, 4)
+_PATERSON_STOCKMEYER[3, 4] = _TAYLOR_16[16]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -267,38 +271,56 @@ def expm_stack(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 3 or not 0 < a.shape[1] == a.shape[2]:
         raise DimensionMismatchError(f"expm_stack needs a (k, n, n) stack, got shape {a.shape}")
-    out = np.empty(a.shape, np.result_type(a.dtype, np.float64))
-    rows = max(1, EXPM_CHUNK_ELEMENTS // a.shape[1] ** 2)
-    for first in range(0, a.shape[0], rows):
+    (k, n, _), dtype = a.shape, np.result_type(a.dtype, np.float64)
+    rows = max(1, EXPM_CHUNK_ELEMENTS // n**2)
+    # I, X, X^2, X^3 and X^4 of each chunk, one buffer for the call
+    powers = np.empty((5, min(k, rows), n, n), dtype)
+    powers[0] = np.eye(n)
+    out = np.empty(a.shape, dtype)
+    for first in range(0, k, rows):
         chunk = a[first:first + rows]
         norm = reduce(np.maximum, reduce(np.add, np.abs(chunk).transpose(1, 0, 2)).T)
         mantissa, exponent = np.frexp(norm / _THETA_16)  # norm: the 1-norms, as folds for speed
         s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(.)), exactly
         order = np.argsort(-s, kind="stable")
         s = s[order]
-        r = _taylor_16(chunk[order] * np.ldexp(1.0, -s)[:, None, None])
+        np.multiply(chunk[order], np.ldexp(1.0, -s)[:, None, None], out=powers[1, :len(chunk)])
+        r = _taylor_16(powers[:, :len(chunk)])
         for c in np.searchsorted(-s, -np.arange(s[0])):  # step j: the c slices with s_i > j
             r[:c] = r[:c] @ r[:c]
-        out[first:first + rows][order] = require_finite(r, "matrix exponential")
-    return out
+        out[first:first + rows][order] = r
+    return require_finite(out, "matrix exponential")
 
 
-def _taylor_16(x: np.ndarray) -> np.ndarray:
-    """T_16(X_i) = sum_{k<=16} c_k X_i^k (c_k = 1/k!) per slice, by Paterson-Stockmeyer
-    in six products: X^2, X^3, X^4, then the Horner steps in X^4 of
-    (((c_16 X^4 + B_3) X^4 + B_2) X^4 + B_1) X^4 + B_0, B_i = sum_{k<4} c_{4i+k} X^k."""
-    x2 = x @ x
-    x3 = x2 @ x
-    x4 = x2 @ x2
-    p = _TAYLOR_16[16] * x4
-    for i in (3, 2, 1, 0):
-        if i < 3:
-            p = p @ x4
-        for k, xk in enumerate((x, x2, x3), 1):
-            p += _TAYLOR_16[4 * i + k] * xk
-        # p is a fresh product, so the reshape is a view: its diagonal, strided
-        p.reshape(len(p), -1)[:, :: x.shape[1] + 1] += _TAYLOR_16[4 * i]
+def _taylor_16(powers: np.ndarray) -> np.ndarray:
+    """T_16(X_i) = sum_{k<=16} c_k X_i^k (c_k = 1/k!) for the k slices X_i of
+    ``powers[1]``, where ``powers`` is a (5, k, n, n) stack with I in ``powers[0]``,
+    by Paterson-Stockmeyer in six products a slice: X^2, X^3 and X^4 into
+    ``powers[2:]``, then the Horner steps in X^4 of ((B_3 X^4 + B_2) X^4 + B_1)
+    X^4 + B_0.  The blocks B_i = sum_{j<4} c_{4i+j} X^j, with c_16 X^4 folded
+    into B_3, are one product of ``_PATERSON_STOCKMEYER`` with each slice's five
+    powers (numpy makes the same call for every slice); the coefficients are
+    real, so a complex stack takes that product on its float view.  The result
+    is a view of ``powers[1]``."""
+    _, k, n, _ = powers.shape
+    x, x2, x3, x4 = powers[1:]
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    np.matmul(x2, x2, out=x4)
+    blocks = np.empty((4, k, n, n), powers.dtype)
+    np.matmul(_PATERSON_STOCKMEYER, _real_rows(powers), out=_real_rows(blocks))
+    p = blocks[3]
+    for i in (2, 1, 0):  # each step into the slot of a power no longer needed
+        p = np.matmul(p, x4, out=powers[i + 1])
+        p += blocks[i]
     return p
+
+
+def _real_rows(stack: np.ndarray) -> np.ndarray:
+    """The (j, k, n, n) ``stack`` as k (j, n^2) real matrices: a view, with a
+    complex entry as two floats."""
+    j, k = stack.shape[:2]
+    return stack.reshape(j, k, -1).view(np.float64).transpose(1, 0, 2)
 
 
 def __getattr__(name: str):

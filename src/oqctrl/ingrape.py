@@ -243,7 +243,9 @@ def gradient_stack(
 
     so one adjoint block exp([[A_j, lam_j^T], [0, A_j]]), whose top-right
     block is X_j = L(A_j, lam_j^T), gives both directions:
-    g[j] = sign * dt * sum(X_j^T o D) for D = Du and D = Dn.  ``trial``, the
+    g[j] = sign * dt * sum(X_j^T o D) for D = Du and D = Dn, which for all
+    of a pulse's X_j is one product of their entries, an M x d^4 matrix, with
+    the d^4 x 2 matrix of the entries of Du^T and Dn^T.  ``trial``, the
     :func:`forward_stack` of these same controls if the caller has it, saves
     the k M segment propagators (d^2 x d^2); the k M adjoint blocks
     (2d^2 x 2d^2) make the call's one :func:`core.expm_stack`.
@@ -263,11 +265,11 @@ def gradient_stack(
     blocks[..., :d2, d2:] = forward[:, :m] @ pairing.T @ backward[:, 1:]  # lam_j^T
     adjoint = expm_stack(blocks.reshape(k * m, 2 * d2, 2 * d2)).reshape(blocks.shape)[..., :d2, d2:]
     _, du, dn = problem.affine_generator
-    directions = np.stack([du, dn])
-    # one contraction per pulse: a batched einsum may sum in another order
-    # (it does for M = 1), which would tie a pulse's bits to its stack
-    grad = np.stack([sign * h * np.einsum("kji,dij->dk", x, directions) for h, x in zip(dt, adjoint)])
-    return value, grad[:, 0], grad[:, 1]
+    directions = np.stack([du.T.ravel(), dn.T.ravel()], axis=1)
+    # numpy's matmul makes the same (M, d^4) x (d^4, 2) product for each
+    # pulse, whatever the stack, so a pulse's bits do not depend on its batch
+    grad = adjoint.reshape(k, m, d2 * d2) @ directions * (sign * dt)[:, None, None]
+    return value, grad[..., 0], grad[..., 1]
 
 
 def _one(controls: ControlVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -362,7 +364,7 @@ def optimize_starts(
         p = sign * g
         # drop components that push against an active bound
         p[((x >= hi) & (p > 0)) | ((x <= lo) & (p < 0))] = 0.0
-        gnorm2 = np.sum(p[:, :m] ** 2, axis=1) + np.sum(p[:, m:] ** 2, axis=1)
+        gnorm2 = np.sum(p.reshape(-1, 2, m) ** 2, axis=2).sum(axis=1)  # the u sum plus the n sum
         gnorm = np.sqrt(gnorm2)
         return zip(value.tolist(), p, gnorm2.tolist(), g, gnorm.tolist(), (gnorm < grad_tol).tolist())
 

@@ -160,7 +160,8 @@ def grape_gradient(controls: ControlVector, problem: PulseProblem, trial=None):
     blocks[:, :d2, d2:] = forward[:m] @ pairing.T @ backward[1:]
     adjoint = expm_stack(blocks)[:, :d2, d2:]
     _, du, dn = problem.affine_generator
-    grad_u, grad_n = sign * controls.dt * np.einsum("kji,dij->dk", adjoint, np.stack([du, dn]))
+    directions = np.stack([du.T.ravel(), dn.T.ravel()], axis=1)
+    grad_u, grad_n = (adjoint.reshape(m, d2 * d2) @ directions * (sign * controls.dt)).T
     return value, grad_u, grad_n
 
 

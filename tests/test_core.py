@@ -336,6 +336,23 @@ def van_loan_blocks(case, kind):
     return stacks[-1]
 
 
+def taylor_16_per_coefficient(x):
+    """T_16(X_i) per slice by the Paterson-Stockmeyer steps of ``core._taylor_16``,
+    one scaled power and one diagonal add at a time (the slow-path oracle)."""
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    p = core._TAYLOR_16[16] * x4
+    for i in (3, 2, 1, 0):
+        if i < 3:
+            p = p @ x4
+        for k, xk in enumerate((x, x2, x3), 1):
+            p += core._TAYLOR_16[4 * i + k] * xk
+        # p is a fresh product, so the reshape is a view: its diagonal, strided
+        p.reshape(len(p), -1)[:, :: x.shape[1] + 1] += core._TAYLOR_16[4 * i]
+    return p
+
+
 # the fragile lock-step cases of test_ingrape (qutrits) and the large-norm
 # draw on a qubit
 VAN_LOAN_CASES = {
@@ -440,6 +457,23 @@ class TestExpmStack:
     def test_stack_of_square_matrices_required(self, shape):
         with pytest.raises(DimensionMismatchError, match="expm_stack"):
             expm_stack(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 9])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_taylor_16_matches_the_per_coefficient_loop(self, n, kind):
+        # 1-norms from 0 to theta_16, the range expm_stack evaluates T_16 on;
+        # within 4 ulps of each slice's largest entry (2 seen)
+        rng = np.random.default_rng(200 + n)
+        x = rng.standard_normal((500, n, n))
+        if kind is complex:
+            x = x + 1j * rng.standard_normal((500, n, n))
+        x *= (rng.uniform(0.0, core._THETA_16, 500) / np.abs(x).sum(axis=1).max(axis=1))[:, None, None]
+        powers = np.empty((5, 500, n, n), x.dtype)
+        powers[0], powers[1] = np.eye(n), x
+        got, want = core._taylor_16(powers), taylor_16_per_coefficient(x)
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
     def test_theta_16_is_the_unit_roundoff_backward_error_bound(self):
         # h(x) = log(e^-x T_16(x)) = sum_{k>16} c_k x^k, exactly to degree 60

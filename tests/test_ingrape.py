@@ -815,13 +815,21 @@ def assert_same_run(a, b):
     )
 
 
+# one-segment pulses, where a batched contraction of the adjoint blocks is the
+# likeliest to sum in another order than a single pulse's (a batched einsum did)
+ONE_SEGMENT = {
+    "one-segment-qubit": (MODELS["qubit"], 1, 0.4, _uniform_controls),
+    "one-segment-qutrit": (MODELS["qutrit-eps"], 1, 0.4, _uniform_controls),
+}
+
+
 def lockstep_case(case, kind):
     """The case's problem and six starts: the case's own draw, then five
     uniform draws."""
     if case in MODELS:
         (system, dec), m, dt, draw = MODELS[case], 5, 0.4, _uniform_controls
     else:
-        (system, dec), m, dt, draw = FRAGILE[case]
+        (system, dec), m, dt, draw = {**FRAGILE, **ONE_SEGMENT}[case]
     rng = np.random.default_rng(53)
     problem = random_problem(kind, system, dec, m, dt, rng)
     starts = [ControlVector(*draw(rng, m), dt)]
@@ -834,7 +842,9 @@ def mixed_endings():
     max_iter 4: start 0 converges at iteration 1, start 1 stalls at
     iteration 3 and start 2 at iteration 4, while starts 3 and 4 run on to
     the cap.  The endings hang on roundoff: seed 296 gives them under the
-    Taylor-16 expm_stack, and a change of kernel may need a new seed."""
+    Taylor-16 expm_stack, with its blocks B_i as one coefficient product and
+    the gradient's contraction as one matmul, and a change of kernel may
+    need a new seed."""
     system, dec = closed_qubit()
     problem = GateProblem(system=system, decoherence=dec, target=np.eye(2, dtype=complex),
                           n_segments=3, dt=0.2)
@@ -852,7 +862,7 @@ class TestLockStep:
 
     MAX_ITER = 12
 
-    @pytest.mark.parametrize("case", sorted(MODELS) + sorted(FRAGILE))
+    @pytest.mark.parametrize("case", sorted(MODELS) + sorted(FRAGILE) + sorted(ONE_SEGMENT))
     @pytest.mark.parametrize("kind", ["gate", "state"])
     def test_a_start_does_not_depend_on_its_batch(self, case, kind):
         problem, starts = lockstep_case(case, kind)
@@ -861,7 +871,7 @@ class TestLockStep:
             assert_same_run(run, optimize_run(problem, start, self.MAX_ITER))
             assert_same_run(run, pulse_oracles.per_start_optimize_run(problem, start, self.MAX_ITER))
 
-    @pytest.mark.parametrize("case", sorted(MODELS) + sorted(FRAGILE))
+    @pytest.mark.parametrize("case", sorted(MODELS) + sorted(FRAGILE) + sorted(ONE_SEGMENT))
     @pytest.mark.parametrize("kind", ["gate", "state"])
     def test_a_scan_does_not_depend_on_workers(self, case, kind):
         problem, _ = lockstep_case(case, kind)
