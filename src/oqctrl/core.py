@@ -271,43 +271,39 @@ def expm_stack(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 3 or not 0 < a.shape[1] == a.shape[2]:
         raise DimensionMismatchError(f"expm_stack needs a (k, n, n) stack, got shape {a.shape}")
-    (k, n, _), dtype = a.shape, np.result_type(a.dtype, np.float64)
-    rows = max(1, EXPM_CHUNK_ELEMENTS // n**2)
-    # I, X, X^2, X^3 and X^4 of each chunk, one buffer for the call
-    powers = np.empty((5, min(k, rows), n, n), dtype)
-    powers[0] = np.eye(n)
-    out = np.empty(a.shape, dtype)
-    for first in range(0, k, rows):
+    out = np.empty(a.shape, np.result_type(a.dtype, np.float64))
+    rows = max(1, EXPM_CHUNK_ELEMENTS // a.shape[1] ** 2)
+    for first in range(0, a.shape[0], rows):
         chunk = a[first:first + rows]
         norm = reduce(np.maximum, reduce(np.add, np.abs(chunk).transpose(1, 0, 2)).T)
         mantissa, exponent = np.frexp(norm / _THETA_16)  # norm: the 1-norms, as folds for speed
         s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(.)), exactly
         order = np.argsort(-s, kind="stable")
         s = s[order]
-        np.multiply(chunk[order], np.ldexp(1.0, -s)[:, None, None], out=powers[1, :len(chunk)])
-        r = _taylor_16(powers[:, :len(chunk)])
+        r = _taylor_16(chunk[order] * np.ldexp(1.0, -s)[:, None, None])
         for c in np.searchsorted(-s, -np.arange(s[0])):  # step j: the c slices with s_i > j
             r[:c] = r[:c] @ r[:c]
-        out[first:first + rows][order] = r
-    return require_finite(out, "matrix exponential")
+        out[first:first + rows][order] = require_finite(r, "matrix exponential")
+        del r  # a view of _taylor_16's five powers: free them before the next chunk
+    return out
 
 
-def _taylor_16(powers: np.ndarray) -> np.ndarray:
-    """T_16(X_i) = sum_{k<=16} c_k X_i^k (c_k = 1/k!) for the k slices X_i of
-    ``powers[1]``, where ``powers`` is a (5, k, n, n) stack with I in ``powers[0]``,
-    by Paterson-Stockmeyer in six products a slice: X^2, X^3 and X^4 into
-    ``powers[2:]``, then the Horner steps in X^4 of ((B_3 X^4 + B_2) X^4 + B_1)
-    X^4 + B_0.  The blocks B_i = sum_{j<4} c_{4i+j} X^j, with c_16 X^4 folded
-    into B_3, are one product of ``_PATERSON_STOCKMEYER`` with each slice's five
-    powers (numpy makes the same call for every slice); the coefficients are
-    real, so a complex stack takes that product on its float view.  The result
-    is a view of ``powers[1]``."""
-    _, k, n, _ = powers.shape
-    x, x2, x3, x4 = powers[1:]
+def _taylor_16(x: np.ndarray) -> np.ndarray:
+    """T_16(X_i) = sum_{k<=16} c_k X_i^k (c_k = 1/k!) per slice, by Paterson-Stockmeyer
+    in six products a slice: X^2, X^3, X^4, then the Horner steps in X^4 of
+    ((B_3 X^4 + B_2) X^4 + B_1) X^4 + B_0.  The blocks B_i = sum_{j<4} c_{4i+j} X^j,
+    with c_16 X^4 folded into B_3, are one product of ``_PATERSON_STOCKMEYER``
+    with each slice's I, X, X^2, X^3 and X^4 (numpy makes the same call for
+    every slice); the coefficients are real, so a complex stack takes that
+    product on its float view."""
+    k, n, _ = x.shape
+    powers = np.empty((5, k, n, n), x.dtype)
+    powers[0], powers[1] = np.eye(n), x
+    _, x, x2, x3, x4 = powers
     np.matmul(x, x, out=x2)
     np.matmul(x2, x, out=x3)
     np.matmul(x2, x2, out=x4)
-    blocks = np.empty((4, k, n, n), powers.dtype)
+    blocks = np.empty((4, k, n, n), x.dtype)
     np.matmul(_PATERSON_STOCKMEYER, _real_rows(powers), out=_real_rows(blocks))
     p = blocks[3]
     for i in (2, 1, 0):  # each step into the slot of a power no longer needed

@@ -364,7 +364,7 @@ def optimize_starts(
         p = sign * g
         # drop components that push against an active bound
         p[((x >= hi) & (p > 0)) | ((x <= lo) & (p < 0))] = 0.0
-        gnorm2 = np.sum(p.reshape(-1, 2, m) ** 2, axis=2).sum(axis=1)  # the u sum plus the n sum
+        gnorm2 = np.sum(p[:, :m] ** 2, axis=1) + np.sum(p[:, m:] ** 2, axis=1)
         gnorm = np.sqrt(gnorm2)
         return zip(value.tolist(), p, gnorm2.tolist(), g, gnorm.tolist(), (gnorm < grad_tol).tolist())
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqctrl import cli, reachable, stiefel
+from oqctrl import cli, lindblad, reachable, stiefel
 from oqctrl.cli import build_parser, main
 from oqctrl.serialization import matrix_to_lists
 
@@ -854,9 +854,11 @@ def test_config_key_that_is_not_read_is_not_checked(tmp_path):
     assert main(["stiefel-max", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
-# finite inputs whose segment map is not a channel: a map that is not finite
-# stops the run at the exponential, and a finite one at the state check;
-# which of the two a field of 1e300 gives hangs on the kernel's last bits
+# inputs of 1e300 whose segment map is not a channel: a map that is not
+# finite stops the run at the exponential; whether a field of 1e300 gives a
+# map that overflows or a finite one that fails the state check hangs on the
+# kernel's last bits, so test_finite_map_that_is_not_a_channel_is_a_runtime_failure
+# checks the state check with a map set by hand
 OVERFLOW_MESSAGES = {
     "segments[0].u": "matrix exponential must be finite",
     "system.energies[1]": "matrix exponential must be finite",
@@ -872,6 +874,16 @@ def test_overflowing_run_is_a_runtime_failure(tmp_path, capsys, path):
         assert main(["simulate", str(cfg), "--out", str(out)]) == 2
     assert OVERFLOW_MESSAGES[path] in capsys.readouterr().err
     assert (out / "FAILED").exists() and not (out / "manifest.json").exists()
+
+
+def test_finite_map_that_is_not_a_channel_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    # a finite segment map that doubles the trace stops the run at the state check
+    monkeypatch.setattr(lindblad, "expm_stack", lambda a: np.broadcast_to(2.0 * np.eye(a.shape[1]), a.shape))
+    cfg = write_config(tmp_path / "cfg.json", qubit_simulate_config())
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+    assert "state after segment 0 invalid (trace)" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["FAILED"]
 
 
 @pytest.mark.parametrize("u_max", [1e20, 1e300])
